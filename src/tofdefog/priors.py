@@ -271,15 +271,6 @@ class FlipOperator:
         """Mirror-minus-identity residual; zero outside participating rows."""
         return self.apply(image) - image
 
-    def normal_apply(self, image: np.ndarray) -> np.ndarray:
-        """(F - I)^T (F - I) restricted to participating rows.
-
-        Because the participating set is mirror-closed and the flip is an
-        involution, the normal operator equals the residual operator applied
-        twice.
-        """
-        return self.residual(self.residual(image))
-
     def normal_diag(self, shape) -> np.ndarray:
         """Diagonal of the symmetry normal operator."""
         rows, cols = shape
@@ -308,16 +299,19 @@ def gradient_penalty(image: np.ndarray) -> float:
     return float(np.sum(dh * dh) + np.sum(dv * dv))
 
 
+def neighbour_sum(image: np.ndarray) -> np.ndarray:
+    """Sum of each pixel's in-image 4-neighbours: the stencil's off-diagonal."""
+    out = np.zeros_like(image)
+    out[:, :-1] += image[:, 1:]
+    out[:, 1:] += image[:, :-1]
+    out[:-1, :] += image[1:, :]
+    out[1:, :] += image[:-1, :]
+    return out
+
+
 def laplacian_apply(image: np.ndarray) -> np.ndarray:
     """Normal operator of the forward-difference gradient (5-point stencil)."""
-    out = np.zeros_like(image)
-    dh = np.diff(image, axis=1)
-    out[:, :-1] -= dh
-    out[:, 1:] += dh
-    dv = np.diff(image, axis=0)
-    out[:-1, :] -= dv
-    out[1:, :] += dv
-    return out
+    return laplacian_diag(image.shape) * image - neighbour_sum(image)
 
 
 def laplacian_diag(shape) -> np.ndarray:

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
-from conftest import quadratic_symmetric_image, small_config
+from conftest import make_scene, quadratic_symmetric_image, small_config
 
 import tofdefog as td
 from tofdefog.irls import (
     PROFILES,
     SolverConfig,
     WeightField,
+    _solve_system,
+    _Workspace,
     binarize_weights,
     mad_scale,
     run_coarse,
@@ -141,6 +145,59 @@ def test_solve_wls_matches_dense_solve():
 
     x = solve_wls(x_tilde, w, coeffs, cfg)
     assert np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense) < 1e-8
+
+
+@pytest.mark.parametrize("flip_row", [5, 0])
+def test_apply_system_matches_dense_operator(flip_row):
+    shape = (11, 14)
+    cfg = small_config(rows=11, flip=FlipOperator(flip_row=flip_row, excluded_bottom_rows=2))
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0, 1, shape)
+    x = rng.normal(size=shape)
+    lap, sym = dense_system(shape, cfg)
+    a = (np.diag(w.ravel()) + cfg.gamma1 * np.eye(w.size)
+         + cfg.gamma2 * sym + cfg.gamma3 * lap)
+    out = _Workspace(shape, cfg).apply_system(w, x)
+    assert np.max(np.abs(out.ravel() - a @ x.ravel())) < 1e-12
+
+
+def test_dct_preconditioner_exact_for_constant_weights():
+    # without the symmetry term the operator is (w + g1) I + g3 L, which the
+    # DCT solve inverts exactly: one CG step reaches any tolerance
+    cfg = small_config(rows=16, gamma2=0.0, linear_solver_tol=1e-10)
+    rng = np.random.default_rng(12)
+    ws = _Workspace((16, 20), cfg)
+    w = np.full((16, 20), 0.3)
+    x, n_cg = _solve_system(ws, w, rng.normal(size=(16, 20)), np.zeros((16, 20)),
+                            cfg.linear_solver_tol)
+    assert n_cg == 1
+    assert np.all(np.isfinite(x))
+
+
+def test_solve_system_singular_constant_mode():
+    # g1 = g2 = 0 and zero weights leave only g3 L, whose constant mode is
+    # singular; the solve must stay finite and silent
+    cfg = small_config(rows=16, gamma1=0.0, gamma2=0.0, gamma3=10.0)
+    rng = np.random.default_rng(13)
+    ws = _Workspace((16, 16), cfg)
+    x0 = rng.normal(size=(16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0,
+                             cfg.linear_solver_tol)
+    assert np.all(np.isfinite(x))
+    assert np.ptp(x) < 1e-5 * np.ptp(x0)  # L x = 0 only for constant x
+
+
+def test_defog_cg_iteration_budget():
+    scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    amp_cfg = small_config("amplitude-kinect16", rows=48, patch_grid=(2, 2))
+    phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2))
+    res = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
+    total = sum(sum(s["cg_iterations"]) for s in res.solver_summary().values())
+    assert 0 < total <= 500
 
 
 def test_solve_wls_rejects_patch_level_weights():
