@@ -11,6 +11,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
@@ -33,51 +34,20 @@ class InputError(ValueError):
     pass
 
 
-def _config_dict(cfg: SolverConfig) -> dict:
-    return {
-        "gamma1": cfg.gamma1,
-        "gamma2": cfg.gamma2,
-        "gamma3": cfg.gamma3,
-        "c_coarse": cfg.c_coarse,
-        "c_fine": cfg.c_fine,
-        "patch_grid": list(cfg.patch_grid),
-        "flip": {
-            "flip_row": cfg.flip.flip_row,
-            "excluded_bottom_rows": cfg.flip.excluded_bottom_rows,
-        },
-        "max_outer_iters": cfg.max_outer_iters,
-        "convergence_tol": cfg.convergence_tol,
-        "linear_solver_tol": cfg.linear_solver_tol,
-        "mask_threshold": cfg.mask_threshold,
-        "plain_patch_fit": cfg.plain_patch_fit,
-        "clamp_nonnegative": cfg.clamp_nonnegative,
-    }
+def _given(**flags) -> dict:
+    return {name: value for name, value in flags.items() if value is not None}
 
 
-def _apply_flip_override(cfg: SolverConfig, flip_row, excluded_rows) -> SolverConfig:
-    if flip_row is None and excluded_rows is None:
-        return cfg
-    doc = _config_dict(cfg)
-    doc["flip"] = {
-        "flip_row": flip_row if flip_row is not None else cfg.flip.flip_row,
-        "excluded_bottom_rows": excluded_rows if excluded_rows is not None
-        else cfg.flip.excluded_bottom_rows,
-    }
-    return SolverConfig.from_json(doc)
-
-
-def _load_config(profile: str, config_path: str | None, overrides: dict) -> SolverConfig:
+def _load_config(profile: str, config_path: str | None, overrides: dict,
+                 flip_overrides: dict) -> SolverConfig:
     cfg = SolverConfig.profile(profile)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        doc.setdefault("profile", profile)
+        if isinstance(doc, dict):
+            doc.setdefault("profile", profile)
         cfg = SolverConfig.from_json(doc)
-    if overrides:
-        doc = _config_dict(cfg)
-        doc.update(overrides)
-        cfg = SolverConfig.from_json(doc)
-    return cfg
+    return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -145,15 +115,10 @@ def _defog_setup(args):
         if not args.amp or not args.phase:
             raise InputError("either --amp and --phase or --from-manifest is required")
         amp_path, phase_path = args.amp, args.phase
-        overrides = {}
-        if args.mask_threshold is not None:
-            overrides["mask_threshold"] = args.mask_threshold
-        if args.max_iters is not None:
-            overrides["max_outer_iters"] = args.max_iters
-        amp_cfg = _load_config(args.amp_profile, args.amp_config, dict(overrides))
-        phase_cfg = _load_config(args.phase_profile, args.phase_config, dict(overrides))
-        amp_cfg = _apply_flip_override(amp_cfg, args.flip_row, args.excluded_rows)
-        phase_cfg = _apply_flip_override(phase_cfg, args.flip_row, args.excluded_rows)
+        overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
+        flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
+        amp_cfg = _load_config(args.amp_profile, args.amp_config, overrides, flip)
+        phase_cfg = _load_config(args.phase_profile, args.phase_config, overrides, flip)
         freq = args.freq
         preprocess = args.preprocess
         preprocess_sigma = args.preprocess_sigma
@@ -209,8 +174,8 @@ def cmd_defog(args) -> int:
     manifest = build_manifest(
         "defog",
         {
-            "amplitude": _config_dict(amp_cfg),
-            "phase": _config_dict(phase_cfg),
+            "amplitude": amp_cfg.to_dict(),
+            "phase": phase_cfg.to_dict(),
             "modulation_frequency_hz": freq,
             "preprocess": preprocess,
             "preprocess_sigma": preprocess_sigma,

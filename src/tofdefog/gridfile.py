@@ -1,8 +1,7 @@
 """TOFGRID container: a JSON header plus raw float32 payload.
 
 Canonical form is a single file: UTF-8 JSON header, one NUL byte, then
-rows*cols little-endian float32 values in row-major order.  A sidecar mode
-(header JSON referencing a .bin payload next to it) is kept for debugging.
+rows*cols little-endian float32 values in row-major order.
 
 Domains carry their value contracts: phase grids hold radians in
 [0, 2*pi); depth grids use +inf for background; weights lie in [0, 1].
@@ -11,7 +10,6 @@ Domains carry their value contracts: phase grids hold radians in
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +62,7 @@ def _validate_domain_values(values: np.ndarray, domain: str, where: str):
             raise GridFormatError(f"{where}: labels must not be NaN")
 
 
-def write_grid(path, values, domain: str, units: str | None = None,
-               sidecar: bool = False) -> None:
+def write_grid(path, values, domain: str, units: str | None = None) -> None:
     """Write a grid; float64 input is cast to the stored float32."""
     if domain not in DOMAINS:
         raise GridFormatError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
@@ -87,18 +84,10 @@ def write_grid(path, values, domain: str, units: str | None = None,
         "units": units if units is not None else DEFAULT_UNITS[domain],
         "domain": domain,
     }
-    if sidecar:
-        payload_name = os.path.basename(str(path)) + ".bin"
-        header["payload_file"] = payload_name
-        with open(os.path.join(os.path.dirname(str(path)) or ".", payload_name), "wb") as fh:
-            fh.write(payload.tobytes())
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(header, fh, sort_keys=True)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\x00")
-            fh.write(payload.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(b"\x00")
+        fh.write(payload.tobytes())
 
 
 def _parse_header(raw: bytes, where: str) -> dict:
@@ -121,23 +110,14 @@ def _parse_header(raw: bytes, where: str) -> dict:
 
 
 def read_grid(path) -> GridFile:
-    """Read either container form; validates payload size and domain values."""
+    """Read a grid; validates payload size and domain values."""
     with open(path, "rb") as fh:
         data = fh.read()
     sep = data.find(b"\x00")
-    if sep >= 0:
-        header = _parse_header(data[:sep], str(path))
-        payload = data[sep + 1:]
-    else:
-        header = _parse_header(data, str(path))
-        payload_file = header.get("payload_file")
-        if not payload_file:
-            raise GridFormatError(f"{path}: sidecar header lacks payload_file")
-        sidecar_path = os.path.join(os.path.dirname(str(path)) or ".", payload_file)
-        if not os.path.exists(sidecar_path):
-            raise GridFormatError(f"{path}: payload file {payload_file} not found")
-        with open(sidecar_path, "rb") as fh:
-            payload = fh.read()
+    if sep < 0:
+        raise GridFormatError(f"{path}: no NUL byte ends the header")
+    header = _parse_header(data[:sep], str(path))
+    payload = data[sep + 1:]
     expected = header["rows"] * header["cols"] * 4
     if len(payload) != expected:
         raise GridFormatError(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,11 +71,6 @@ class SolverConfig:
     convergence_tol: float = 1e-4
     linear_solver_tol: float = 1e-6
     mask_threshold: float = 0.5
-    # Weight the patch fits by the current pixel weights (default) so both
-    # alternation steps respond to the same outlier pattern; True fits the
-    # quadratics unweighted, which minimizes the surrogate's patch term
-    # exactly.
-    plain_patch_fit: bool = False
     # Project the final field to >= 0 (physical for amplitude, not phase).
     clamp_nonnegative: bool = False
 
@@ -109,19 +104,40 @@ class SolverConfig:
         """Build a config from a JSON document (dict or string).
 
         Field names mirror the dataclass; an optional "profile" key selects
-        a base profile that the remaining keys override.
+        a base profile that the remaining keys override.  A document of the
+        wrong shape raises ValueError naming the offending key or type.
         """
         if isinstance(doc, str):
             doc = json.loads(doc)
-        doc = dict(doc)
+        doc = _kwargs_for(cls, doc, "solver config", extra={"profile"})
         base = doc.pop("profile", None)
-        if "flip" in doc and isinstance(doc["flip"], dict):
-            doc["flip"] = FlipOperator(**doc["flip"])
+        if "flip" in doc:
+            doc["flip"] = FlipOperator(**_kwargs_for(FlipOperator, doc["flip"], "flip"))
         if "patch_grid" in doc:
-            doc["patch_grid"] = tuple(doc["patch_grid"])
+            grid = doc["patch_grid"]
+            if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+                raise ValueError(f"patch_grid must be a list of two ints, got {grid!r}")
+            doc["patch_grid"] = tuple(grid)
         if base is not None:
             return cls.profile(base, **doc)
         return cls(**doc)
+
+    def to_dict(self) -> dict:
+        """JSON-ready fields; from_json inverts it."""
+        return asdict(self)
+
+
+def _kwargs_for(cls, doc, what: str, extra=()) -> dict:
+    """A JSON object's entries as keyword arguments of dataclass `cls`.
+
+    Raises ValueError naming the type of a non-object or the unknown keys.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return dict(doc)
 
 
 PROFILES = {
@@ -151,15 +167,12 @@ class ScatteringField:
 
 @dataclass
 class WeightField:
-    """IRLS weights in [0, 1]; level records their native granularity."""
+    """IRLS weights in [0, 1], one per pixel."""
 
     weights: np.ndarray
-    level: str = "pixel"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.level not in ("patch", "pixel"):
-            raise ValueError("level must be 'patch' or 'pixel'")
         if np.any(self.weights < 0) or np.any(self.weights > 1):
             raise ValueError("weights must lie in [0, 1]")
 
@@ -342,14 +355,12 @@ def _solve_system(ws: _Workspace, w, b, x0, tol):
 def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
     """Minimize the weighted surrogate over x with patch coefficients fixed.
 
-    `w` is a WeightField or a weight grid in [0, 1]; `a` holds per-patch
-    quadratic coefficients over patch-local (u, v) coordinates, shape
-    (K, 6).  Returns the solution grid.
+    `w` is a WeightField or a weight grid in [0, 1] with the image's shape;
+    `a` holds per-patch quadratic coefficients over patch-local (u, v)
+    coordinates, shape (K, 6).  Returns the solution grid.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     weights = w.weights if isinstance(w, WeightField) else np.asarray(w, np.float64)
-    if isinstance(w, WeightField) and w.level == "patch":
-        raise ValueError("expand patch weights over pixels before solving")
     if weights.shape != x_tilde.shape:
         raise ValueError("weight grid shape does not match image")
     if np.any(weights < 0) or np.any(weights > 1):
@@ -359,10 +370,8 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
     scaled = np.array(
         [ws.grid.bases[k].from_raw(coeffs[k]) for k in range(ws.grid.n_patches)]
     )
-    q = ws.grid.surface_image(scaled)
-    b = weights * x_tilde + cfg.gamma1 * q
-    x0 = x_tilde.copy() if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    x, _ = _solve_system(ws, weights, b, x0, cfg.linear_solver_tol)
+    x0 = x_tilde if x0 is None else np.asarray(x0, dtype=np.float64)
+    x, _ = _x_step(ws, x_tilde, weights, scaled, x0)
     return x
 
 
@@ -372,24 +381,11 @@ def _x_step(ws, x_tilde, w_pix, coeffs, x_prev):
     return _solve_system(ws, w_pix, b, x_prev, ws.cfg.linear_solver_tol)
 
 
-def _a_step(ws, x, w_pix):
-    if ws.cfg.plain_patch_fit:
-        return ws.grid.fit_all(x)
-    # floor keeps the weighted fit defined when a whole patch is outlier
-    return ws.grid.fit_all(x, weights=w_pix + 1e-9)
-
-
-def _prior_terms(ws, x, coeffs):
-    q = ws.grid.surface_image(coeffs)
-    patch_term = float(np.sum((q - x) ** 2))
-    sym = symmetry_penalty(x, ws.flip)
-    grad = gradient_penalty(x)
-    return patch_term, sym, grad
-
-
 def _objective(ws, x, coeffs, data_rho_sum, sigma):
     """True robust objective with the unscaled gammas gamma'/(2 sigma^2)."""
-    patch_term, sym, grad = _prior_terms(ws, x, coeffs)
+    patch_term = float(np.sum((ws.grid.surface_image(coeffs) - x) ** 2))
+    sym = symmetry_penalty(x, ws.flip)
+    grad = gradient_penalty(x)
     scale = 1.0 / (2.0 * sigma * sigma)
     cfg = ws.cfg
     return data_rho_sum + scale * (
@@ -407,49 +403,65 @@ def _converged(history, tol):
     return abs(cur - prev) < tol * max(abs(prev), 1e-12)
 
 
-def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:
-    """Patch-level robust estimation (the coarse half of the pipeline).
+def _identity(v):
+    return v
 
-    Data term and Tukey weights live on whole patches; the scale sigma is
-    the MAD of the patch residual norms, computed at the first iteration
-    and then frozen.
+
+def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsState:
+    """One IRLS level from the start point (x, w_pix, coeffs).
+
+    Each outer iteration solves the x-step, refits the patch quadratics
+    and reweights.  The coarse level measures residuals as patch norms and
+    spreads each patch's Tukey weight over its pixels; the fine level works
+    per pixel.  The scale sigma is the MAD of the first iteration's
+    residuals and then stays frozen.
     """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    ws = _Workspace(x_tilde.shape, cfg)
+    cfg = ws.cfg
+    if level == "coarse":
+        residual, spread, c = ws.grid.patch_norms, ws.grid.expand_patch_values, cfg.c_coarse
+    else:
+        residual = spread = _identity
+        c = cfg.c_fine
     floor = _scale_floor(x_tilde)
-
-    x = x_tilde.copy()
-    w_pix = np.ones_like(x_tilde)
-    coeffs = ws.grid.fit_all(x_tilde)
     sigma = None
     history: list[float] = []
     cg_iters: list[int] = []
-    w_patch = np.ones(ws.grid.n_patches)
 
     for _ in range(cfg.max_outer_iters):
         x, n_cg = _x_step(ws, x_tilde, w_pix, coeffs, x)
         cg_iters.append(n_cg)
-        coeffs = _a_step(ws, x, w_pix)
-        norms = ws.grid.patch_norms(x - x_tilde)
+        # floor keeps the weighted fit defined when a whole patch is outlier
+        coeffs = ws.grid.fit_all(x, weights=w_pix + 1e-9)
+        r = residual(x - x_tilde)
         if sigma is None:
-            sigma = mad_scale(norms, floor=floor)
-        w_patch = tukey_weight(norms / sigma, cfg.c_coarse)
-        w_pix = ws.grid.expand_patch_values(w_patch)
-        history.append(
-            _objective(ws, x, coeffs, float(np.sum(tukey_rho(norms / sigma, cfg.c_coarse))), sigma)
-        )
+            sigma = mad_scale(r, floor=floor)
+        z = r / sigma
+        w_pix = spread(tukey_weight(z, c))
+        history.append(_objective(ws, x, coeffs, float(np.sum(tukey_rho(z, c))), sigma))
         if _converged(history, cfg.convergence_tol):
             break
 
     return IrlsState(
         x=ScatteringField(values=x),
         a=coeffs,
-        w=WeightField(weights=w_pix, level="patch"),
+        w=WeightField(weights=w_pix),
         sigma=sigma,
         objective_history=history,
-        level="coarse",
+        level=level,
         cg_iterations=cg_iters,
     )
+
+
+def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:
+    """Patch-level robust estimation (the coarse half of the pipeline).
+
+    Data term and Tukey weights live on whole patches; the level starts
+    from x~ with unit weights and unweighted patch fits.
+    """
+    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    ws = _Workspace(x_tilde.shape, cfg)
+    return _run_level(ws, x_tilde, "coarse", x_tilde, np.ones_like(x_tilde),
+                      ws.grid.fit_all(x_tilde))
 
 
 def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
@@ -458,38 +470,7 @@ def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
     if init.x.values.shape != x_tilde.shape:
         raise ValueError("coarse state does not belong to this image")
     ws = _Workspace(x_tilde.shape, cfg)
-    floor = _scale_floor(x_tilde)
-
-    x = init.x.values.copy()
-    w_pix = init.w.weights.copy()
-    coeffs = init.a.copy()
-    sigma = None
-    history: list[float] = []
-    cg_iters: list[int] = []
-
-    for _ in range(cfg.max_outer_iters):
-        x, n_cg = _x_step(ws, x_tilde, w_pix, coeffs, x)
-        cg_iters.append(n_cg)
-        coeffs = _a_step(ws, x, w_pix)
-        r = x - x_tilde
-        if sigma is None:
-            sigma = mad_scale(r.ravel(), floor=floor)
-        w_pix = tukey_weight(r / sigma, cfg.c_fine)
-        history.append(
-            _objective(ws, x, coeffs, float(np.sum(tukey_rho(r / sigma, cfg.c_fine))), sigma)
-        )
-        if _converged(history, cfg.convergence_tol):
-            break
-
-    return IrlsState(
-        x=ScatteringField(values=x),
-        a=coeffs,
-        w=WeightField(weights=w_pix, level="pixel"),
-        sigma=sigma,
-        objective_history=history,
-        level="fine",
-        cg_iterations=cg_iters,
-    )
+    return _run_level(ws, x_tilde, "fine", init.x.values, init.w.weights, init.a)
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):

@@ -70,15 +70,11 @@ def defog(obs: PhasorImage, cam: CameraModel,
     environment variable.  Results do not depend on the execution order.
     """
     threads = max_threads() if threads is None else max(threads, 1)
-    if threads >= 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            amp_future = pool.submit(estimate_scattering, obs.amplitude, amp_cfg)
-            phase_future = pool.submit(estimate_scattering, obs.phase, phase_cfg)
-            amp_coarse, amp_fine, scat_amp = amp_future.result()
-            phase_coarse, phase_fine, scat_phase = phase_future.result()
-    else:
-        amp_coarse, amp_fine, scat_amp = estimate_scattering(obs.amplitude, amp_cfg)
-        phase_coarse, phase_fine, scat_phase = estimate_scattering(obs.phase, phase_cfg)
+    with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
+        amp, phase = pool.map(estimate_scattering, (obs.amplitude, obs.phase),
+                              (amp_cfg, phase_cfg))
+    amp_coarse, amp_fine, scat_amp = amp
+    phase_coarse, phase_fine, scat_phase = phase
 
     mask_amp = binarize_weights(amp_fine.w, amp_cfg.mask_threshold)
     mask_phase = binarize_weights(phase_fine.w, phase_cfg.mask_threshold)

@@ -146,6 +146,29 @@ def test_defog_format_error_exit_code(tmp_path, scene_dir, capsys):
     assert err["exit_code"] == 4
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"gama1": 0.1}, "gama1"),
+    ({"flip": {"flip_row": 5, "bogus": 1}}, "bogus"),
+    ({"patch_grid": 4}, "patch_grid"),
+    ([1, 2], "list"),
+], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list"])
+def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
+    # the config is rejected before the (absent) grids are opened
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main([
+        "defog",
+        "--amp", str(tmp_path / "nope.tofgrid"),
+        "--phase", str(tmp_path / "nope2.tofgrid"),
+        "--amp-config", str(bad),
+        "--out", str(tmp_path / "d"), "--json",
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["exit_code"] == 2
+    assert named in err["message"]
+
+
 def test_missing_input_exit_code(tmp_path):
     code = main([
         "defog", "--amp", str(tmp_path / "nope.tofgrid"),

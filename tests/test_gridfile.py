@@ -40,21 +40,14 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
     assert "400" in str(err.value) and "393" in str(err.value)
 
 
-def test_sidecar_round_trip(tmp_path):
-    values = np.linspace(0, 1, 12).reshape(3, 4)
+def test_header_only_file_rejected(tmp_path):
+    # a header without the NUL separator is not a grid, even when a payload
+    # named by a "payload_file" entry sits next to it
+    (tmp_path / "side.tofgrid.bin").write_bytes(np.zeros(9, dtype="<f4").tobytes())
+    header = {"magic": "TOFGRID", "version": 1, "rows": 3, "cols": 3, "dtype": "f32",
+              "units": "1", "domain": "weight", "payload_file": "side.tofgrid.bin"}
     path = tmp_path / "side.tofgrid"
-    write_grid(path, values, "weight", sidecar=True)
-    assert (tmp_path / "side.tofgrid.bin").exists()
-    header = json.loads(path.read_text())
-    assert header["payload_file"] == "side.tofgrid.bin"
-    grid = read_grid(path)
-    assert np.array_equal(grid.values.astype("<f4"), values.astype("<f4"))
-
-
-def test_sidecar_missing_payload(tmp_path):
-    path = tmp_path / "side.tofgrid"
-    write_grid(path, np.zeros((3, 3)), "weight", sidecar=True)
-    (tmp_path / "side.tofgrid.bin").unlink()
+    path.write_text(json.dumps(header))
     with pytest.raises(GridFormatError):
         read_grid(path)
 

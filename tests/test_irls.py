@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -203,9 +204,19 @@ def test_defog_cg_iteration_budget():
 def test_solve_wls_rejects_patch_level_weights():
     cfg = small_config()
     x_tilde = np.zeros((16, 16))
-    w = WeightField(weights=np.ones((16, 16)), level="patch")
+    w = WeightField(weights=np.ones(cfg.grid_for(x_tilde.shape).n_patches))
     with pytest.raises(ValueError):
         solve_wls(x_tilde, w, patch_coeffs_raw(x_tilde, cfg), cfg)
+
+
+def test_solve_wls_accepts_coarse_weights():
+    # coarse weights come back already spread over the pixels
+    cfg = small_config(rows=16)
+    x_tilde = quadratic_symmetric_image(16, 16, 8)
+    x_tilde[4:8, 4:8] += 5.0
+    coarse = run_coarse(x_tilde, cfg)
+    x = solve_wls(x_tilde, coarse.w, patch_coeffs_raw(x_tilde, cfg), cfg)
+    assert x.shape == x_tilde.shape and np.all(np.isfinite(x))
 
 
 def test_solver_error_carries_residual_norm():
@@ -357,6 +368,16 @@ def test_config_from_json():
     assert cfg.patch_grid == (2, 2)
     with pytest.raises(ValueError):
         SolverConfig.from_json({"profile": "nope"})
+
+
+@pytest.mark.parametrize("cfg", [
+    PROFILES["amplitude-kinect16"],
+    PROFILES["phase-kinect16"],
+    SolverConfig.profile("phase-kinect16", flip=FlipOperator(flip_row=120, excluded_bottom_rows=7)),
+], ids=["amplitude", "phase", "flip-override"])
+def test_config_round_trip(cfg):
+    assert SolverConfig.from_json(cfg.to_dict()) == cfg
+    assert SolverConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
 
 def test_config_validation():
