@@ -243,6 +243,8 @@ def cmd_simrange(args) -> int:
         z_min = args.z_min if args.z_min is not None else max(10.0, args.z0)
         z_max = args.z_max if args.z_max is not None else 10000.0
         z_step = args.z_step if args.z_step is not None else 10.0
+        if not z_step > 0:
+            raise InputError(f"--z-step must be positive, got {z_step}")
         z_grid = np.arange(z_min, z_max + 0.5 * z_step, z_step)
     sweep_ = sweep(medium, cam, reflectance=args.reflectance, z_grid=z_grid)
     write_csv(sweep_, args.out)

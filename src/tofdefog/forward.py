@@ -13,7 +13,6 @@ per-pixel scattering field independent of scene depth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,46 +58,42 @@ def hg_phase(theta, g: float):
     return out if out.ndim else float(out)
 
 
-def _quad_nodes(z0: float, z_end: float, points_per_efold: int):
-    """Stable log-spaced nodes z0*exp(k*h) up to z_end, z_end appended.
-
-    The node set is nested across different z_end values, so cumulative
-    integrals evaluated at increasing depths stay mutually consistent.
-    """
-    h = 1.0 / points_per_efold
-    k_max = int(math.floor(math.log(z_end / z0) / h))
-    t = np.arange(k_max + 1) * h
-    zs = z0 * np.exp(t)
-    if zs[-1] < z_end:
-        zs = np.append(zs, z_end)
-    else:
-        zs[-1] = z_end
-    return zs
-
-
 def scattering_phasor(z, medium: MediumParams, cam: CameraModel,
-                      points_per_efold: int = QUAD_POINTS_PER_EFOLD) -> complex:
-    """Backscatter phasor accumulated from z0 to depth z (complex).
+                      points_per_efold: int = QUAD_POINTS_PER_EFOLD) -> complex | np.ndarray:
+    """Backscatter phasor accumulated from z0 to each depth in z (complex).
 
     The integral runs to min(z, quadrature cap); the integrand is
     exponentially damped so the cap is immaterial for any realistic beta.
+    It is a trapezoid rule in t = ln z over the nodes z0*exp(k*h),
+    h = 1/points_per_efold.  The node set is nested across depths, so one
+    cumulative sum over the nodes up to the deepest depth serves every
+    depth: z_end takes the prefix sum to node k = floor(ln(z_end/z0)/h)
+    plus a closing segment from node k to z_end.  When node k rounds onto
+    or past z_end, z_end replaces it and the closing segment starts at
+    node k-1.  A scalar z gives a complex, an array an array of its shape.
     """
-    if z < medium.z0:
-        raise ValueError(f"z={z} is below the integration start z0={medium.z0}")
-    if medium.beta == 0.0:
-        return 0.0 + 0.0j
-    z_end = min(float(z), QUAD_Z_CAP_MM)
-    if z_end <= medium.z0:
-        return 0.0 + 0.0j
-    zs = _quad_nodes(medium.z0, z_end, points_per_efold)
-    p_back = hg_phase(np.pi, medium.g)
-    kappa = cam.phase_per_mm
-    integrand = (
-        (1.0 / (zs * zs)) * medium.beta * p_back
-        * np.exp(-2.0 * medium.beta * zs) * np.exp(1j * kappa * zs)
-    )
-    # integrate in t = ln z: dz -> z dt
-    return complex(np.trapezoid(integrand * zs, np.log(zs)))
+    z = np.asarray(z, dtype=np.float64)
+    below = z[~(z >= medium.z0)]
+    if below.size:
+        raise ValueError(f"z={below.min()} is below the integration start z0={medium.z0}")
+    out = np.zeros(z.shape, dtype=np.complex128)
+    z_end = np.minimum(z, QUAD_Z_CAP_MM)
+    live = z_end > medium.z0
+    if medium.beta > 0.0 and live.any():
+        z_end, h = z_end[live], 1.0 / points_per_efold
+        k = np.floor(np.log(z_end / medium.z0) / h).astype(np.intp)
+        nodes = medium.z0 * np.exp(np.arange(k.max() + 1) * h)
+        k -= nodes[k] >= z_end
+        p_back, kappa = hg_phase(np.pi, medium.g), cam.phase_per_mm
+
+        def integrand_dt(zs):  # dz = z dt: the rule integrates in t = ln z
+            return ((1.0 / (zs * zs)) * medium.beta * p_back
+                    * np.exp(-2.0 * medium.beta * zs) * np.exp(1j * kappa * zs) * zs)
+
+        t, f = np.log(nodes), integrand_dt(nodes)
+        prefix = np.concatenate(([0.0], np.cumsum(np.diff(t) * (f[1:] + f[:-1]) / 2.0)))
+        out[live] = prefix[k] + (np.log(z_end) - t[k]) * (integrand_dt(z_end) + f[k]) / 2.0
+    return out if out.ndim else complex(out)
 
 
 def direct_phasor(z, reflectance, medium: MediumParams, cam: CameraModel):

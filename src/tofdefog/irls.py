@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -91,12 +91,9 @@ class SolverConfig:
 
     @classmethod
     def profile(cls, name: str, **overrides) -> "SolverConfig":
-        try:
-            base = PROFILES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown profile {name!r}; available: {sorted(PROFILES)}"
-            ) from None
+        base = PROFILES.get(name) if isinstance(name, str) else None
+        if base is None:
+            raise ValueError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
         return replace(base, **overrides) if overrides else base
 
     @classmethod
@@ -105,17 +102,20 @@ class SolverConfig:
 
         Field names mirror the dataclass; an optional "profile" key selects
         a base profile that the remaining keys override.  A document of the
-        wrong shape raises ValueError naming the offending key or type.
+        wrong shape, a value of the wrong JSON type, or (without a profile)
+        a missing field raises ValueError naming the offending key or type.
         """
         if isinstance(doc, str):
             doc = json.loads(doc)
-        doc = _kwargs_for(cls, doc, "solver config", extra={"profile"})
+        complete = not (isinstance(doc, dict) and doc.get("profile") is not None)
+        doc = _kwargs_for(cls, doc, "solver config", extra={"profile"}, complete=complete)
         base = doc.pop("profile", None)
         if "flip" in doc:
             doc["flip"] = FlipOperator(**_kwargs_for(FlipOperator, doc["flip"], "flip"))
         if "patch_grid" in doc:
             grid = doc["patch_grid"]
-            if not isinstance(grid, (list, tuple)) or len(grid) != 2:
+            if not (isinstance(grid, (list, tuple)) and len(grid) == 2
+                    and all(_fits(n, "int") for n in grid)):
                 raise ValueError(f"patch_grid must be a list of two ints, got {grid!r}")
             doc["patch_grid"] = tuple(grid)
         if base is not None:
@@ -127,16 +127,36 @@ class SolverConfig:
         return asdict(self)
 
 
-def _kwargs_for(cls, doc, what: str, extra=()) -> dict:
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated `kind`: bool, int, or finite float."""
+    if isinstance(value, bool) or kind == "bool":
+        return isinstance(value, bool) and kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _kwargs_for(cls, doc, what: str, extra=(), complete=True) -> dict:
     """A JSON object's entries as keyword arguments of dataclass `cls`.
 
-    Raises ValueError naming the type of a non-object or the unknown keys.
+    Raises ValueError naming the type of a non-object, the unknown keys, a
+    float/int/bool field holding another JSON type, or, when `complete`,
+    the fields without a default that are missing.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)} - set(extra))
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(known) - set(extra))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [name for name, f in known.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if complete and missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+    for name, value in doc.items():
+        kind = known[name].type if name in known else None
+        if kind in ("float", "int", "bool") and not _fits(value, kind):
+            raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
     return dict(doc)
 
 

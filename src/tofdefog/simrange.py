@@ -54,7 +54,7 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
     if z_grid[0] < medium.z0 or z_grid[-1] >= cam.unambiguous_range_mm:
         raise ValueError("z_grid must lie within [z0, unambiguous range)")
 
-    scat = np.array([scattering_phasor(z, medium, cam) for z in z_grid])
+    scat = scattering_phasor(z_grid, medium, cam)
     direct = direct_phasor(z_grid, reflectance, medium, cam)
     total = direct + scat
 

@@ -151,7 +151,11 @@ def test_defog_format_error_exit_code(tmp_path, scene_dir, capsys):
     ({"flip": {"flip_row": 5, "bogus": 1}}, "bogus"),
     ({"patch_grid": 4}, "patch_grid"),
     ([1, 2], "list"),
-], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list"])
+    ({"gamma1": "0.1"}, "gamma1"),
+    ({"patch_grid": ["a", 2]}, "patch_grid"),
+    ({"profile": None, "gamma1": 0.1}, "gamma2"),
+], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list",
+        "string-gamma", "non-int-patch-grid", "missing-fields"])
 def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
     # the config is rejected before the (absent) grids are opened
     bad = tmp_path / "bad.json"
@@ -196,6 +200,17 @@ def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simrange", "--beta", "0", "--out", str(out)]) == 0
     assert "unbounded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("step", ["0", "-10"])
+def test_simrange_nonpositive_z_step_exit_code(tmp_path, capsys, step):
+    out = tmp_path / "sweep.csv"
+    code = main(["simrange", "--beta", "3.2e-4", "--z-step", step,
+                 "--out", str(out), "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError" and "--z-step" in err["message"]
+    assert not out.exists()
 
 
 def test_preprocess_cli(tmp_path):

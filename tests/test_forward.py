@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad, simpson
 
 import tofdefog as td
-from tofdefog.forward import scattering_phasor
+from tofdefog.forward import QUAD_Z_CAP_MM, scattering_phasor
 
 CAM = td.CameraModel(16e6)
 FOG_MEDIUM = td.MediumParams(beta=3.2e-4, g=0.9, z0=10.0, z_saturate=1000.0)
@@ -56,11 +56,16 @@ def test_scattering_phasor_no_medium():
     medium = td.MediumParams(beta=0.0)
     for z in (50.0, 1000.0, 5000.0):
         assert scattering_phasor(z, medium, CAM) == 0.0 + 0.0j
+    zs = np.array([[50.0, 1000.0], [10.0, 5000.0]])
+    none = scattering_phasor(zs, medium, CAM)
+    assert none.shape == zs.shape and not none.any()
 
 
 def test_scattering_phasor_rejects_near_z():
     with pytest.raises(ValueError):
         scattering_phasor(5.0, FOG_MEDIUM, CAM)
+    with pytest.raises(ValueError, match="z=5.0"):
+        scattering_phasor(np.array([100.0, 5.0, 7.0, 2000.0]), FOG_MEDIUM, CAM)
 
 
 def test_scattering_phasor_matches_brute_force():
@@ -107,6 +112,50 @@ def test_scattering_quadrature_refinement():
         base = scattering_phasor(z, FOG_MEDIUM, CAM)
         fine = scattering_phasor(z, FOG_MEDIUM, CAM, points_per_efold=2000)
         assert abs(abs(fine) - abs(base)) / abs(base) < 1e-6
+
+
+def per_depth_oracle(z, medium, cam, points_per_efold=1000):
+    """One depth at a time: its own log nodes, np.trapezoid in ln z."""
+    z_end = min(z, QUAD_Z_CAP_MM)
+    if medium.beta == 0 or z_end <= medium.z0:
+        return 0j
+    h = 1.0 / points_per_efold
+    k_end = int(np.floor(np.log(z_end / medium.z0) / h))
+    zs = medium.z0 * np.exp(np.arange(k_end + 1) * h)
+    zs = np.append(zs if zs[-1] < z_end else zs[:-1], z_end)
+    integrand = (medium.beta * td.hg_phase(np.pi, medium.g) / zs ** 2) \
+        * np.exp(-2 * medium.beta * zs) * np.exp(1j * cam.phase_per_mm * zs)
+    return complex(np.trapezoid(integrand * zs, np.log(zs)))
+
+
+def test_scattering_phasor_array_matches_per_depth_oracle():
+    z0 = FOG_MEDIUM.z0
+    on_node = z0 * np.exp(1234 / 1000)
+    zs = np.array([
+        z0, np.nextafter(z0, np.inf), 10.5, 200.0, on_node,
+        np.nextafter(on_node, np.inf), np.nextafter(on_node, 0.0),
+        on_node * (1 + 1e-9), on_node * (1 - 1e-9), z0 * np.exp(1 / 1000),
+        1000.0, 8000.0, QUAD_Z_CAP_MM, 25000.0,
+    ])
+    mine = scattering_phasor(zs, FOG_MEDIUM, CAM)
+    assert mine.shape == zs.shape and mine.dtype == np.complex128
+    assert mine[0] == 0
+    oracle = np.array([per_depth_oracle(z, FOG_MEDIUM, CAM) for z in zs])
+    assert np.all(np.abs(mine[1:] - oracle[1:]) <= 1e-12 * np.abs(oracle[1:]))
+    assert mine[-1] == mine[-2]  # depths past the cap integrate to the cap
+    shaped = scattering_phasor(zs.reshape(2, 7), FOG_MEDIUM, CAM)
+    assert np.array_equal(shaped, mine.reshape(2, 7))
+    scalar = scattering_phasor(float(zs[10]), FOG_MEDIUM, CAM)
+    assert type(scalar) is complex and scalar == mine[10]
+
+
+def test_sweep_curves_match_per_depth_oracle():
+    sw = td.sweep(FOG_MEDIUM, CAM)
+    oracle = np.array([per_depth_oracle(z, FOG_MEDIUM, CAM) for z in sw.z_mm])
+    live = sw.z_mm > FOG_MEDIUM.z0
+    assert np.all(sw.alpha_s[~live] == 0)
+    np.testing.assert_allclose(sw.alpha_s[live], np.abs(oracle[live]), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sw.phi_s[live], np.angle(oracle[live]), rtol=1e-12, atol=0)
 
 
 # -- direct component ---------------------------------------------------------------

@@ -370,6 +370,24 @@ def test_config_from_json():
         SolverConfig.from_json({"profile": "nope"})
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"profile": "phase-kinect16", "gamma1": True}, "gamma1"),
+    ({"profile": "phase-kinect16", "mask_threshold": None}, "mask_threshold"),
+    ({"profile": "phase-kinect16", "gamma2": float("nan")}, "gamma2"),
+    ({"profile": "phase-kinect16", "c_fine": float("inf")}, "c_fine"),
+    ({"profile": "phase-kinect16", "max_outer_iters": 5.0}, "max_outer_iters"),
+    ({"profile": "phase-kinect16", "clamp_nonnegative": 1}, "clamp_nonnegative"),
+    ({"profile": "phase-kinect16", "flip": {"flip_row": "3"}}, "flip_row"),
+    ({"profile": "phase-kinect16", "flip": {}}, "flip_row"),
+    ({"profile": ["phase-kinect16"]}, "unknown profile"),
+    ({"gamma1": 0.1, "gamma2": 0.1, "gamma3": 1.0}, "c_coarse, c_fine"),
+], ids=["bool-gamma", "null-threshold", "nan-gamma", "inf-tukey", "float-iters", "int-flag",
+        "string-flip-row", "empty-flip", "list-profile", "missing-tukey"])
+def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
+    with pytest.raises(ValueError, match=named):
+        SolverConfig.from_json(doc)
+
+
 @pytest.mark.parametrize("cfg", [
     PROFILES["amplitude-kinect16"],
     PROFILES["phase-kinect16"],
