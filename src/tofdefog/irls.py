@@ -34,6 +34,7 @@ import numpy as np
 from .priors import (
     FlipOperator,
     PatchGrid,
+    dot,
     gradient_penalty,
     laplacian_diag,
     neighbour_sum,
@@ -57,7 +58,10 @@ class SolverConfig:
     gamma1..gamma3 are the surrogate-scaled penalty weights; c_coarse and
     c_fine are Tukey tuning constants for the patch-level and pixel-level
     data terms.  flip_row / excluded rows describe the mirror geometry of
-    the camera-illuminator pair and are camera-specific.
+    the camera-illuminator pair and are camera-specific.  Each x-step's
+    conjugate gradients stop once the residual norm ||b - A x|| is at most
+    linear_solver_tol * max(||b||, ||r0||), r0 being the warm start's
+    residual.
     """
 
     gamma1: float
@@ -208,6 +212,9 @@ class IrlsState:
     objective_history: list = field(default_factory=list)
     level: str = "coarse"
     cg_iterations: list = field(default_factory=list)
+    # True when the objective test stopped the level, False when it ran
+    # max_outer_iters
+    converged: bool = False
 
     @property
     def outer_iterations(self) -> int:
@@ -334,23 +341,26 @@ def _solve_system(ws: _Workspace, w, b, x0, tol):
     """Conjugate gradients for the x-step, preconditioned by a DCT solve.
 
     See _Workspace for the fast-Poisson preconditioner.  Stops when the
-    residual (gradient) norm drops below tol times its initial value; warm
-    starts from x0 so each outer iteration's solve only ever decreases the
-    surrogate.
+    residual (gradient) norm drops to tol * max(||b||, ||r0||) with
+    r0 = b - A x0: relative to the right-hand side, as scipy's cg measures
+    it, so a warm start already that close takes no step; relative to r0
+    when b = 0.  Warm starts from x0 so each outer iteration's solve only
+    ever decreases the surrogate.  Reductions use priors.dot, so the result
+    does not depend on the BLAS thread count.
     """
     x = x0.copy()
     r = b - ws.apply_system(w, x)
-    r0_norm = float(np.linalg.norm(r))
-    if r0_norm == 0.0:
+    r0_norm = math.sqrt(dot(r, r))
+    target = tol * max(math.sqrt(dot(b, b)), r0_norm)
+    if r0_norm <= target:  # also an exact start, r0 = 0
         return x, 0
-    target = tol * r0_norm
     precondition = ws.preconditioner(w)
     z = precondition(r)
     p = z
-    rz = float(np.vdot(r, z).real)
+    rz = dot(r, z)
     for it in range(1, ws.max_cg_iters + 1):
         ap = ws.apply_system(w, p)
-        pap = float(np.vdot(p, ap).real)
+        pap = dot(p, ap)
         if pap <= 0:
             # numerically semi-definite direction: current iterate is as
             # good as this subspace gets
@@ -358,11 +368,11 @@ def _solve_system(ws: _Workspace, w, b, x0, tol):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(dot(r, r))
         if r_norm <= target:
             return x, it
         z = precondition(r)
-        rz_new = float(np.vdot(r, z).real)
+        rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
@@ -446,6 +456,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
     sigma = None
     history: list[float] = []
     cg_iters: list[int] = []
+    converged = False
 
     for _ in range(cfg.max_outer_iters):
         x, n_cg = _x_step(ws, x_tilde, w_pix, coeffs, x)
@@ -458,7 +469,8 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         z = r / sigma
         w_pix = spread(tukey_weight(z, c))
         history.append(_objective(ws, x, coeffs, float(np.sum(tukey_rho(z, c))), sigma))
-        if _converged(history, cfg.convergence_tol):
+        converged = _converged(history, cfg.convergence_tol)
+        if converged:
             break
 
     return IrlsState(
@@ -469,6 +481,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         objective_history=history,
         level=level,
         cg_iterations=cg_iters,
+        converged=converged,
     )
 
 

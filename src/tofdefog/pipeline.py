@@ -56,6 +56,7 @@ class DefogResult:
                 "objective_history": state.objective_history,
                 "cg_iterations": state.cg_iterations,
                 "sigma": state.sigma,
+                "converged": state.converged,
             }
         return out
 
@@ -67,7 +68,8 @@ def defog(obs: PhasorImage, cam: CameraModel,
 
     The amplitude and phase solvers are independent and may run
     concurrently; the thread count is capped by the TOFDEFOG_THREADS
-    environment variable.  Results do not depend on the execution order.
+    environment variable.  Results depend neither on the execution order
+    nor on the BLAS thread count.
     """
     threads = max_threads() if threads is None else max(threads, 1)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:

@@ -220,9 +220,7 @@ class PatchGrid:
 
     def patch_norms(self, residual: np.ndarray) -> np.ndarray:
         """2-norm of a residual image restricted to each patch."""
-        return np.array(
-            [np.linalg.norm(residual[rs, cs]) for rs, cs in self.slices]
-        )
+        return np.sqrt([dot(residual[s], residual[s]) for s in self.slices])
 
 
 @dataclass(frozen=True)
@@ -297,6 +295,17 @@ def gradient_penalty(image: np.ndarray) -> float:
     dh = np.diff(image, axis=1)
     dv = np.diff(image, axis=0)
     return float(np.sum(dh * dh) + np.sum(dv * dv))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a*b over two same-shape 2-D arrays, summed outside BLAS.
+
+    OpenBLAS threads its dot product above about 10,000 elements, and its
+    threaded partial sums make a float64 result depend on the BLAS thread
+    count; einsum's single-threaded loop gives the same bits whatever that
+    count is, and leaves no BLAS worker spinning on another core.
+    """
+    return float(np.einsum("ij,ij->", a, b))
 
 
 def neighbour_sum(image: np.ndarray) -> np.ndarray:

@@ -190,6 +190,52 @@ def test_solve_system_singular_constant_mode():
     assert np.ptp(x) < 1e-5 * np.ptp(x0)  # L x = 0 only for constant x
 
 
+def warm_start_system(seed):
+    """32x40 x-step system with a known solution: b = A x_exact."""
+    cfg = small_config(rows=32)
+    ws = _Workspace((32, 40), cfg)
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0, 1, (32, 40))
+    x_exact = quadratic_symmetric_image(32, 40, 16)
+    return cfg, ws, w, x_exact, ws.apply_system(w, x_exact), rng
+
+
+@pytest.mark.parametrize("start", ["zero", "far", "near"])
+def test_solve_system_stops_within_tol_of_rhs_or_start_residual(start):
+    cfg, ws, w, x_exact, b, rng = warm_start_system(14)
+    x0 = {
+        "zero": np.zeros_like(b),
+        "far": 100.0 * rng.normal(size=b.shape),  # ||r0|| well above ||b||
+        "near": x_exact * (1 + 1e-4 * rng.uniform(-1, 1, b.shape)),
+    }[start]
+    x, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+    r0_norm = np.linalg.norm(b - ws.apply_system(w, x0))
+    bound = cfg.linear_solver_tol * max(np.linalg.norm(b), r0_norm)
+    assert np.linalg.norm(b - ws.apply_system(w, x)) <= bound
+
+
+def test_solve_system_zero_rhs_stops_relative_to_start_residual():
+    # with b = 0 the stop stays tol * ||r0||; a bound on ||b|| alone would
+    # ask for a zero residual and run CG down to rounding noise
+    cfg, ws, w, _, b, rng = warm_start_system(14)
+    x0 = rng.normal(size=b.shape)
+    x, n_cg = _solve_system(ws, w, np.zeros_like(b), x0, cfg.linear_solver_tol)
+    r0_norm = np.linalg.norm(ws.apply_system(w, x0))
+    assert np.linalg.norm(ws.apply_system(w, x)) <= cfg.linear_solver_tol * r0_norm
+    assert n_cg <= 10
+
+
+def test_solve_system_warm_start_near_solution_stops_early():
+    # a start within 1e-6 relative of the solution is already about as
+    # close as tol asks for; solving its own residual down by tol again
+    # would take several more iterations
+    cfg, ws, w, x_exact, b, rng = warm_start_system(0)
+    x0 = x_exact * (1 + 1e-6 * rng.uniform(-1, 1, b.shape))
+    x, n_cg = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+    assert n_cg <= 1
+    assert np.linalg.norm(x - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
+
+
 def test_defog_cg_iteration_budget():
     scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
                        coverage="small")

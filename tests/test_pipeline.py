@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 from conftest import make_scene, small_config
 
 import tofdefog as td
+from tofdefog.cli import main
 from tofdefog.pipeline import load_scene, max_threads, save_scene
 
 
@@ -35,6 +42,49 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a threaded BLAS needs two cores")
+def test_defog_blas_thread_count_does_not_change_results(tmp_path):
+    # 128x192 with a (1, 2) patch grid: both the image (24,576 px) and each
+    # patch (12,288 px) exceed the ~10,000 elements above which OpenBLAS
+    # threads a dot product.  Whether a threaded sum rounds differently
+    # depends on the values; on this frame BLAS sums change the results
+    # through the CG loop and through the patch norms alone.  The thread
+    # count is read when numpy loads, so each run is its own interpreter.
+    rows, cols = 128, 192
+    scene_path = tmp_path / "scene.json"
+    save_scene(make_scene(beta=3.2e-4, seed=2, rows=rows, cols=cols,
+                          flip_row=rows // 2, coverage="small"), scene_path)
+    synth = tmp_path / "synth"
+    assert main(["synth", str(scene_path), "--out", str(synth)]) == 0
+    configs = []
+    for profile in ("amplitude-kinect16", "phase-kinect16"):
+        path = tmp_path / f"{profile}.json"
+        path.write_text(json.dumps({
+            "profile": profile, "patch_grid": [1, 2],
+            "flip": {"flip_row": rows // 2, "excluded_bottom_rows": rows // 8},
+        }))
+        configs.append(str(path))
+    src = os.path.dirname(os.path.dirname(td.__file__))
+    manifests = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=pythonpath)
+        subprocess.run(
+            [sys.executable, "-m", "tofdefog.cli", "defog",
+             "--amp", str(synth / "foggy_amplitude.tofgrid"),
+             "--phase", str(synth / "foggy_phase.tofgrid"),
+             "--out", str(out), "--threads", "1",
+             "--amp-config", configs[0], "--phase-config", configs[1]],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    one, two = manifests
+    assert one["outputs"] == two["outputs"]
+    # float64 sigma and objective histories, not just the float32 grids
+    assert one["solver"] == two["solver"]
+
+
 def test_defog_result_summary_and_masks(tmp_path):
     scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
                        coverage="small")
@@ -46,11 +96,26 @@ def test_defog_result_summary_and_masks(tmp_path):
     assert set(summary) == {"amplitude_coarse", "amplitude_fine",
                             "phase_coarse", "phase_fine"}
     assert all(s["outer_iterations"] >= 1 for s in summary.values())
+    assert all(s["converged"] for s in summary.values())
     assert np.array_equal(
         res.fused_mask.mask, res.mask_amp.mask & res.mask_phase.mask
     )
     # masked depth: defined only inside the fused mask
     assert not res.depth.valid[~res.fused_mask.mask].any()
+
+
+def test_solver_summary_flags_levels_stopped_by_the_cap():
+    scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    amp_cfg = small_config("amplitude-kinect16", rows=48, patch_grid=(2, 2),
+                           max_outer_iters=1)
+    phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2),
+                             max_outer_iters=1)
+    res = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
+    summary = res.solver_summary()
+    assert all(s["outer_iterations"] == 1 for s in summary.values())
+    assert not any(s["converged"] for s in summary.values())
 
 
 def test_max_threads_env(monkeypatch):
