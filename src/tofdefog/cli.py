@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,13 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
             doc.setdefault("profile", profile)
         cfg = SolverConfig.from_json(doc)
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
+
+
+def _gaussian(values, sigma):
+    # scipy skips the filter for a sigma <= 0 or NaN instead of failing
+    if not (isinstance(sigma, (int, float)) and sigma > 0 and math.isfinite(sigma)):
+        raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
+    return ndimage.gaussian_filter(values, sigma)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -142,8 +150,8 @@ def cmd_defog(args) -> int:
 
     amp_values, phase_values = amp_grid.values, phase_grid.values
     if preprocess == "gaussian":
-        amp_values = ndimage.gaussian_filter(amp_values, preprocess_sigma)
-        phase_values = ndimage.gaussian_filter(phase_values, preprocess_sigma)
+        amp_values = _gaussian(amp_values, preprocess_sigma)
+        phase_values = _gaussian(phase_values, preprocess_sigma)
     elif preprocess != "none":
         raise InputError(f"unknown preprocess method {preprocess!r}")
 
@@ -260,7 +268,7 @@ def cmd_preprocess(args) -> int:
     grid = read_grid(args.input)
     values = grid.values
     if args.method == "gaussian":
-        values = ndimage.gaussian_filter(values, args.sigma)
+        values = _gaussian(values, args.sigma)
     elif args.method != "none":
         raise InputError(f"unknown method {args.method!r}")
     write_grid(args.out, values, grid.domain, grid.units)

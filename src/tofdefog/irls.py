@@ -43,6 +43,16 @@ from .priors import (
 from .recon import ObjectMask
 
 
+# Forcing term of the inexact x-steps: after a level's first x-step, CG
+# stops once it has cut the warm start's residual tenfold.  A majorize-
+# minimize step only has to decrease the surrogate, which every PCG
+# iteration from the warm start does (Eisenstat & Walker, "Choosing the
+# forcing terms in an inexact Newton method", SISC 1996; Fornasier et al.,
+# "Conjugate gradient acceleration of iteratively re-weighted least
+# squares methods", COAP 2016).
+FORCING = 0.1
+
+
 class SolverError(RuntimeError):
     """Linear solver failed to converge; carries the residual norm."""
 
@@ -58,10 +68,14 @@ class SolverConfig:
     gamma1..gamma3 are the surrogate-scaled penalty weights; c_coarse and
     c_fine are Tukey tuning constants for the patch-level and pixel-level
     data terms.  flip_row / excluded rows describe the mirror geometry of
-    the camera-illuminator pair and are camera-specific.  Each x-step's
-    conjugate gradients stop once the residual norm ||b - A x|| is at most
-    linear_solver_tol * max(||b||, ||r0||), r0 being the warm start's
-    residual.
+    the camera-illuminator pair and are camera-specific.
+
+    linear_solver_tol stops the exact x-steps, whose conjugate gradients
+    run until the residual norm ||b - A x|| is at most linear_solver_tol *
+    max(||b||, ||r0||), r0 being the warm start's residual: each level's
+    first x-step, which sets the frozen sigma, and solve_wls.  Every later
+    x-step of a level is inexact: it also stops once the residual is at
+    most FORCING * ||r0||.  convergence_tol stops the outer loop.
     """
 
     gamma1: float
@@ -212,6 +226,8 @@ class IrlsState:
     objective_history: list = field(default_factory=list)
     level: str = "coarse"
     cg_iterations: list = field(default_factory=list)
+    # each x-step's final residual norm ||r|| / ||b||
+    cg_residuals: list = field(default_factory=list)
     # True when the objective test stopped the level, False when it ran
     # max_outer_iters
     converged: bool = False
@@ -337,23 +353,33 @@ class _Workspace:
         return solve
 
 
-def _solve_system(ws: _Workspace, w, b, x0, tol):
+def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
     """Conjugate gradients for the x-step, preconditioned by a DCT solve.
 
     See _Workspace for the fast-Poisson preconditioner.  Stops when the
-    residual (gradient) norm drops to tol * max(||b||, ||r0||) with
-    r0 = b - A x0: relative to the right-hand side, as scipy's cg measures
-    it, so a warm start already that close takes no step; relative to r0
-    when b = 0.  Warm starts from x0 so each outer iteration's solve only
-    ever decreases the surrogate.  Reductions use priors.dot, so the result
-    does not depend on the BLAS thread count.
+    residual (gradient) norm drops to max(tol * max(||b||, ||r0||),
+    forcing * ||r0||) with r0 = b - A x0.  With forcing = 0 (the exact
+    solve) the stop is relative to the right-hand side, as scipy's cg
+    measures it, so a warm start already that close takes no step, and
+    relative to r0 when b = 0.  A forcing term > 0 (the inexact solve)
+    stops once the warm start's residual has shrunk by that factor.  Warm
+    starts from x0 so each outer iteration's solve only ever decreases the
+    surrogate.  Reductions use priors.dot, so the result does not depend
+    on the BLAS thread count.
+
+    Returns (x, iterations, ||r|| / ||b||); the last is ||r|| when b = 0.
     """
     x = x0.copy()
     r = b - ws.apply_system(w, x)
-    r0_norm = math.sqrt(dot(r, r))
-    target = tol * max(math.sqrt(dot(b, b)), r0_norm)
+    r_norm = r0_norm = math.sqrt(dot(r, r))
+    b_norm = math.sqrt(dot(b, b))
+    target = max(tol * max(b_norm, r0_norm), forcing * r0_norm)
+
+    def done(it):
+        return x, it, r_norm / b_norm if b_norm > 0 else r_norm
+
     if r0_norm <= target:  # also an exact start, r0 = 0
-        return x, 0
+        return done(0)
     precondition = ws.preconditioner(w)
     z = precondition(r)
     p = z
@@ -364,13 +390,13 @@ def _solve_system(ws: _Workspace, w, b, x0, tol):
         if pap <= 0:
             # numerically semi-definite direction: current iterate is as
             # good as this subspace gets
-            return x, it
+            return done(it)
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
         r_norm = math.sqrt(dot(r, r))
         if r_norm <= target:
-            return x, it
+            return done(it)
         z = precondition(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
@@ -401,19 +427,19 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
         [ws.grid.bases[k].from_raw(coeffs[k]) for k in range(ws.grid.n_patches)]
     )
     x0 = x_tilde if x0 is None else np.asarray(x0, dtype=np.float64)
-    x, _ = _x_step(ws, x_tilde, weights, scaled, x0)
+    x, _, _ = _x_step(ws, x_tilde, weights, ws.grid.surface_image(scaled), x0)
     return x
 
 
-def _x_step(ws, x_tilde, w_pix, coeffs, x_prev):
-    q = ws.grid.surface_image(coeffs)
-    b = w_pix * x_tilde + ws.cfg.gamma1 * q
-    return _solve_system(ws, w_pix, b, x_prev, ws.cfg.linear_solver_tol)
+def _x_step(ws, x_tilde, w_pix, surface, x_prev, forcing=0.0):
+    """Solve the surrogate for x given the patch quadratics' surface image."""
+    b = w_pix * x_tilde + ws.cfg.gamma1 * surface
+    return _solve_system(ws, w_pix, b, x_prev, ws.cfg.linear_solver_tol, forcing)
 
 
-def _objective(ws, x, coeffs, data_rho_sum, sigma):
+def _objective(ws, x, surface, data_rho_sum, sigma):
     """True robust objective with the unscaled gammas gamma'/(2 sigma^2)."""
-    patch_term = float(np.sum((ws.grid.surface_image(coeffs) - x) ** 2))
+    patch_term = float(np.sum((surface - x) ** 2))
     sym = symmetry_penalty(x, ws.flip)
     grad = gradient_penalty(x)
     scale = 1.0 / (2.0 * sigma * sigma)
@@ -445,6 +471,11 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
     spreads each patch's Tukey weight over its pixels; the fine level works
     per pixel.  The scale sigma is the MAD of the first iteration's
     residuals and then stays frozen.
+
+    The first x-step is solved exactly (to linear_solver_tol), since its
+    residuals set sigma; every later one is inexact, stopped by the
+    FORCING term.  The patch surface is built once per fit and serves both
+    the objective and the next x-step.
     """
     cfg = ws.cfg
     if level == "coarse":
@@ -456,19 +487,24 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
     sigma = None
     history: list[float] = []
     cg_iters: list[int] = []
+    cg_residuals: list[float] = []
     converged = False
+    surface = ws.grid.surface_image(coeffs)
 
     for _ in range(cfg.max_outer_iters):
-        x, n_cg = _x_step(ws, x_tilde, w_pix, coeffs, x)
+        forcing = 0.0 if sigma is None else FORCING
+        x, n_cg, cg_res = _x_step(ws, x_tilde, w_pix, surface, x, forcing)
         cg_iters.append(n_cg)
+        cg_residuals.append(cg_res)
         # floor keeps the weighted fit defined when a whole patch is outlier
         coeffs = ws.grid.fit_all(x, weights=w_pix + 1e-9)
+        surface = ws.grid.surface_image(coeffs)
         r = residual(x - x_tilde)
         if sigma is None:
             sigma = mad_scale(r, floor=floor)
         z = r / sigma
         w_pix = spread(tukey_weight(z, c))
-        history.append(_objective(ws, x, coeffs, float(np.sum(tukey_rho(z, c))), sigma))
+        history.append(_objective(ws, x, surface, float(np.sum(tukey_rho(z, c))), sigma))
         converged = _converged(history, cfg.convergence_tol)
         if converged:
             break
@@ -481,6 +517,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         objective_history=history,
         level=level,
         cg_iterations=cg_iters,
+        cg_residuals=cg_residuals,
         converged=converged,
     )
 
@@ -512,7 +549,7 @@ def estimate_scattering(x_tilde, cfg: SolverConfig):
     Returns (coarse_state, fine_state, field) where the field is the final
     scattering estimate, projected to >= 0 when the config asks for it
     (amplitude domain; projection happens only after the final iteration so
-    each inner step stays an exact weighted least-squares solve).
+    each inner step stays an unconstrained weighted least-squares solve).
     """
     coarse = run_coarse(x_tilde, cfg)
     fine = run_fine(x_tilde, coarse, cfg)

@@ -55,6 +55,7 @@ class DefogResult:
                 "outer_iterations": state.outer_iterations,
                 "objective_history": state.objective_history,
                 "cg_iterations": state.cg_iterations,
+                "cg_residuals": state.cg_residuals,
                 "sigma": state.sigma,
                 "converged": state.converged,
             }

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.  The end-to-end criteria work at the full 424x512 sensor
-size and take about half a minute total on 2 cores.
+size and take about 20 s total on 2 cores.
 """
 
 import json

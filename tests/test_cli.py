@@ -213,6 +213,36 @@ def test_simrange_nonpositive_z_step_exit_code(tmp_path, capsys, step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["preprocess", "defog", "replay"])
+def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
+    # scipy's gaussian_filter treats such a sigma as "no filter"
+    amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+    write_grid(amp, np.ones((8, 8)), "amplitude")
+    write_grid(phase, np.ones((8, 8)), "phase")
+    out = tmp_path / "out"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"amplitude": {"profile": "amplitude-kinect16"},
+                   "phase": {"profile": "phase-kinect16"},
+                   "amp_input": amp.name, "phase_input": phase.name,
+                   "modulation_frequency_hz": 16e6,
+                   "preprocess": "gaussian", "preprocess_sigma": float(sigma)},
+        "input_paths": {amp.name: str(amp), phase.name: str(phase)},
+    }))
+    argv = {
+        "preprocess": ["preprocess", "--in", str(amp), f"--sigma={sigma}"],
+        "defog": ["defog", "--amp", str(amp), "--phase", str(phase),
+                  "--preprocess", "gaussian", f"--preprocess-sigma={sigma}"],
+        "replay": ["defog", "--from-manifest", str(manifest)],
+    }[command]
+    code = main(argv + ["--out", str(out), "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError" and "sigma" in err["message"]
+    assert not out.exists()
+
+
 def test_preprocess_cli(tmp_path):
     src = tmp_path / "in.tofgrid"
     rng = np.random.default_rng(0)

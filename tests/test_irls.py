@@ -7,11 +7,14 @@ from conftest import make_scene, quadratic_symmetric_image, small_config
 
 import tofdefog as td
 from tofdefog.irls import (
+    FORCING,
     PROFILES,
     SolverConfig,
     WeightField,
+    _scale_floor,
     _solve_system,
     _Workspace,
+    _x_step,
     binarize_weights,
     mad_scale,
     run_coarse,
@@ -169,8 +172,8 @@ def test_dct_preconditioner_exact_for_constant_weights():
     rng = np.random.default_rng(12)
     ws = _Workspace((16, 20), cfg)
     w = np.full((16, 20), 0.3)
-    x, n_cg = _solve_system(ws, w, rng.normal(size=(16, 20)), np.zeros((16, 20)),
-                            cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, rng.normal(size=(16, 20)), np.zeros((16, 20)),
+                               cfg.linear_solver_tol)
     assert n_cg == 1
     assert np.all(np.isfinite(x))
 
@@ -184,8 +187,8 @@ def test_solve_system_singular_constant_mode():
     x0 = rng.normal(size=(16, 16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0,
-                             cfg.linear_solver_tol)
+        x, _, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0,
+                                cfg.linear_solver_tol)
     assert np.all(np.isfinite(x))
     assert np.ptp(x) < 1e-5 * np.ptp(x0)  # L x = 0 only for constant x
 
@@ -200,18 +203,25 @@ def warm_start_system(seed):
     return cfg, ws, w, x_exact, ws.apply_system(w, x_exact), rng
 
 
-@pytest.mark.parametrize("start", ["zero", "far", "near"])
+@pytest.mark.parametrize("start", ["zero", "far", "near", "forcing"])
 def test_solve_system_stops_within_tol_of_rhs_or_start_residual(start):
+    # "forcing" is the inexact solve from the far start: it may stop once
+    # the start's residual has shrunk tenfold
     cfg, ws, w, x_exact, b, rng = warm_start_system(14)
     x0 = {
         "zero": np.zeros_like(b),
         "far": 100.0 * rng.normal(size=b.shape),  # ||r0|| well above ||b||
         "near": x_exact * (1 + 1e-4 * rng.uniform(-1, 1, b.shape)),
-    }[start]
-    x, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+    }["far" if start == "forcing" else start]
+    forcing = FORCING if start == "forcing" else 0.0
+    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol, forcing)
     r0_norm = np.linalg.norm(b - ws.apply_system(w, x0))
-    bound = cfg.linear_solver_tol * max(np.linalg.norm(b), r0_norm)
+    bound = max(cfg.linear_solver_tol * max(np.linalg.norm(b), r0_norm),
+                0.1 * r0_norm if forcing else 0.0)
     assert np.linalg.norm(b - ws.apply_system(w, x)) <= bound
+    if forcing:
+        _, exact_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+        assert n_cg < exact_cg
 
 
 def test_solve_system_zero_rhs_stops_relative_to_start_residual():
@@ -219,7 +229,7 @@ def test_solve_system_zero_rhs_stops_relative_to_start_residual():
     # ask for a zero residual and run CG down to rounding noise
     cfg, ws, w, _, b, rng = warm_start_system(14)
     x0 = rng.normal(size=b.shape)
-    x, n_cg = _solve_system(ws, w, np.zeros_like(b), x0, cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, np.zeros_like(b), x0, cfg.linear_solver_tol)
     r0_norm = np.linalg.norm(ws.apply_system(w, x0))
     assert np.linalg.norm(ws.apply_system(w, x)) <= cfg.linear_solver_tol * r0_norm
     assert n_cg <= 10
@@ -231,7 +241,7 @@ def test_solve_system_warm_start_near_solution_stops_early():
     # would take several more iterations
     cfg, ws, w, x_exact, b, rng = warm_start_system(0)
     x0 = x_exact * (1 + 1e-6 * rng.uniform(-1, 1, b.shape))
-    x, n_cg = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
     assert n_cg <= 1
     assert np.linalg.norm(x - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
 
@@ -245,6 +255,28 @@ def test_defog_cg_iteration_budget():
     res = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
     total = sum(sum(s["cg_iterations"]) for s in res.solver_summary().values())
     assert 0 < total <= 500
+    # inexact x-steps after each level's first: 170 with every x-step exact
+    assert total <= 120
+
+
+def test_defog_defaults_agree_with_a_fully_converged_run():
+    # the outer loop's convergence_tol limits accuracy, not the inexact
+    # x-steps: both fields stay within 1e-3 of a run solved to 1e-10
+    scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    runs = []
+    for tight in ({}, dict(convergence_tol=1e-10, linear_solver_tol=1e-10,
+                           max_outer_iters=1000)):
+        amp_cfg = small_config("amplitude-kinect16", rows=48, patch_grid=(2, 2), **tight)
+        phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2), **tight)
+        runs.append(td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1))
+    default, converged = runs
+    assert all(s["converged"] for s in converged.solver_summary().values())
+    for name in ("scattering_amp", "scattering_phase"):
+        got = getattr(default, name).values
+        ref = getattr(converged, name).values
+        assert np.linalg.norm(got - ref) <= 1e-3 * np.linalg.norm(ref)
 
 
 def test_solve_wls_rejects_patch_level_weights():
@@ -339,6 +371,26 @@ def test_run_fine_flags_outlier_blob():
     assert np.median(fine.w.weights[outside]) > 0.9
     rel = np.abs(fine.x.values[4:10, 20:28] - clean[4:10, 20:28])
     assert np.max(rel / np.abs(clean[4:10, 20:28])) < 0.05
+
+
+def test_level_sigma_comes_from_an_exact_first_x_step():
+    # a level's later x-steps stop at FORCING * ||r0||; the first one, whose
+    # residuals set the frozen sigma, solves to linear_solver_tol
+    cfg = small_config(rows=32, flip=FlipOperator(flip_row=16, excluded_bottom_rows=0))
+    rng = np.random.default_rng(10)
+    x_tilde = quadratic_symmetric_image(32, 32, 16) + rng.normal(0, 0.05, (32, 32))
+    x_tilde[4:10, 20:28] += 6.0
+    coarse = run_coarse(x_tilde, cfg)
+    fine = run_fine(x_tilde, coarse, cfg)
+    ws = _Workspace(x_tilde.shape, cfg)
+    starts = (
+        (coarse, x_tilde, np.ones_like(x_tilde), ws.grid.fit_all(x_tilde), ws.grid.patch_norms),
+        (fine, coarse.x.values, coarse.w.weights, coarse.a, lambda r: r),
+    )
+    for state, x0, w, coeffs, residual in starts:
+        assert state.outer_iterations > 1
+        x, _, _ = _x_step(ws, x_tilde, w, ws.grid.surface_image(coeffs), x0)
+        assert state.sigma == mad_scale(residual(x - x_tilde), floor=_scale_floor(x_tilde))
 
 
 def test_fine_weights_median_high_on_gaussian_noise():

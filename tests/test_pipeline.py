@@ -8,6 +8,7 @@ import pytest
 from conftest import make_scene, small_config
 
 import tofdefog as td
+from tofdefog import irls
 from tofdefog.cli import main
 from tofdefog.pipeline import load_scene, max_threads, save_scene
 
@@ -85,18 +86,37 @@ def test_defog_blas_thread_count_does_not_change_results(tmp_path):
     assert one["solver"] == two["solver"]
 
 
-def test_defog_result_summary_and_masks(tmp_path):
+def test_defog_result_summary_and_masks(tmp_path, monkeypatch):
     scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
                        coverage="small")
     syn = td.synthesize(scene)
     amp_cfg = small_config("amplitude-kinect16", rows=48, patch_grid=(2, 2))
     phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2))
+    # record each x-step's start and final residual, relative to ||b||
+    steps = []
+    solve = irls._solve_system
+
+    def recording_solve(ws, w, b, x0, tol, forcing=0.0):
+        out = solve(ws, w, b, x0, tol, forcing)
+        b_norm = np.linalg.norm(b)
+        steps.append((np.linalg.norm(b - ws.apply_system(w, x0)) / b_norm,
+                      np.linalg.norm(b - ws.apply_system(w, out[0])) / b_norm, tol))
+        return out
+
+    monkeypatch.setattr(irls, "_solve_system", recording_solve)
     res = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
     summary = res.solver_summary()
     assert set(summary) == {"amplitude_coarse", "amplitude_fine",
                             "phase_coarse", "phase_fine"}
     assert all(s["outer_iterations"] >= 1 for s in summary.values())
     assert all(s["converged"] for s in summary.values())
+    # one final CG residual per x-step, within the exact or inexact stop
+    assert all(len(s["cg_residuals"]) == s["outer_iterations"] for s in summary.values())
+    reported = [r for s in summary.values() for r in s["cg_residuals"]]
+    assert len(reported) == len(steps)
+    for r, (start, final, tol) in zip(reported, steps):
+        assert r == pytest.approx(final, rel=1e-6)
+        assert r <= max(tol, 0.1 * start)
     assert np.array_equal(
         res.fused_mask.mask, res.mask_amp.mask & res.mask_phase.mask
     )
