@@ -47,8 +47,6 @@ from .priors import (
     PatchGrid,
     QuadraticBasis,
     SingularFitError,
-    apply_flip,
-    fit_patch_quadratic,
     gradient_penalty,
     symmetry_penalty,
 )

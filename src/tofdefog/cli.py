@@ -23,7 +23,7 @@ from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
 from .pipeline import build_manifest, defog, load_scene, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
-from .simrange import find_range, sweep, write_csv, write_gnuplot_script
+from .simrange import find_range, sweep, sweep_grid, write_csv, write_gnuplot_script
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,6 +58,13 @@ def _gaussian(values, sigma):
     return ndimage.gaussian_filter(values, sigma)
 
 
+def _write_grid(out: str, name: str, values, domain: str) -> str:
+    """Write one output grid as `out`/`name`; returns its path."""
+    path = os.path.join(out, name)
+    write_grid(path, values, domain)
+    return path
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_synth(args) -> int:
@@ -65,23 +72,17 @@ def cmd_synth(args) -> int:
     result = synthesize(scene, noise_sigma=args.noise, noise_seed=args.noise_seed)
     out = args.out
     os.makedirs(out, exist_ok=True)
-
-    paths = {}
-
-    def put(name, values, domain, units=None):
-        path = os.path.join(out, name)
-        write_grid(path, values, domain, units)
-        paths[name] = path
-
-    put("foggy_amplitude.tofgrid", result.foggy.amplitude, "amplitude")
-    put("foggy_phase.tofgrid", result.foggy.phase, "phase")
-    put("depth_gt.tofgrid", result.clean_depth.depth, "depth")
-    put("scattering_amplitude_gt.tofgrid", result.scattering_amplitude.values, "amplitude")
-    put("scattering_phase_gt.tofgrid", result.scattering_phase.values, "phase")
-    put("mask_gt.tofgrid", result.true_mask.mask.astype(np.float64), "label")
-    labels = scene.labels if scene.labels is not None \
-        else result.true_mask.mask.astype(np.int64)
-    put("labels.tofgrid", np.asarray(labels, dtype=np.float64), "label")
+    labels = result.true_mask.mask if scene.labels is None else scene.labels
+    outputs = sorted([
+        _write_grid(out, "foggy_amplitude.tofgrid", result.foggy.amplitude, "amplitude"),
+        _write_grid(out, "foggy_phase.tofgrid", result.foggy.phase, "phase"),
+        _write_grid(out, "depth_gt.tofgrid", result.clean_depth.depth, "depth"),
+        _write_grid(out, "scattering_amplitude_gt.tofgrid",
+                    result.scattering_amplitude.values, "amplitude"),
+        _write_grid(out, "scattering_phase_gt.tofgrid", result.scattering_phase.values, "phase"),
+        _write_grid(out, "mask_gt.tofgrid", result.true_mask.mask.astype(np.float64), "label"),
+        _write_grid(out, "labels.tofgrid", np.asarray(labels, dtype=np.float64), "label"),
+    ])
 
     with open(args.scene, "r", encoding="utf-8") as fh:
         scene_doc = json.load(fh)
@@ -99,7 +100,7 @@ def cmd_synth(args) -> int:
             "noise_seed": args.noise_seed,
         },
         inputs=inputs,
-        outputs=sorted(paths.values()),
+        outputs=outputs,
     )
     write_manifest(manifest, os.path.join(out, "manifest.json"))
     print(f"synthesized scene -> {out}")
@@ -165,19 +166,17 @@ def cmd_defog(args) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    paths = {}
-
-    def put(name, values, domain, units=None):
-        path = os.path.join(out, name)
-        write_grid(path, values, domain, units)
-        paths[name] = path
-
-    put("scattering_amplitude.tofgrid", result.scattering_amp.values, "amplitude")
-    put("scattering_phase.tofgrid", wrap_phase(result.scattering_phase.values), "phase")
-    put("weights_amplitude.tofgrid", result.amp_fine.w.weights, "weight")
-    put("weights_phase.tofgrid", result.phase_fine.w.weights, "weight")
-    put("mask_fused.tofgrid", result.fused_mask.mask.astype(np.float64), "label")
-    put("depth_masked.tofgrid", result.depth.depth, "depth")
+    outputs = sorted([
+        _write_grid(out, "scattering_amplitude.tofgrid", result.scattering_amp.values,
+                    "amplitude"),
+        _write_grid(out, "scattering_phase.tofgrid",
+                    wrap_phase(result.scattering_phase.values), "phase"),
+        _write_grid(out, "weights_amplitude.tofgrid", result.amp_fine.w.weights, "weight"),
+        _write_grid(out, "weights_phase.tofgrid", result.phase_fine.w.weights, "weight"),
+        _write_grid(out, "mask_fused.tofgrid", result.fused_mask.mask.astype(np.float64),
+                    "label"),
+        _write_grid(out, "depth_masked.tofgrid", result.depth.depth, "depth"),
+    ])
 
     manifest = build_manifest(
         "defog",
@@ -191,7 +190,7 @@ def cmd_defog(args) -> int:
             "phase_input": os.path.basename(phase_path),
         },
         inputs=[amp_path, phase_path],
-        outputs=sorted(paths.values()),
+        outputs=outputs,
         solver=result.solver_summary(),
         timings={"solve": solve_s},
     )
@@ -246,14 +245,9 @@ def cmd_simrange(args) -> int:
     cam = CameraModel(modulation_frequency_hz=args.freq)
     medium = MediumParams(beta=args.beta, g=args.g, z0=args.z0,
                           z_saturate=max(args.z0 + 1.0, 1000.0))
-    z_grid = None
-    if args.z_min is not None or args.z_max is not None or args.z_step is not None:
-        z_min = args.z_min if args.z_min is not None else max(10.0, args.z0)
-        z_max = args.z_max if args.z_max is not None else 10000.0
-        z_step = args.z_step if args.z_step is not None else 10.0
-        if not z_step > 0:
-            raise InputError(f"--z-step must be positive, got {z_step}")
-        z_grid = np.arange(z_min, z_max + 0.5 * z_step, z_step)
+    if args.z_step is not None and not args.z_step > 0:
+        raise InputError(f"--z-step must be positive, got {args.z_step}")
+    z_grid = sweep_grid(medium, cam, args.z_min, args.z_max, args.z_step)
     sweep_ = sweep(medium, cam, reflectance=args.reflectance, z_grid=z_grid)
     write_csv(sweep_, args.out)
     z_sat, z_bg = find_range(sweep_, sat_tol=args.sat_tol, bg_tol=args.bg_tol)

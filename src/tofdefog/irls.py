@@ -220,7 +220,9 @@ class IrlsState:
     """Solver state after one optimization level."""
 
     x: ScatteringField
-    a: np.ndarray                 # (K, 6) patch coefficients, scaled basis
+    # (K, 6) patch coefficients over the scaled patch basis, as
+    # PatchGrid.fit_all returns them and solve_wls takes them
+    a: np.ndarray
     w: WeightField
     sigma: float
     objective_history: list = field(default_factory=list)
@@ -288,8 +290,8 @@ class _Workspace:
     The x-step system is diag(w) + K, where the weight-independent K
     (identity, symmetry and smoothness penalties) is applied matrix-free:
     its diagonal, minus gamma3 times the 4-neighbour sum, minus 2*gamma2
-    times each symmetry row's mirror.  Only diag(w) changes between outer
-    iterations.
+    times x with the flip's two halves swapped.  Only diag(w) changes
+    between outer iterations.
 
     The preconditioner drops the symmetry coupling and replaces diag(w) by
     its mean: what is left, (mean(w) + gamma1 + gamma2*mean(sym diag))*I +
@@ -310,12 +312,7 @@ class _Workspace:
         rows, cols = shape
         sym_diag = cfg.flip.normal_diag(shape)
         self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * laplacian_diag(shape)
-        # the participating rows are flip_row +- k; each pairs with its mirror
-        f = cfg.flip.flip_row
-        k = int(np.count_nonzero(cfg.flip.participating_rows(rows))) // 2
-        self.sym_halves = None
-        if k and cfg.gamma2 > 0:
-            self.sym_halves = (slice(f - k, f), slice(f + 1, f + k + 1))
+        self.sym_halves = cfg.flip.halves(rows)
         lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(rows) / rows)
         lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(cols) / cols)
         self.fixed_eig = (
@@ -331,7 +328,7 @@ class _Workspace:
             nb = neighbour_sum(x)
             nb *= self.cfg.gamma3
             out -= nb
-        if self.sym_halves is not None:
+        if self.cfg.gamma2 > 0:
             lower, upper = self.sym_halves
             c = 2.0 * self.cfg.gamma2
             out[lower] -= c * x[upper][::-1]
@@ -412,8 +409,9 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
     """Minimize the weighted surrogate over x with patch coefficients fixed.
 
     `w` is a WeightField or a weight grid in [0, 1] with the image's shape;
-    `a` holds per-patch quadratic coefficients over patch-local (u, v)
-    coordinates, shape (K, 6).  Returns the solution grid.
+    `a` holds the (K, 6) per-patch coefficients over the scaled patch basis
+    (priors.QuadraticBasis), as PatchGrid.fit_all and IrlsState.a hold
+    them.  Returns the solution grid.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
     weights = w.weights if isinstance(w, WeightField) else np.asarray(w, np.float64)
@@ -423,11 +421,11 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
         raise ValueError("weights must lie in [0, 1]")
     ws = _Workspace(x_tilde.shape, cfg)
     coeffs = np.asarray(a, dtype=np.float64)
-    scaled = np.array(
-        [ws.grid.bases[k].from_raw(coeffs[k]) for k in range(ws.grid.n_patches)]
-    )
+    if coeffs.shape != (ws.grid.n_patches, 6):
+        raise ValueError(f"patch coefficients must have shape ({ws.grid.n_patches}, 6), "
+                         f"got {coeffs.shape}")
     x0 = x_tilde if x0 is None else np.asarray(x0, dtype=np.float64)
-    x, _, _ = _x_step(ws, x_tilde, weights, ws.grid.surface_image(scaled), x0)
+    x, _, _ = _x_step(ws, x_tilde, weights, ws.grid.surface_image(coeffs), x0)
     return x
 
 

@@ -7,7 +7,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -138,32 +138,13 @@ def save_scene(scene: SceneSpec, path) -> None:
     write_grid(os.path.join(base, "reflectance.tofgrid"), scene.reflectance_map,
                "amplitude", units="albedo")
     doc = {
-        "camera": {
-            "modulation_frequency_hz": scene.cam.modulation_frequency_hz,
-            "rows": scene.cam.rows,
-            "cols": scene.cam.cols,
-        },
-        "medium": {
-            "beta": scene.medium.beta,
-            "g": scene.medium.g,
-            "z0": scene.medium.z0,
-            "z_saturate": scene.medium.z_saturate,
-        },
+        "camera": asdict(scene.cam),
+        "medium": asdict(scene.medium),
         "depth_map": "depth_gt.tofgrid",
         "reflectance_map": "reflectance.tofgrid",
     }
     if isinstance(scene.scattering, ScatterProfile):
-        p = scene.scattering
-        doc["scattering"] = {
-            "source": "analytic",
-            "flip_row": p.flip_row,
-            "amplitude_falloff": p.amplitude_falloff,
-            "phase_falloff": p.phase_falloff,
-        }
-        if p.amplitude_peak is not None:
-            doc["scattering"]["amplitude_peak"] = p.amplitude_peak
-        if p.phase_peak is not None:
-            doc["scattering"]["phase_peak"] = p.phase_peak
+        doc["scattering"] = {"source": "analytic", **asdict(scene.scattering)}
     else:
         write_grid(os.path.join(base, "scattering_amp_in.tofgrid"),
                    scene.scattering.amplitude, "amplitude")

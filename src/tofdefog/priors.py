@@ -4,9 +4,12 @@ Three quadratic penalties are used by the robust estimator:
 
   * local quadratic prior: within each patch of a non-overlapping grid the
     field is a 6-coefficient quadratic surface a1*u^2 + a2*u*v + a3*v^2 +
-    a4*u + a5*v + a6,
+    a4*u + a5*v + a6, with (u, v) the patch's pixel coordinates centred on
+    the patch and scaled to [-1, 1], the one coefficient basis used
+    throughout,
   * global symmetrical prior: the field mirrors about a fixed image row
-    fixed by the camera/illuminator geometry,
+    fixed by the camera/illuminator geometry; the mirror swaps two row
+    slices (FlipOperator.halves),
   * smoothness: squared forward differences along both axes.
 
 All operators here are pure and stateless; patch fits are independent.
@@ -28,12 +31,11 @@ class SingularFitError(RuntimeError):
 class QuadraticBasis:
     """Design matrix of the 6-term quadratic over one patch.
 
-    Pixel coordinates are patch-local (0-based row/col offsets).  The fit
-    itself runs in coordinates centered and scaled to [-1, 1]; raw patch
-    coordinates up to a few hundred pixels give normal equations with
-    condition numbers around 1e10, while the scaled basis is benign.  The
-    scaling is a pure reparameterization: `to_raw` maps scaled coefficients
-    back to the patch-local (u, v) convention.
+    The basis runs over patch-local pixel coordinates centred on the patch
+    and scaled to [-1, 1]: raw coordinates up to a few hundred pixels give
+    normal equations with condition numbers around 1e10, while the scaled
+    basis is benign.  Every coefficient vector in the package, from `fit`
+    to `irls.solve_wls`, is over this basis.
     """
 
     n_rows: int
@@ -54,24 +56,13 @@ class QuadraticBasis:
         return u.ravel(), v.ravel()
 
     @cached_property
-    def _scaling(self):
-        u, v = self.coords
-        cu, cv = u.mean(), v.mean()
-        su = max(np.abs(u - cu).max(), 1.0)
-        sv = max(np.abs(v - cv).max(), 1.0)
-        return cu, cv, su, sv
-
-    @cached_property
     def design(self) -> np.ndarray:
-        """N x 6 design matrix in the scaled basis."""
-        u, v = self.coords
-        cu, cv, su, sv = self._scaling
-        uu = (u - cu) / su
-        vv = (v - cv) / sv
+        """N x 6 design matrix: uu^2, uu*vv, vv^2, uu, vv, 1 (uu, vv scaled)."""
+        uu, vv = (_centred_unit(t) for t in self.coords)
         return np.column_stack([uu * uu, uu * vv, vv * vv, uu, vv, np.ones_like(uu)])
 
     def fit(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Least-squares coefficients (scaled basis) for patch values.
+        """Least-squares coefficients for patch values.
 
         `values` is the patch as a vector or 2-D block; optional per-pixel
         weights must be non-negative.  Raises SingularFitError when the
@@ -100,48 +91,16 @@ class QuadraticBasis:
         return np.linalg.solve(m, rhs)
 
     def surface(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate the quadratic (scaled-basis coefficients) over the patch."""
+        """Evaluate the quadratic over the patch."""
         return (self.design @ np.asarray(coeffs, dtype=np.float64)).reshape(
             self.n_rows, self.n_cols
         )
 
-    def to_raw(self, coeffs: np.ndarray) -> np.ndarray:
-        """Scaled-basis coefficients -> coefficients over patch-local (u, v)."""
-        a1, a2, a3, a4, a5, a6 = np.asarray(coeffs, dtype=np.float64)
-        cu, cv, su, sv = self._scaling
-        pu, pv = 1.0 / su, 1.0 / sv
-        du, dv = -cu / su, -cv / sv
-        return np.array(
-            [
-                a1 * pu * pu,
-                a2 * pu * pv,
-                a3 * pv * pv,
-                2.0 * a1 * pu * du + a2 * pu * dv + a4 * pu,
-                2.0 * a3 * pv * dv + a2 * pv * du + a5 * pv,
-                a1 * du * du + a2 * du * dv + a3 * dv * dv + a4 * du + a5 * dv + a6,
-            ]
-        )
 
-    def from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Patch-local coefficients -> scaled basis (inverse of to_raw)."""
-        r1, r2, r3, r4, r5, r6 = np.asarray(raw, dtype=np.float64)
-        cu, cv, su, sv = self._scaling
-        # substitute u = su*uu + cu, v = sv*vv + cv and collect terms
-        return np.array(
-            [
-                r1 * su * su,
-                r2 * su * sv,
-                r3 * sv * sv,
-                2.0 * r1 * su * cu + r2 * su * cv + r4 * su,
-                2.0 * r3 * sv * cv + r2 * sv * cu + r5 * sv,
-                r1 * cu * cu + r2 * cu * cv + r3 * cv * cv + r4 * cu + r5 * cv + r6,
-            ]
-        )
-
-
-def fit_patch_quadratic(values, basis: QuadraticBasis, weights=None) -> np.ndarray:
-    """Weighted least-squares quadratic fit, coefficients over patch (u, v)."""
-    return basis.to_raw(basis.fit(values, weights))
+def _centred_unit(t: np.ndarray) -> np.ndarray:
+    """Coordinates shifted to mean 0, divided by their largest magnitude if above 1."""
+    c = t - t.mean()
+    return c / max(np.abs(c).max(), 1.0)
 
 
 @dataclass(frozen=True)
@@ -227,12 +186,12 @@ class PatchGrid:
 class FlipOperator:
     """Vertical mirror about a fixed row, with an excluded bottom band.
 
-    A row participates in the symmetry penalty only when its mirror
-    2*flip_row - r lies inside the image and neither the row nor its mirror
-    falls in the excluded bottom band (those rows carry no symmetry
-    information).  The participating set is closed under mirroring, which
-    makes the flip an involution and keeps the penalty's normal operator
-    expressible through the flip itself.
+    The mirror pairs row flip_row - j with row flip_row + j for j = 1..k,
+    k as large as keeps both rows inside the image and above the excluded
+    bottom band (those rows carry no symmetry information).  The flip row
+    is its own mirror and every other row passes through, so the flip is
+    an involution and the penalty's normal operator is expressible through
+    the flip itself.
     """
 
     flip_row: int
@@ -244,48 +203,40 @@ class FlipOperator:
         if self.excluded_bottom_rows < 0:
             raise ValueError("excluded_bottom_rows must be non-negative")
 
-    def mirror(self, r):
-        return 2 * self.flip_row - r
+    def halves(self, rows: int) -> tuple[slice, slice]:
+        """Row slices (lower, upper) = flip_row-k..flip_row-1, flip_row+1..flip_row+k.
 
-    def participating_rows(self, rows: int) -> np.ndarray:
-        """Row mask of pixels that contribute to the symmetry penalty."""
-        if self.flip_row >= rows:
+        Row i of `lower` mirrors row k-1-i of `upper`; both are empty when
+        k = 0 (flip_row 0, or a flip row inside the excluded band).
+        """
+        f = self.flip_row
+        if f >= rows:
             raise ValueError("flip_row lies outside the image")
-        r = np.arange(rows)
-        m = self.mirror(r)
-        first_excluded = rows - self.excluded_bottom_rows
-        ok = (m >= 0) & (m < rows) & (r < first_excluded) & (m < first_excluded)
-        return ok
+        k = max(min(f, rows - self.excluded_bottom_rows - 1 - f), 0)
+        return slice(f - k, f), slice(f + 1, f + 1 + k)
 
     def apply(self, image: np.ndarray) -> np.ndarray:
-        """Mirror participating rows about flip_row; others pass through."""
-        part = self.participating_rows(image.shape[0])
-        rows_in = np.nonzero(part)[0]
+        """Swap the two mirrored halves; every other row passes through."""
+        lower, upper = self.halves(image.shape[0])
         out = image.copy()
-        out[rows_in] = image[self.mirror(rows_in)]
+        out[lower] = image[upper][::-1]
+        out[upper] = image[lower][::-1]
         return out
 
     def residual(self, image: np.ndarray) -> np.ndarray:
-        """Mirror-minus-identity residual; zero outside participating rows."""
+        """Mirror-minus-identity residual; zero outside the mirrored halves."""
         return self.apply(image) - image
 
     def normal_diag(self, shape) -> np.ndarray:
-        """Diagonal of the symmetry normal operator."""
-        rows, cols = shape
-        part = self.participating_rows(rows)
-        d = np.where(part, 2.0, 0.0)
-        if 0 <= self.flip_row < rows:
-            d[self.flip_row] = 0.0  # a row is its own mirror: zero residual
-        return np.repeat(d[:, None], cols, axis=1)
-
-
-def apply_flip(image: np.ndarray, op: FlipOperator) -> np.ndarray:
-    """Functional form of FlipOperator.apply."""
-    return op.apply(image)
+        """Diagonal of the symmetry normal operator: 2 on the halves, else 0."""
+        d = np.zeros(shape)
+        for half in self.halves(shape[0]):
+            d[half] = 2.0
+        return d
 
 
 def symmetry_penalty(image: np.ndarray, op: FlipOperator) -> float:
-    """Sum of squared mirror residuals over the participating region."""
+    """Sum of squared mirror residuals over the two mirrored halves."""
     res = op.residual(image)
     return float(np.sum(res * res))
 
@@ -316,11 +267,6 @@ def neighbour_sum(image: np.ndarray) -> np.ndarray:
     out[:-1, :] += image[1:, :]
     out[1:, :] += image[:-1, :]
     return out
-
-
-def laplacian_apply(image: np.ndarray) -> np.ndarray:
-    """Normal operator of the forward-difference gradient (5-point stencil)."""
-    return laplacian_diag(image.shape) * image - neighbour_sum(image)
 
 
 def laplacian_diag(shape) -> np.ndarray:

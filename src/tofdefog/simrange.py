@@ -36,10 +36,22 @@ class RangeSweep:
     residual_phase: np.ndarray
 
 
-def default_z_grid(medium: MediumParams, cam: CameraModel) -> np.ndarray:
+def sweep_grid(medium: MediumParams, cam: CameraModel, z_min=None, z_max=None,
+               z_step=None) -> np.ndarray:
+    """Depths from z_min to z_max (within half a step) every z_step mm.
+
+    An unset value takes DEFAULT_Z_GRID's, with the start raised to the
+    medium's z0 and the stop capped below the unambiguous range c/(2f).
+    An explicit z_max is kept as given, so one past that range fails in
+    `sweep`.
+    """
     start, stop, step = DEFAULT_Z_GRID
-    start = max(start, medium.z0)
-    stop = min(stop + 0.5 * step, cam.unambiguous_range_mm)
+    step = step if z_step is None else z_step
+    start = max(start, medium.z0) if z_min is None else z_min
+    if z_max is None:
+        stop = min(stop + 0.5 * step, cam.unambiguous_range_mm)
+    else:
+        stop = z_max + 0.5 * step
     return np.arange(start, stop, step)
 
 
@@ -47,7 +59,7 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
           z_grid=None) -> RangeSweep:
     """Evaluate the saturation and residual curves over a depth grid."""
     if z_grid is None:
-        z_grid = default_z_grid(medium, cam)
+        z_grid = sweep_grid(medium, cam)
     z_grid = np.asarray(z_grid, dtype=np.float64)
     if z_grid.size == 0 or np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be non-empty and strictly increasing")

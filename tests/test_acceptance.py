@@ -104,16 +104,13 @@ def test_criterion_3_irls_small_instance_oracle():
         lap, sym = dense_system((16, 16), cfg)
         n = 256
 
-        scaled = grid.fit_all(x_tilde)
+        coeffs = grid.fit_all(x_tilde)
         w = np.ones((16, 16))
         x = x_tilde.copy()
         sigma = None
         for _ in range(5):
-            raw = np.array(
-                [grid.bases[k].to_raw(scaled[k]) for k in range(grid.n_patches)]
-            )
-            x = solve_wls(x_tilde, w, raw, cfg, x0=x)
-            q = grid.surface_image(scaled)
+            x = solve_wls(x_tilde, w, coeffs, cfg, x0=x)
+            q = grid.surface_image(coeffs)
             a_mat = (np.diag(w.ravel()) + cfg.gamma1 * np.eye(n)
                      + cfg.gamma2 * sym + cfg.gamma3 * lap)
             b = (w * x_tilde).ravel() + cfg.gamma1 * q.ravel()
@@ -121,7 +118,7 @@ def test_criterion_3_irls_small_instance_oracle():
             rel = np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense)
             worst_rel = max(worst_rel, rel)
             assert rel < 1e-8, f"x-step vs dense solve: {rel:.2e}"
-            scaled = grid.fit_all(x, weights=w + 1e-9)
+            coeffs = grid.fit_all(x, weights=w + 1e-9)
             r = x - x_tilde
             if sigma is None:
                 sigma = mad_scale(r.ravel(), floor=1e-6 * np.abs(x_tilde).max())

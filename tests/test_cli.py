@@ -5,6 +5,7 @@ import pytest
 from conftest import make_scene
 
 from tofdefog.cli import main
+from tofdefog.core import CameraModel
 from tofdefog.gridfile import read_grid, write_grid
 from tofdefog.pipeline import file_sha256, save_scene
 
@@ -200,6 +201,27 @@ def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simrange", "--beta", "0", "--out", str(out)]) == 0
     assert "unbounded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [["--z-step", "5"], ["--z-min", "20"], ["--z-step", "10"]])
+def test_simrange_unset_grid_flags_take_the_default_grid(tmp_path, flags):
+    # at 16 MHz the default grid stops below c/(2f) = 9,368.5 mm, not at
+    # 10,000 mm; a grid flag must not bring the unset bounds back past it
+    default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
+    assert main(["simrange", "--beta", "3.2e-4", "--out", str(default)]) == 0
+    assert main(["simrange", "--beta", "3.2e-4", *flags, "--out", str(flagged)]) == 0
+    z = [float(line.split(",")[0]) for line in flagged.read_text().splitlines()[1:]]
+    assert 9300.0 <= z[-1] < CameraModel(16e6).unambiguous_range_mm
+    assert z[0] == (float(flags[1]) if flags[0] == "--z-min" else 10.0)
+    if flags == ["--z-step", "10"]:
+        assert flagged.read_bytes() == default.read_bytes()
+
+
+def test_simrange_explicit_z_max_past_the_range_exit_code(tmp_path, capsys):
+    code = main(["simrange", "--beta", "3.2e-4", "--z-max", "10000",
+                 "--out", str(tmp_path / "sweep.csv"), "--json"])
+    assert code == 2
+    assert "unambiguous range" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
 @pytest.mark.parametrize("step", ["0", "-10"])

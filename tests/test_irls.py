@@ -109,17 +109,15 @@ def dense_system(shape, cfg):
     return lap, sym
 
 
-def patch_coeffs_raw(x, cfg):
-    grid = cfg.grid_for(x.shape)
-    scaled = grid.fit_all(x)
-    return np.array([grid.bases[k].to_raw(scaled[k]) for k in range(grid.n_patches)])
+def patch_coeffs(x, cfg):
+    return cfg.grid_for(x.shape).fit_all(x)
 
 
 def test_solve_wls_identity_when_unweighted_unregularized():
     cfg = small_config(gamma1=0.0, gamma2=0.0, gamma3=0.0)
     rng = np.random.default_rng(1)
     x_tilde = rng.normal(size=(16, 16))
-    x = solve_wls(x_tilde, np.ones_like(x_tilde), patch_coeffs_raw(x_tilde, cfg), cfg)
+    x = solve_wls(x_tilde, np.ones_like(x_tilde), patch_coeffs(x_tilde, cfg), cfg)
     assert np.allclose(x, x_tilde, atol=1e-12)
 
 
@@ -127,7 +125,7 @@ def test_solve_wls_consistent_priors():
     # huge patch weight, but the image is exactly patch-quadratic: x = x~
     cfg = small_config(gamma1=1e6, gamma2=0.0, gamma3=0.0)
     x_tilde = quadratic_symmetric_image(16, 16, 8)
-    x = solve_wls(x_tilde, np.ones_like(x_tilde), patch_coeffs_raw(x_tilde, cfg), cfg)
+    x = solve_wls(x_tilde, np.ones_like(x_tilde), patch_coeffs(x_tilde, cfg), cfg)
     assert np.allclose(x, x_tilde, rtol=1e-8)
 
 
@@ -137,11 +135,10 @@ def test_solve_wls_matches_dense_solve():
     rng = np.random.default_rng(2)
     x_tilde = rng.normal(size=(8, 8))
     w = rng.uniform(0, 1, (8, 8))
-    coeffs = patch_coeffs_raw(x_tilde, cfg)
+    coeffs = patch_coeffs(x_tilde, cfg)
 
     lap, sym = dense_system((8, 8), cfg)
-    grid = cfg.grid_for((8, 8))
-    q = grid.surface_image(grid.fit_all(x_tilde))
+    q = cfg.grid_for((8, 8)).surface_image(coeffs)
     a = (np.diag(w.ravel()) + cfg.gamma1 * np.eye(64)
          + cfg.gamma2 * sym + cfg.gamma3 * lap)
     b = (w * x_tilde).ravel() + cfg.gamma1 * q.ravel()
@@ -284,7 +281,7 @@ def test_solve_wls_rejects_patch_level_weights():
     x_tilde = np.zeros((16, 16))
     w = WeightField(weights=np.ones(cfg.grid_for(x_tilde.shape).n_patches))
     with pytest.raises(ValueError):
-        solve_wls(x_tilde, w, patch_coeffs_raw(x_tilde, cfg), cfg)
+        solve_wls(x_tilde, w, patch_coeffs(x_tilde, cfg), cfg)
 
 
 def test_solve_wls_accepts_coarse_weights():
@@ -293,8 +290,31 @@ def test_solve_wls_accepts_coarse_weights():
     x_tilde = quadratic_symmetric_image(16, 16, 8)
     x_tilde[4:8, 4:8] += 5.0
     coarse = run_coarse(x_tilde, cfg)
-    x = solve_wls(x_tilde, coarse.w, patch_coeffs_raw(x_tilde, cfg), cfg)
+    x = solve_wls(x_tilde, coarse.w, coarse.a, cfg)
     assert x.shape == x_tilde.shape and np.all(np.isfinite(x))
+
+
+def test_solve_wls_is_the_x_step_on_state_coefficients():
+    # solve_wls takes IrlsState.a as it is: the same bits as the solver's
+    # own x-step on that state's surface
+    cfg = small_config(rows=16)
+    x_tilde = quadratic_symmetric_image(16, 16, 8)
+    x_tilde[4:8, 4:8] += 5.0
+    state = run_coarse(x_tilde, cfg)
+    x0 = state.x.values
+    x = solve_wls(x_tilde, state.w, state.a, cfg, x0)
+    ws = _Workspace(x_tilde.shape, cfg)
+    want, _, _ = _x_step(ws, x_tilde, state.w.weights, ws.grid.surface_image(state.a), x0)
+    assert np.array_equal(x, want)
+
+
+@pytest.mark.parametrize("extra_patches, n_coeffs", [(1, 6), (0, 5)])
+def test_solve_wls_rejects_wrong_coefficient_shape(extra_patches, n_coeffs):
+    cfg = small_config(rows=16)
+    x_tilde = quadratic_symmetric_image(16, 16, 8)
+    k = cfg.grid_for(x_tilde.shape).n_patches
+    with pytest.raises(ValueError, match="coefficients"):
+        solve_wls(x_tilde, np.ones_like(x_tilde), np.zeros((k + extra_patches, n_coeffs)), cfg)
 
 
 def test_solver_error_carries_residual_norm():

@@ -16,11 +16,14 @@ from tofdefog.pipeline import load_scene, max_threads, save_scene
 def test_scene_round_trip(tmp_path):
     scene = make_scene(beta=3.2e-4, seed=1, rows=48, cols=48, flip_row=24,
                        coverage="small")
+    scene.cam = td.CameraModel(16e6, rows=48, cols=48, speed_of_light_mm_per_s=2.99e11)
+    scene.scattering = td.ScatterProfile(flip_row=24, amplitude_peak=0.125)
     path = tmp_path / "scene.json"
     save_scene(scene, path)
     back = load_scene(path)
-    assert back.cam.modulation_frequency_hz == scene.cam.modulation_frequency_hz
-    assert back.medium.beta == scene.medium.beta
+    assert back.cam == scene.cam
+    assert back.medium == scene.medium
+    assert back.scattering == scene.scattering
     assert np.array_equal(np.isfinite(back.depth_map), np.isfinite(scene.depth_map))
     valid = np.isfinite(scene.depth_map)
     assert np.allclose(back.depth_map[valid], scene.depth_map[valid], rtol=1e-6)

@@ -6,11 +6,9 @@ from tofdefog.priors import (
     PatchGrid,
     QuadraticBasis,
     SingularFitError,
-    apply_flip,
-    fit_patch_quadratic,
     gradient_penalty,
-    laplacian_apply,
     laplacian_diag,
+    neighbour_sum,
     symmetry_penalty,
 )
 
@@ -19,16 +17,14 @@ def test_fit_recovers_exact_quadratic():
     basis = QuadraticBasis(8, 8)
     u, v = basis.coords
     values = 3.0 * u * u - u + 2.0
-    coeffs = fit_patch_quadratic(values, basis)
-    assert np.allclose(coeffs, [3, 0, 0, -1, 0, 2], atol=1e-8)
-    residual = values - basis.surface(basis.from_raw(coeffs)).ravel()
+    residual = values - basis.surface(basis.fit(values)).ravel()
     assert np.max(np.abs(residual)) < 1e-8
 
 
 def test_fit_constant_patch():
     basis = QuadraticBasis(5, 7)
-    coeffs = fit_patch_quadratic(np.full(35, 5.0), basis)
-    assert np.allclose(coeffs, [0, 0, 0, 0, 0, 5], atol=1e-9)
+    coeffs = basis.fit(np.full(35, 5.0))
+    assert np.allclose(basis.surface(coeffs), 5.0, atol=1e-9)
 
 
 def test_weighted_fit_ignores_spiked_pixel():
@@ -39,8 +35,8 @@ def test_weighted_fit_ignores_spiked_pixel():
     spiked[17] += 1e6
     weights = np.ones_like(clean)
     weights[17] = 0.0
-    coeffs = fit_patch_quadratic(spiked, basis, weights)
-    assert np.allclose(coeffs, [0.5, 2.0, 0.0, 0.0, -1.0, 4.0], atol=1e-6)
+    coeffs = basis.fit(spiked, weights)
+    assert np.allclose(basis.surface(coeffs).ravel(), clean, atol=1e-6)
 
 
 def test_fit_is_idempotent():
@@ -58,33 +54,76 @@ def test_fit_rank_deficient_raises():
         basis.fit(np.ones(16), weights=np.zeros(16))
 
 
-def test_raw_scaled_round_trip():
-    basis = QuadraticBasis(10, 12)
-    rng = np.random.default_rng(1)
-    scaled = rng.normal(size=6)
-    assert np.allclose(basis.from_raw(basis.to_raw(scaled)), scaled, atol=1e-9)
-
-
 def test_flip_is_involution():
     op = FlipOperator(flip_row=8, excluded_bottom_rows=2)
     rng = np.random.default_rng(2)
     img = rng.normal(size=(16, 5))
-    assert np.array_equal(apply_flip(apply_flip(img, op), op), img)
+    assert np.array_equal(op.apply(op.apply(img)), img)
 
 
 def test_flip_symmetric_image_unchanged():
     op = FlipOperator(flip_row=8)
     u = np.arange(16, dtype=float)[:, None] - 8
     img = np.repeat(u * u, 4, axis=1)
-    assert np.allclose(apply_flip(img, op), img)
+    assert np.allclose(op.apply(img), img)
 
 
 def test_flip_moves_delta():
     op = FlipOperator(flip_row=20)
     img = np.zeros((41, 3))
     img[10, 1] = 1.0  # flip_row - 10
-    out = apply_flip(img, op)
+    out = op.apply(img)
     assert out[30, 1] == 1.0 and out[10, 1] == 0.0
+
+
+def brute_force_mirror_rows(rows, op):
+    """Rows r whose mirror 2*flip_row - r is inside the image, neither row
+    in the excluded band: {r: mirror}."""
+    first_excluded = rows - op.excluded_bottom_rows
+    out = {}
+    for r in range(rows):
+        m = 2 * op.flip_row - r
+        if 0 <= m < rows and r < first_excluded and m < first_excluded:
+            out[r] = m
+    return out
+
+
+def test_flip_halves_apply_and_diag_match_brute_force_rule():
+    rng = np.random.default_rng(6)
+    cases = 0
+    for rows in range(1, 13):
+        img = rng.normal(size=(rows, 3))
+        for flip_row in range(rows):
+            for excluded in range(rows + 2):
+                op = FlipOperator(flip_row=flip_row, excluded_bottom_rows=excluded)
+                pairs = brute_force_mirror_rows(rows, op)
+                lower, upper = op.halves(rows)
+                lo = list(range(rows))[lower]
+                up = list(range(rows))[upper]
+                assert lo == [r for r in sorted(pairs) if r < flip_row]
+                assert up[::-1] == [pairs[r] for r in lo]
+                want = img.copy()
+                for r, m in pairs.items():
+                    want[r] = img[m]
+                assert np.array_equal(op.apply(img), want)
+                diag = np.array([2.0 if r in pairs and r != flip_row else 0.0
+                                 for r in range(rows)])
+                assert np.array_equal(op.normal_diag((rows, 3)), np.repeat(diag[:, None], 3, 1))
+                cases += 1
+    assert cases > 500
+    # flip_row 0 and a flip row inside the excluded band mirror nothing
+    for op in (FlipOperator(flip_row=0, excluded_bottom_rows=0),
+               FlipOperator(flip_row=9, excluded_bottom_rows=4)):
+        lower, upper = op.halves(12)
+        assert lower.start == lower.stop and upper.start == upper.stop
+
+
+def test_flip_row_outside_image_rejected():
+    op = FlipOperator(flip_row=8)
+    with pytest.raises(ValueError):
+        op.halves(8)
+    with pytest.raises(ValueError):
+        op.apply(np.zeros((8, 2)))
 
 
 def test_symmetry_penalty_zero_iff_symmetric():
@@ -144,7 +183,8 @@ def test_laplacian_matches_penalty_gradient():
     # <x, Lx> must equal the penalty for the quadratic form 0.5*x'(2L)x
     rng = np.random.default_rng(5)
     img = rng.normal(size=(6, 7))
-    assert float(np.sum(img * laplacian_apply(img))) == pytest.approx(
+    lap_img = laplacian_diag(img.shape) * img - neighbour_sum(img)
+    assert float(np.sum(img * lap_img)) == pytest.approx(
         gradient_penalty(img), rel=1e-12
     )
     assert np.allclose(laplacian_diag((6, 7))[0, 0], 2.0)
