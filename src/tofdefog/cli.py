@@ -21,7 +21,7 @@ from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth, wrap_pha
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
-from .pipeline import build_manifest, defog, load_scene, write_manifest
+from .pipeline import DOMAINS, build_manifest, defog, load_scene, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
 from .simrange import find_range, sweep, sweep_grid, write_csv, write_gnuplot_script
 
@@ -84,14 +84,6 @@ def cmd_synth(args) -> int:
         _write_grid(out, "labels.tofgrid", np.asarray(labels, dtype=np.float64), "label"),
     ])
 
-    with open(args.scene, "r", encoding="utf-8") as fh:
-        scene_doc = json.load(fh)
-    scene_dir = os.path.dirname(os.path.abspath(args.scene))
-    inputs = [args.scene] + [
-        os.path.join(scene_dir, scene_doc[key])
-        for key in ("depth_map", "reflectance_map", "labels_map")
-        if key in scene_doc
-    ]
     manifest = build_manifest(
         "synth",
         {
@@ -99,7 +91,7 @@ def cmd_synth(args) -> int:
             "noise_sigma": args.noise,
             "noise_seed": args.noise_seed,
         },
-        inputs=inputs,
+        inputs=scene.sources,
         outputs=outputs,
     )
     write_manifest(manifest, os.path.join(out, "manifest.json"))
@@ -108,35 +100,36 @@ def cmd_synth(args) -> int:
 
 
 def _defog_setup(args):
-    """Resolve inputs and configs, from flags or a replay manifest."""
+    """The run's manifest `config` section, from flags or a replayed one, and its input paths."""
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        cfg_doc = doc["config"]
-        amp_path = doc["input_paths"][cfg_doc["amp_input"]]
-        phase_path = doc["input_paths"][cfg_doc["phase_input"]]
-        amp_cfg = SolverConfig.from_json(cfg_doc["amplitude"])
-        phase_cfg = SolverConfig.from_json(cfg_doc["phase"])
-        freq = cfg_doc["modulation_frequency_hz"]
-        preprocess = cfg_doc.get("preprocess", "none")
-        preprocess_sigma = cfg_doc.get("preprocess_sigma", 1.0)
-    else:
-        if not args.amp or not args.phase:
-            raise InputError("either --amp and --phase or --from-manifest is required")
-        amp_path, phase_path = args.amp, args.phase
-        overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
-        flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
-        amp_cfg = _load_config(args.amp_profile, args.amp_config, overrides, flip)
-        phase_cfg = _load_config(args.phase_profile, args.phase_config, overrides, flip)
-        freq = args.freq
-        preprocess = args.preprocess
-        preprocess_sigma = args.preprocess_sigma
-    return amp_path, phase_path, amp_cfg, phase_cfg, freq, preprocess, preprocess_sigma
+        config = doc["config"]
+        return (config, doc["input_paths"][config["amp_input"]],
+                doc["input_paths"][config["phase_input"]])
+    if not args.amp or not args.phase:
+        raise InputError("either --amp and --phase or --from-manifest is required")
+    overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
+    flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
+    config = {
+        "amplitude": _load_config(args.amp_profile, args.amp_config, overrides, flip).to_dict(),
+        "phase": _load_config(args.phase_profile, args.phase_config, overrides, flip).to_dict(),
+        "modulation_frequency_hz": args.freq,
+        "preprocess": args.preprocess,
+        "preprocess_sigma": args.preprocess_sigma,
+    }
+    return config, args.amp, args.phase
 
 
 def cmd_defog(args) -> int:
-    (amp_path, phase_path, amp_cfg, phase_cfg,
-     freq, preprocess, preprocess_sigma) = _defog_setup(args)
+    config, amp_path, phase_path = _defog_setup(args)
+    amp_cfg, phase_cfg = (SolverConfig.from_json(config[domain]) for domain in DOMAINS)
+    # written back resolved, so that a replay of this run needs no defaults
+    config.update(amplitude=amp_cfg.to_dict(), phase=phase_cfg.to_dict(),
+                  amp_input=os.path.basename(amp_path),
+                  phase_input=os.path.basename(phase_path))
+    preprocess = config.setdefault("preprocess", "none")
+    preprocess_sigma = config.setdefault("preprocess_sigma", 1.0)
 
     amp_grid = read_grid(amp_path)
     phase_grid = read_grid(phase_path)
@@ -157,7 +150,8 @@ def cmd_defog(args) -> int:
         raise InputError(f"unknown preprocess method {preprocess!r}")
 
     rows, cols = amp_values.shape
-    cam = CameraModel(modulation_frequency_hz=freq, rows=rows, cols=cols)
+    cam = CameraModel(modulation_frequency_hz=config["modulation_frequency_hz"],
+                      rows=rows, cols=cols)
     obs = PhasorImage(amplitude=amp_values, phase=phase_values)
 
     t0 = time.monotonic()
@@ -166,29 +160,22 @@ def cmd_defog(args) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    outputs = sorted([
-        _write_grid(out, "scattering_amplitude.tofgrid", result.scattering_amp.values,
-                    "amplitude"),
-        _write_grid(out, "scattering_phase.tofgrid",
-                    wrap_phase(result.scattering_phase.values), "phase"),
-        _write_grid(out, "weights_amplitude.tofgrid", result.amp_fine.w.weights, "weight"),
-        _write_grid(out, "weights_phase.tofgrid", result.phase_fine.w.weights, "weight"),
+    outputs = [
         _write_grid(out, "mask_fused.tofgrid", result.fused_mask.mask.astype(np.float64),
                     "label"),
         _write_grid(out, "depth_masked.tofgrid", result.depth.depth, "depth"),
-    ])
+    ]
+    for domain in DOMAINS:
+        record = getattr(result, domain)
+        # a phase grid holds phases in [0, 2*pi)
+        field = wrap_phase(record.field.values) if domain == "phase" else record.field.values
+        outputs.append(_write_grid(out, f"scattering_{domain}.tofgrid", field, domain))
+        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.fine.w.weights,
+                                   "weight"))
 
     manifest = build_manifest(
         "defog",
-        {
-            "amplitude": amp_cfg.to_dict(),
-            "phase": phase_cfg.to_dict(),
-            "modulation_frequency_hz": freq,
-            "preprocess": preprocess,
-            "preprocess_sigma": preprocess_sigma,
-            "amp_input": os.path.basename(amp_path),
-            "phase_input": os.path.basename(phase_path),
-        },
+        config,
         inputs=[amp_path, phase_path],
         outputs=outputs,
         solver=result.solver_summary(),

@@ -213,6 +213,8 @@ class SceneSpec:
     medium: MediumParams
     scattering: ScatterProfile | MeasuredScattering = field(default_factory=ScatterProfile)
     labels: np.ndarray | None = None   # optional per-object region ids
+    # the files load_scene read the scene from: its JSON, then each grid
+    sources: list = field(default_factory=list)
 
     def __post_init__(self):
         self.depth_map = np.asarray(self.depth_map, dtype=np.float64)

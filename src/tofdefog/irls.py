@@ -217,14 +217,15 @@ class WeightField:
 
 @dataclass
 class IrlsState:
-    """Solver state after one optimization level."""
+    """One optimization level's state, filled as the level runs; summary() records it."""
 
     x: ScatteringField
     # (K, 6) patch coefficients over the scaled patch basis, as
     # PatchGrid.fit_all returns them and solve_wls takes them
     a: np.ndarray
     w: WeightField
-    sigma: float
+    # MAD scale of the first iteration's residuals; None before it
+    sigma: float | None = None
     objective_history: list = field(default_factory=list)
     level: str = "coarse"
     cg_iterations: list = field(default_factory=list)
@@ -237,6 +238,13 @@ class IrlsState:
     @property
     def outer_iterations(self) -> int:
         return len(self.objective_history)
+
+    def summary(self) -> dict:
+        """JSON-ready record: every field but the arrays and the level name."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("x", "a", "w", "level")}
+        out["outer_iterations"] = self.outer_iterations
+        return out
 
 
 def tukey_rho(r, c: float):
@@ -482,42 +490,31 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         residual = spread = _identity
         c = cfg.c_fine
     floor = _scale_floor(x_tilde)
-    sigma = None
-    history: list[float] = []
-    cg_iters: list[int] = []
-    cg_residuals: list[float] = []
-    converged = False
+    state = IrlsState(x=ScatteringField(values=x), a=coeffs, w=WeightField(weights=w_pix),
+                      level=level)
     surface = ws.grid.surface_image(coeffs)
 
     for _ in range(cfg.max_outer_iters):
-        forcing = 0.0 if sigma is None else FORCING
+        forcing = 0.0 if state.sigma is None else FORCING
         x, n_cg, cg_res = _x_step(ws, x_tilde, w_pix, surface, x, forcing)
-        cg_iters.append(n_cg)
-        cg_residuals.append(cg_res)
+        state.cg_iterations.append(n_cg)
+        state.cg_residuals.append(cg_res)
         # floor keeps the weighted fit defined when a whole patch is outlier
         coeffs = ws.grid.fit_all(x, weights=w_pix + 1e-9)
         surface = ws.grid.surface_image(coeffs)
         r = residual(x - x_tilde)
-        if sigma is None:
-            sigma = mad_scale(r, floor=floor)
-        z = r / sigma
+        if state.sigma is None:
+            state.sigma = mad_scale(r, floor=floor)
+        z = r / state.sigma
         w_pix = spread(tukey_weight(z, c))
-        history.append(_objective(ws, x, surface, float(np.sum(tukey_rho(z, c))), sigma))
-        converged = _converged(history, cfg.convergence_tol)
-        if converged:
+        state.objective_history.append(
+            _objective(ws, x, surface, float(np.sum(tukey_rho(z, c))), state.sigma))
+        state.converged = _converged(state.objective_history, cfg.convergence_tol)
+        if state.converged:
             break
 
-    return IrlsState(
-        x=ScatteringField(values=x),
-        a=coeffs,
-        w=WeightField(weights=w_pix),
-        sigma=sigma,
-        objective_history=history,
-        level=level,
-        cg_iterations=cg_iters,
-        cg_residuals=cg_residuals,
-        converged=converged,
-    )
+    state.x, state.a, state.w = ScatteringField(values=x), coeffs, WeightField(weights=w_pix)
+    return state
 
 
 def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:

@@ -18,6 +18,7 @@ from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, es
 from .recon import ObjectMask, fuse_masks, reconstruct_depth, recover_direct
 
 THREADS_ENV = "TOFDEFOG_THREADS"
+DOMAINS = ("amplitude", "phase")
 
 
 def max_threads() -> int:
@@ -30,36 +31,28 @@ def max_threads() -> int:
 
 
 @dataclass
+class DomainResult:
+    """One domain's solver levels, scattering field and object mask."""
+
+    coarse: IrlsState
+    fine: IrlsState
+    field: ScatteringField
+    mask: ObjectMask
+
+
+@dataclass
 class DefogResult:
-    amp_coarse: IrlsState
-    amp_fine: IrlsState
-    phase_coarse: IrlsState
-    phase_fine: IrlsState
-    scattering_amp: ScatteringField
-    scattering_phase: ScatteringField
-    mask_amp: ObjectMask
-    mask_phase: ObjectMask
+    amplitude: DomainResult
+    phase: DomainResult
     fused_mask: ObjectMask
     direct: PhasorImage
     depth: DepthImage
 
     def solver_summary(self) -> dict:
-        out = {}
-        for name, state in (
-            ("amplitude_coarse", self.amp_coarse),
-            ("amplitude_fine", self.amp_fine),
-            ("phase_coarse", self.phase_coarse),
-            ("phase_fine", self.phase_fine),
-        ):
-            out[name] = {
-                "outer_iterations": state.outer_iterations,
-                "objective_history": state.objective_history,
-                "cg_iterations": state.cg_iterations,
-                "cg_residuals": state.cg_residuals,
-                "sigma": state.sigma,
-                "converged": state.converged,
-            }
-        return out
+        """Each level's IrlsState record, keyed `<domain>_<level>`."""
+        return {f"{domain}_{state.level}": state.summary()
+                for domain in DOMAINS
+                for state in (getattr(self, domain).coarse, getattr(self, domain).fine)}
 
 
 def defog(obs: PhasorImage, cam: CameraModel,
@@ -73,36 +66,32 @@ def defog(obs: PhasorImage, cam: CameraModel,
     nor on the BLAS thread count.
     """
     threads = max_threads() if threads is None else max(threads, 1)
+    cfgs = (amp_cfg, phase_cfg)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
-        amp, phase = pool.map(estimate_scattering, (obs.amplitude, obs.phase),
-                              (amp_cfg, phase_cfg))
-    amp_coarse, amp_fine, scat_amp = amp
-    phase_coarse, phase_fine, scat_phase = phase
-
-    mask_amp = binarize_weights(amp_fine.w, amp_cfg.mask_threshold)
-    mask_phase = binarize_weights(phase_fine.w, phase_cfg.mask_threshold)
-    fused = fuse_masks(mask_amp, mask_phase)
-    direct = recover_direct(obs, scat_amp, scat_phase)
-    depth = reconstruct_depth(direct, cam, fused)
-    return DefogResult(
-        amp_coarse=amp_coarse, amp_fine=amp_fine,
-        phase_coarse=phase_coarse, phase_fine=phase_fine,
-        scattering_amp=scat_amp, scattering_phase=scat_phase,
-        mask_amp=mask_amp, mask_phase=mask_phase, fused_mask=fused,
-        direct=direct, depth=depth,
-    )
+        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
+    amplitude, phase = (
+        DomainResult(coarse, fine, field, binarize_weights(fine.w, cfg.mask_threshold))
+        for (coarse, fine, field), cfg in zip(runs, cfgs))
+    fused = fuse_masks(amplitude.mask, phase.mask)
+    direct = recover_direct(obs, amplitude.field, phase.field)
+    return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))
 
 
 # -- scene documents ---------------------------------------------------------
 
 def load_scene(path) -> SceneSpec:
-    """Read a scene JSON; grid references resolve relative to the file."""
+    """Read a scene JSON; grid references resolve relative to the file.
+
+    The scene's `sources` lists the JSON and every grid file read.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     base = os.path.dirname(os.path.abspath(str(path)))
+    sources = [str(path)]
 
     def grid(name):
-        return read_grid(os.path.join(base, doc[name])).values
+        sources.append(os.path.join(base, name))
+        return read_grid(sources[-1]).values
 
     cam = CameraModel(**doc["camera"])
     medium = MediumParams(**doc["medium"])
@@ -111,22 +100,21 @@ def load_scene(path) -> SceneSpec:
     if source == "analytic":
         scattering = ScatterProfile(**scat_doc)
     elif source == "measured-image":
-        scattering = MeasuredScattering(
-            amplitude=read_grid(os.path.join(base, scat_doc["amplitude"])).values,
-            phase=read_grid(os.path.join(base, scat_doc["phase"])).values,
-        )
+        scattering = MeasuredScattering(amplitude=grid(scat_doc["amplitude"]),
+                                        phase=grid(scat_doc["phase"]))
     else:
         raise ValueError(f"unknown scattering source {source!r}")
     labels = None
     if "labels_map" in doc:
-        labels = np.rint(grid("labels_map")).astype(np.int64)
+        labels = np.rint(grid(doc["labels_map"])).astype(np.int64)
     return SceneSpec(
-        depth_map=grid("depth_map"),
-        reflectance_map=grid("reflectance_map"),
+        depth_map=grid(doc["depth_map"]),
+        reflectance_map=grid(doc["reflectance_map"]),
         cam=cam,
         medium=medium,
         scattering=scattering,
         labels=labels,
+        sources=sources,
     )
 
 

@@ -38,7 +38,7 @@ class RangeSweep:
 
 def sweep_grid(medium: MediumParams, cam: CameraModel, z_min=None, z_max=None,
                z_step=None) -> np.ndarray:
-    """Depths from z_min to z_max (within half a step) every z_step mm.
+    """Depths from z_min every z_step mm, none past z_max.
 
     An unset value takes DEFAULT_Z_GRID's, with the start raised to the
     medium's z0 and the stop capped below the unambiguous range c/(2f).
@@ -49,10 +49,10 @@ def sweep_grid(medium: MediumParams, cam: CameraModel, z_min=None, z_max=None,
     step = step if z_step is None else z_step
     start = max(start, medium.z0) if z_min is None else z_min
     if z_max is None:
-        stop = min(stop + 0.5 * step, cam.unambiguous_range_mm)
-    else:
-        stop = z_max + 0.5 * step
-    return np.arange(start, stop, step)
+        return np.arange(start, min(stop + 0.5 * step, cam.unambiguous_range_mm), step)
+    # a point within rounding of an explicit z_max is z_max; none lies past it
+    grid = np.arange(start, z_max + 0.5 * step, step)
+    return np.minimum(grid[grid <= z_max + 1e-6 * step], z_max)
 
 
 def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,

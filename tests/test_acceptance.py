@@ -219,10 +219,10 @@ def test_criterion_6_all_background_sentinel():
                    td.SolverConfig.profile("phase-kinect16"))
     flagged = res.fused_mask.count() / (rows * cols)
     assert flagged < 0.005, f"{flagged:.4%} of pixels flagged as object"
-    rms_amp = (np.linalg.norm(res.scattering_amp.values
+    rms_amp = (np.linalg.norm(res.amplitude.field.values
                               - syn.scattering_amplitude.values)
                / np.linalg.norm(syn.scattering_amplitude.values))
-    rms_phase = (np.linalg.norm(res.scattering_phase.values
+    rms_phase = (np.linalg.norm(res.phase.field.values
                                 - syn.scattering_phase.values)
                  / np.linalg.norm(syn.scattering_phase.values))
     assert rms_amp < 0.02, f"amplitude field RMS error {rms_amp:.4f}"

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from conftest import make_scene
 
+from tofdefog import irls
 from tofdefog.cli import main
 from tofdefog.core import CameraModel
 from tofdefog.gridfile import read_grid, write_grid
+from tofdefog.irls import SolverConfig, SolverError
 from tofdefog.pipeline import file_sha256, save_scene
 
 ROWS = COLS = 64
@@ -116,6 +119,66 @@ def test_defog_replay_from_manifest(tmp_path, scene_dir):
             assert file_sha256(out2 / name) == digest
 
 
+def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, scene_dir):
+    # profile-plus-overrides solver sections and no preprocess keys: the
+    # replay writes back what a flag run with the same settings writes
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    flagged = tmp_path / "flagged"
+    run_defog(tmp_path, synth_out, flagged)
+    amp_cfg, phase_cfg = write_small_configs(tmp_path)
+    amp, phase = synth_out / "foggy_amplitude.tofgrid", synth_out / "foggy_phase.tofgrid"
+    partial = tmp_path / "partial.json"
+    partial.write_text(json.dumps({
+        "config": {"amplitude": json.loads(open(amp_cfg).read()),
+                   "phase": json.loads(open(phase_cfg).read()),
+                   "amp_input": amp.name, "phase_input": phase.name,
+                   "modulation_frequency_hz": 16e6},
+        "input_paths": {amp.name: str(amp), phase.name: str(phase)},
+    }))
+    replay = tmp_path / "replay"
+    assert main(["defog", "--from-manifest", str(partial), "--out", str(replay)]) == 0
+    want = json.loads((flagged / "manifest.json").read_text())
+    got = json.loads((replay / "manifest.json").read_text())
+    assert got["config"] == want["config"]
+    assert got["config"]["preprocess"] == "none" and got["config"]["preprocess_sigma"] == 1.0
+    every_field = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(got["config"]["amplitude"]) == set(got["config"]["phase"]) == every_field
+    assert got["outputs"] == want["outputs"]
+
+
+def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
+    amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+    write_grid(amp, np.ones((16, 16)), amp_domain)
+    write_grid(phase, np.full((16, 16), 0.1), phase_domain)
+    return ["--amp", str(amp), "--phase", str(phase),
+            "--flip-row", "8", "--excluded-rows", "2", "--out", str(tmp_path / "d")]
+
+
+def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SolverError("x-step did not converge", residual_norm=1.0)
+
+    monkeypatch.setattr(irls, "_solve_system", fail)
+    code = main(["defog", *write_flat_pair(tmp_path), "--json"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "SolverError", "message": "x-step did not converge",
+                   "exit_code": 3}
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("domains, expected", [
+    (("phase", "phase"), "expected an amplitude grid"),
+    (("amplitude", "amplitude"), "expected a phase grid"),
+], ids=["phase-as-amp", "amp-as-phase"])
+def test_defog_grid_of_the_wrong_domain_exit_code(tmp_path, capsys, domains, expected):
+    code = main(["defog", *write_flat_pair(tmp_path, *domains), "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError" and expected in err["message"]
+
+
 def test_defog_dimension_mismatch_exit_code(tmp_path, scene_dir):
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
@@ -215,6 +278,15 @@ def test_simrange_unset_grid_flags_take_the_default_grid(tmp_path, flags):
     assert z[0] == (float(flags[1]) if flags[0] == "--z-min" else 10.0)
     if flags == ["--z-step", "10"]:
         assert flagged.read_bytes() == default.read_bytes()
+
+
+def test_simrange_explicit_z_max_just_inside_the_range(tmp_path):
+    # 9,368 mm lies inside c/(2f) = 9,368.5 mm at 16 MHz: the grid stops at
+    # 9,360 mm instead of stepping past z_max to 9,370 mm
+    out = tmp_path / "sweep.csv"
+    assert main(["simrange", "--beta", "3.2e-4", "--z-max", "9368", "--out", str(out)]) == 0
+    z = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert z[0] == 10.0 and z[-1] == 9360.0
 
 
 def test_simrange_explicit_z_max_past_the_range_exit_code(tmp_path, capsys):

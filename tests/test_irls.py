@@ -270,9 +270,9 @@ def test_defog_defaults_agree_with_a_fully_converged_run():
         runs.append(td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1))
     default, converged = runs
     assert all(s["converged"] for s in converged.solver_summary().values())
-    for name in ("scattering_amp", "scattering_phase"):
-        got = getattr(default, name).values
-        ref = getattr(converged, name).values
+    for name in ("amplitude", "phase"):
+        got = getattr(default, name).field.values
+        ref = getattr(converged, name).field.values
         assert np.linalg.norm(got - ref) <= 1e-3 * np.linalg.norm(ref)
 
 

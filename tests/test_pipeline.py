@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from conftest import make_scene, small_config
 import tofdefog as td
 from tofdefog import irls
 from tofdefog.cli import main
-from tofdefog.pipeline import load_scene, max_threads, save_scene
+from tofdefog.pipeline import file_sha256, load_scene, max_threads, save_scene
 
 
 def test_scene_round_trip(tmp_path):
@@ -32,6 +33,45 @@ def test_scene_round_trip(tmp_path):
     assert back.scattering.flip_row == 24
 
 
+def measured_scene():
+    """A 24x32 scene whose scattering is given as grids, float32-exact."""
+    scene = make_scene(beta=3.2e-4, seed=4, rows=24, cols=32, flip_row=12,
+                       coverage="small")
+    rng = np.random.default_rng(4)
+    amp, phase = (rng.uniform(lo, hi, (24, 32)).astype(np.float32).astype(np.float64)
+                  for lo, hi in ((1e-7, 2e-7), (0.02, 0.04)))
+    scene.scattering = td.MeasuredScattering(amplitude=amp, phase=phase)
+    scene.labels = None
+    return scene
+
+
+def test_measured_scene_round_trip(tmp_path):
+    scene = measured_scene()
+    path = tmp_path / "scene.json"
+    save_scene(scene, path)
+    back = load_scene(path)
+    assert isinstance(back.scattering, td.MeasuredScattering)
+    assert np.array_equal(back.scattering.amplitude, scene.scattering.amplitude)
+    assert np.array_equal(back.scattering.phase, scene.scattering.phase)
+    assert back.labels is None
+    assert sorted(os.path.basename(p) for p in back.sources) == [
+        "depth_gt.tofgrid", "reflectance.tofgrid", "scattering_amp_in.tofgrid",
+        "scattering_phase_in.tofgrid", "scene.json"]
+    syn = td.synthesize(back)
+    assert np.allclose(syn.scattering_amplitude.values, scene.scattering.amplitude)
+
+
+def test_synth_manifest_lists_measured_scattering_inputs(tmp_path):
+    path = tmp_path / "scene" / "scene.json"
+    save_scene(measured_scene(), path)
+    out = tmp_path / "synth"
+    assert main(["synth", str(path), "--out", str(out)]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == {name: file_sha256(path.parent / name) for name in (
+        "scene.json", "depth_gt.tofgrid", "reflectance.tofgrid",
+        "scattering_amp_in.tofgrid", "scattering_phase_in.tofgrid")}
+
+
 def test_defog_thread_count_does_not_change_results(tmp_path):
     scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
                        coverage="small")
@@ -40,9 +80,9 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
     phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2))
     serial = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
     threaded = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=2)
-    assert np.array_equal(serial.scattering_amp.values, threaded.scattering_amp.values)
-    assert np.array_equal(serial.scattering_phase.values,
-                          threaded.scattering_phase.values)
+    assert np.array_equal(serial.amplitude.field.values, threaded.amplitude.field.values)
+    assert np.array_equal(serial.phase.field.values,
+                          threaded.phase.field.values)
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
 
 
@@ -121,7 +161,7 @@ def test_defog_result_summary_and_masks(tmp_path, monkeypatch):
         assert r == pytest.approx(final, rel=1e-6)
         assert r <= max(tol, 0.1 * start)
     assert np.array_equal(
-        res.fused_mask.mask, res.mask_amp.mask & res.mask_phase.mask
+        res.fused_mask.mask, res.amplitude.mask.mask & res.phase.mask.mask
     )
     # masked depth: defined only inside the fused mask
     assert not res.depth.valid[~res.fused_mask.mask].any()
@@ -139,6 +179,28 @@ def test_solver_summary_flags_levels_stopped_by_the_cap():
     summary = res.solver_summary()
     assert all(s["outer_iterations"] == 1 for s in summary.values())
     assert not any(s["converged"] for s in summary.values())
+
+
+def test_solver_summary_entries_are_the_level_records():
+    # each entry is its IrlsState minus the arrays and the level name, plus
+    # outer_iterations: a field added to IrlsState reaches the manifest
+    record = ({f.name for f in dataclasses.fields(irls.IrlsState)}
+              - {"x", "a", "w", "level"} | {"outer_iterations"})
+    assert record == {"objective_history", "cg_iterations", "cg_residuals", "sigma",
+                      "converged", "outer_iterations"}
+    scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    amp_cfg = small_config("amplitude-kinect16", rows=48, max_outer_iters=2)
+    phase_cfg = small_config("phase-kinect16", rows=48, max_outer_iters=2)
+    res = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
+    summary = res.solver_summary()
+    assert list(summary) == ["amplitude_coarse", "amplitude_fine", "phase_coarse", "phase_fine"]
+    for name, entry in summary.items():
+        domain, level = name.split("_")
+        state = getattr(getattr(res, domain), level)
+        assert state.level == level
+        assert entry == {key: getattr(state, key) for key in record}
 
 
 def test_max_threads_env(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 import tofdefog as td
-from tofdefog.simrange import RangeSweep, find_range, sweep, write_csv
+from tofdefog.simrange import RangeSweep, find_range, sweep, sweep_grid, write_csv
 
 CAM = td.CameraModel(16e6)
 FOG_MEDIUM = td.MediumParams(beta=3.2e-4, g=0.9, z0=10.0, z_saturate=1000.0)
@@ -30,6 +30,18 @@ def test_sweep_validates_grid():
         sweep(FOG_MEDIUM, CAM, z_grid=np.array([100.0, 50.0]))
     with pytest.raises(ValueError):
         sweep(FOG_MEDIUM, CAM, z_grid=np.array([1.0, 50.0]))
+
+
+@pytest.mark.parametrize("z_min, z_step, z_max, last", [
+    (10.0, 10.0, 1006.0, 1000.0),   # off the grid: half a step past it is 1010
+    (10.0, 10.0, 1000.0, 1000.0),
+    (10.2, 0.3, 11.1, 11.1),        # np.arange's seventh point is 11.100000000000001
+])
+def test_sweep_grid_stops_at_an_explicit_z_max(z_min, z_step, z_max, last):
+    z = sweep_grid(FOG_MEDIUM, CAM, z_min, z_max, z_step)
+    assert z[0] == z_min
+    assert z[-1] == last
+    assert np.all(np.diff(z) > 0)
 
 
 def test_sweep_saturation_ratio():
