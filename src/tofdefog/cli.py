@@ -51,11 +51,24 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
 
 
-def _gaussian(values, sigma):
+def _gaussian(sigma, amplitude=None, phase=None):
+    """Gaussian smoothing of an amplitude grid, a phase grid or a pair of them.
+
+    Returns (amplitude, phase), None where none was given.  Phase is
+    smoothed as a phasor, so that 0 and 2*pi are one value: a pair as
+    amplitude * exp(j*phase), a lone phase grid as its unit phasor.  A lone
+    amplitude grid is filtered as it is.
+    """
     # scipy skips the filter for a sigma <= 0 or NaN instead of failing
     if not (isinstance(sigma, (int, float)) and sigma > 0 and math.isfinite(sigma)):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
-    return ndimage.gaussian_filter(values, sigma)
+    if phase is None:
+        return ndimage.gaussian_filter(amplitude, sigma), None
+    phasor = PhasorImage(np.ones_like(phase) if amplitude is None else amplitude,
+                         phase).to_complex()
+    smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
+                                        + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
+    return (None if amplitude is None else smoothed.amplitude), smoothed.phase
 
 
 def _write_grid(out: str, name: str, values, domain: str) -> str:
@@ -104,9 +117,17 @@ def _defog_setup(args):
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        config = doc["config"]
-        return (config, doc["input_paths"][config["amp_input"]],
-                doc["input_paths"][config["phase_input"]])
+        doc = doc if isinstance(doc, dict) else {}
+        config, paths = doc.get("config"), doc.get("input_paths")
+        if not (isinstance(config, dict) and isinstance(paths, dict)):
+            raise InputError(f"{args.from_manifest}: a manifest's config and input_paths "
+                             "must be JSON objects")
+        inputs = [paths.get(name) if isinstance(name, str) else None
+                  for name in (config.get("amp_input"), config.get("phase_input"))]
+        if not all(isinstance(path, str) for path in inputs):
+            raise InputError(f"{args.from_manifest}: config amp_input and phase_input must "
+                             "name input_paths entries")
+        return config, *inputs
     if not args.amp or not args.phase:
         raise InputError("either --amp and --phase or --from-manifest is required")
     overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
@@ -144,14 +165,15 @@ def cmd_defog(args) -> int:
 
     amp_values, phase_values = amp_grid.values, phase_grid.values
     if preprocess == "gaussian":
-        amp_values = _gaussian(amp_values, preprocess_sigma)
-        phase_values = _gaussian(phase_values, preprocess_sigma)
+        amp_values, phase_values = _gaussian(preprocess_sigma, amp_values, phase_values)
     elif preprocess != "none":
         raise InputError(f"unknown preprocess method {preprocess!r}")
 
+    freq = config["modulation_frequency_hz"]
+    if isinstance(freq, bool) or not isinstance(freq, (int, float)):
+        raise InputError(f"config modulation_frequency_hz must be a number, got {freq!r}")
     rows, cols = amp_values.shape
-    cam = CameraModel(modulation_frequency_hz=config["modulation_frequency_hz"],
-                      rows=rows, cols=cols)
+    cam = CameraModel(modulation_frequency_hz=freq, rows=rows, cols=cols)
     obs = PhasorImage(amplitude=amp_values, phase=phase_values)
 
     t0 = time.monotonic()
@@ -248,8 +270,10 @@ def cmd_simrange(args) -> int:
 def cmd_preprocess(args) -> int:
     grid = read_grid(args.input)
     values = grid.values
-    if args.method == "gaussian":
-        values = _gaussian(values, args.sigma)
+    if args.method == "gaussian" and grid.domain == "phase":
+        values = _gaussian(args.sigma, phase=values)[1]
+    elif args.method == "gaussian":
+        values = _gaussian(args.sigma, amplitude=values)[0]
     elif args.method != "none":
         raise InputError(f"unknown method {args.method!r}")
     write_grid(args.out, values, grid.domain, grid.units)

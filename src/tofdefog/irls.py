@@ -249,11 +249,7 @@ class IrlsState:
 
 def tukey_rho(r, c: float):
     """Tukey's biweight loss: bounded at c^2/6 beyond the tuning constant."""
-    if c <= 0:
-        raise ValueError("tuning constant must be positive")
-    r = np.asarray(r, dtype=np.float64)
-    t = np.minimum((r / c) ** 2, 1.0)
-    out = (c * c / 6.0) * (1.0 - (1.0 - t) ** 3)
+    out = _rho_from_weight(np.asarray(tukey_weight(r, c)), c)
     return out if out.ndim else float(out)
 
 
@@ -265,10 +261,22 @@ def tukey_weight(r, c: float):
     """
     if c <= 0:
         raise ValueError("tuning constant must be positive")
-    r = np.asarray(r, dtype=np.float64)
-    t = (r / c) ** 2
-    out = np.where(t < 1.0, (1.0 - np.minimum(t, 1.0)) ** 2, 0.0)
-    return out if out.ndim else float(out)
+    # s = 1 - min((r/c)^2, 1), then squared, all in one array
+    s = np.divide(r, c, out=np.empty(np.shape(r)))
+    s *= s
+    np.minimum(s, 1.0, out=s)
+    np.subtract(1.0, s, out=s)
+    s *= s
+    return s if s.ndim else float(s)
+
+
+def _rho_from_weight(w, c: float):
+    """Tukey's rho, c^2/6 (1 - s^3), from the weight w = s^2, s = 1 - min((r/c)^2, 1).
+
+    sqrt(w) gives back s exactly unless w is below the normal float range,
+    where s^3 is 0 to working precision.
+    """
+    return (c * c / 6.0) * (1.0 - w * np.sqrt(w))
 
 
 def mad_scale(residuals, floor: float = 0.0) -> float:
@@ -293,13 +301,13 @@ def binarize_weights(w: WeightField, threshold: float) -> ObjectMask:
 
 
 class _Workspace:
-    """Per-image operators shared by every solve: patch bases, flip, stencil.
+    """Per-level operators and buffers shared by every solve: patch bases, flip, stencil.
 
     The x-step system is diag(w) + K, where the weight-independent K
     (identity, symmetry and smoothness penalties) is applied matrix-free:
     its diagonal, minus gamma3 times the 4-neighbour sum, minus 2*gamma2
     times x with the flip's two halves swapped.  Only diag(w) changes
-    between outer iterations.
+    between outer iterations; operator(w) builds it once per x-step.
 
     The preconditioner drops the symmetry coupling and replaces diag(w) by
     its mean: what is left, (mean(w) + gamma1 + gamma2*mean(sym diag))*I +
@@ -307,6 +315,9 @@ class _Workspace:
     inverted exactly in O(n log n) (Krishnan & Szeliski, "Multigrid and
     Multilevel Preconditioners for Computational Photography", SIGGRAPH
     Asia 2011).  Its eigenvalues are built here once.
+
+    The operator, the preconditioner and _solve_system work in image-sized
+    buffers that live as long as the workspace, one level.
     """
 
     def __init__(self, shape, cfg: SolverConfig):
@@ -329,31 +340,57 @@ class _Workspace:
             + cfg.gamma2 * float(np.mean(sym_diag))
         )
         self.max_cg_iters = int(math.ceil(10.0 * math.sqrt(rows * cols)))
+        # diag(w) + fixed diagonal, inverse eigenvalues, CG residual,
+        # direction, A p, and a scratch that each apply overwrites
+        (self._diag, self._inv_eig, self.r, self.p, self.ap,
+         self.scratch) = (np.empty(shape) for _ in range(6))
+
+    def operator(self, w: np.ndarray):
+        """The x-step operator for weights w, as apply(x, out) -> out = A x."""
+        diag = np.add(w, self.fixed_diag, out=self._diag)
+        g3, c = self.cfg.gamma3, 2.0 * self.cfg.gamma2
+        lower, upper = self.sym_halves
+        nb = self.scratch
+
+        def apply(x, out):
+            np.multiply(diag, x, out=out)
+            if g3 > 0:
+                out -= np.multiply(neighbour_sum(x, out=nb), g3, out=nb)
+            if c > 0:
+                # nb is free again: it takes each half's mirror term
+                out[lower] -= np.multiply(x[upper][::-1], c, out=nb[lower])
+                out[upper] -= np.multiply(x[lower][::-1], c, out=nb[upper])
+            return out
+
+        return apply
 
     def apply_system(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        out = (w + self.fixed_diag) * x
-        if self.cfg.gamma3 > 0:
-            nb = neighbour_sum(x)
-            nb *= self.cfg.gamma3
-            out -= nb
-        if self.cfg.gamma2 > 0:
-            lower, upper = self.sym_halves
-            c = 2.0 * self.cfg.gamma2
-            out[lower] -= c * x[upper][::-1]
-            out[upper] -= c * x[lower][::-1]
-        return out
+        """A x for the weights w, in a new array."""
+        return self.operator(w)(x, np.empty_like(x))
 
     def preconditioner(self, w: np.ndarray):
-        """DCT-II solve of the fixed operator with mean(w) folded in."""
-        denom = self.fixed_eig + float(np.mean(w))
-        # the constant mode of a singular system (gamma1 = gamma2 = 0, w = 0)
-        # passes through unscaled instead of dividing by zero
-        inv_denom = 1.0 / np.where(denom > 0, denom, 1.0)
+        """DCT-II solve of the fixed operator with mean(w) folded in.
+
+        The returned solve(r) writes its result z into the A p buffer:
+        conjugate gradients is done with z, folded into the direction,
+        before it computes the next A p.
+        """
+        mean_w = float(np.mean(w))
+        inv = np.add(self.fixed_eig, mean_w, out=self._inv_eig)
+        if mean_w <= 0:
+            # fixed_eig >= 0, so only zero weights leave a zero eigenvalue:
+            # the constant mode of a singular system (gamma1 = gamma2 = 0)
+            # passes through unscaled instead of dividing by zero
+            inv[inv <= 0] = 1.0
+        np.reciprocal(inv, out=inv)
+        z = self.ap
 
         def solve(r):
-            r_hat = self._dctn(r, type=2, norm="ortho")
-            r_hat *= inv_denom
-            return self._idctn(r_hat, type=2, norm="ortho", overwrite_x=True)
+            np.copyto(z, r)
+            self._dctn(z, type=2, norm="ortho", overwrite_x=True)
+            np.multiply(z, inv, out=z)
+            self._idctn(z, type=2, norm="ortho", overwrite_x=True)
+            return z
 
         return solve
 
@@ -370,12 +407,16 @@ def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
     stops once the warm start's residual has shrunk by that factor.  Warm
     starts from x0 so each outer iteration's solve only ever decreases the
     surrogate.  Reductions use priors.dot, so the result does not depend
-    on the BLAS thread count.
+    on the BLAS thread count.  x, r and p are updated in place, r and p
+    in the workspace's buffers.
 
     Returns (x, iterations, ||r|| / ||b||); the last is ||r|| when b = 0.
+    x is a new array.
     """
+    apply = ws.operator(w)
     x = x0.copy()
-    r = b - ws.apply_system(w, x)
+    r = apply(x, ws.r)
+    np.subtract(b, r, out=r)
     r_norm = r0_norm = math.sqrt(dot(r, r))
     b_norm = math.sqrt(dot(b, b))
     target = max(tol * max(b_norm, r0_norm), forcing * r0_norm)
@@ -387,24 +428,26 @@ def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
         return done(0)
     precondition = ws.preconditioner(w)
     z = precondition(r)
-    p = z
+    p, ap, scratch = ws.p, ws.ap, ws.scratch
+    np.copyto(p, z)
     rz = dot(r, z)
     for it in range(1, ws.max_cg_iters + 1):
-        ap = ws.apply_system(w, p)
+        apply(p, ap)
         pap = dot(p, ap)
         if pap <= 0:
             # numerically semi-definite direction: current iterate is as
             # good as this subspace gets
             return done(it)
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(p, alpha, out=scratch)
+        r -= np.multiply(ap, alpha, out=scratch)
         r_norm = math.sqrt(dot(r, r))
         if r_norm <= target:
             return done(it)
         z = precondition(r)
         rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise SolverError(
         f"x-step did not converge in {ws.max_cg_iters} iterations "
@@ -445,7 +488,8 @@ def _x_step(ws, x_tilde, w_pix, surface, x_prev, forcing=0.0):
 
 def _objective(ws, x, surface, data_rho_sum, sigma):
     """True robust objective with the unscaled gammas gamma'/(2 sigma^2)."""
-    patch_term = float(np.sum((surface - x) ** 2))
+    d = np.subtract(surface, x, out=ws.scratch)
+    patch_term = dot(d, d)
     sym = symmetry_penalty(x, ws.flip)
     grad = gradient_penalty(x)
     scale = 1.0 / (2.0 * sigma * sigma)
@@ -505,10 +549,10 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         r = residual(x - x_tilde)
         if state.sigma is None:
             state.sigma = mad_scale(r, floor=floor)
-        z = r / state.sigma
-        w_pix = spread(tukey_weight(z, c))
-        state.objective_history.append(
-            _objective(ws, x, surface, float(np.sum(tukey_rho(z, c))), state.sigma))
+        w = tukey_weight(r / state.sigma, c)
+        rho_sum = float(np.sum(_rho_from_weight(w, c)))
+        w_pix = spread(w)
+        state.objective_history.append(_objective(ws, x, surface, rho_sum, state.sigma))
         state.converged = _converged(state.objective_history, cfg.convergence_tol)
         if state.converged:
             break

@@ -27,15 +27,21 @@ class SingularFitError(RuntimeError):
     """Raised when a patch fit's normal equations are rank deficient."""
 
 
+# Basis terms uu^i * vv^j in coefficient order: uu^2, uu*vv, vv^2, uu, vv, 1
+_U_POW = np.array([2, 1, 0, 1, 0, 0])
+_V_POW = np.array([0, 1, 2, 0, 1, 0])
+
+
 @dataclass(frozen=True)
 class QuadraticBasis:
-    """Design matrix of the 6-term quadratic over one patch.
+    """The 6-term quadratic over one patch: uu^2, uu*vv, vv^2, uu, vv, 1.
 
     The basis runs over patch-local pixel coordinates centred on the patch
     and scaled to [-1, 1]: raw coordinates up to a few hundred pixels give
     normal equations with condition numbers around 1e10, while the scaled
     basis is benign.  Every coefficient vector in the package, from `fit`
-    to `irls.solve_wls`, is over this basis.
+    to `irls.solve_wls`, is over this basis.  A basis is a one-patch
+    PatchGrid, whose fit and surface it uses.
     """
 
     n_rows: int
@@ -56,10 +62,8 @@ class QuadraticBasis:
         return u.ravel(), v.ravel()
 
     @cached_property
-    def design(self) -> np.ndarray:
-        """N x 6 design matrix: uu^2, uu*vv, vv^2, uu, vv, 1 (uu, vv scaled)."""
-        uu, vv = (_centred_unit(t) for t in self.coords)
-        return np.column_stack([uu * uu, uu * vv, vv * vv, uu, vv, np.ones_like(uu)])
+    def _grid(self) -> PatchGrid:
+        return PatchGrid(self.n_rows, self.n_cols, 1, 1)
 
     def fit(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Least-squares coefficients for patch values.
@@ -68,33 +72,22 @@ class QuadraticBasis:
         weights must be non-negative.  Raises SingularFitError when the
         weighted normal equations lose rank (e.g. nearly all weights zero).
         """
-        x = np.asarray(values, dtype=np.float64).ravel()
+        shape = (self.n_rows, self.n_cols)
+        x = np.asarray(values, dtype=np.float64)
         if x.size != self.n_rows * self.n_cols:
             raise ValueError("patch value count does not match basis size")
-        U = self.design
-        if weights is None:
-            m = U.T @ U
-            rhs = U.T @ x
-        else:
-            w = np.asarray(weights, dtype=np.float64).ravel()
-            if w.size != x.size:
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.size != x.size:
                 raise ValueError("weight count does not match patch size")
-            if np.any(w < 0):
+            if np.any(weights < 0):
                 raise ValueError("weights must be non-negative")
-            m = U.T @ (w[:, None] * U)
-            rhs = U.T @ (w * x)
-        if np.linalg.cond(m) > 1e12:
-            raise SingularFitError(
-                "patch fit normal equations are rank deficient "
-                f"(cond={np.linalg.cond(m):.3e})"
-            )
-        return np.linalg.solve(m, rhs)
+            weights = weights.reshape(shape)
+        return self._grid.fit_all(x.reshape(shape), weights)[0]
 
     def surface(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate the quadratic over the patch."""
-        return (self.design @ np.asarray(coeffs, dtype=np.float64)).reshape(
-            self.n_rows, self.n_cols
-        )
+        return self._grid.surface_image(np.asarray(coeffs, dtype=np.float64)[None])
 
 
 def _centred_unit(t: np.ndarray) -> np.ndarray:
@@ -103,12 +96,32 @@ def _centred_unit(t: np.ndarray) -> np.ndarray:
     return c / max(np.abs(c).max(), 1.0)
 
 
+def _band_powers(edges: list[int]) -> np.ndarray:
+    """(n, bands, 5): on each band between consecutive edges, the powers 0..4
+    of its centred unit coordinate; zero outside the band."""
+    out = np.zeros((edges[-1], len(edges) - 1, 5))
+    for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        t = _centred_unit(np.arange(hi - lo, dtype=np.float64))
+        out[lo:hi, band, 0] = 1.0
+        for i in range(1, 5):
+            out[lo:hi, band, i] = out[lo:hi, band, i - 1] * t
+    return out
+
+
 @dataclass(frozen=True)
 class PatchGrid:
     """Non-overlapping tiling of a rows x cols image into patches.
 
     When the image dimensions are not divisible by the grid, trailing
     patches absorb the remainder so the tiling stays exact.
+
+    The tiling is a product of row bands and column bands, and the basis
+    is separable: a patch's term uu^i * vv^j is row band powers P_u[:, i]
+    times column band powers P_v[:, j].  So every patch's normal matrix
+    is made of its moments m_ij = P_u^T W P_v (i, j <= 4) and its right-
+    hand side of P_u^T (W X) P_v (i, j <= 2), and its surface is P_u C
+    P_v^T with C[i, j] the coefficient of uu^i * vv^j; fit_all and
+    surface_image compute them for all patches at once.
     """
 
     rows: int
@@ -127,47 +140,84 @@ class PatchGrid:
         return self.patch_rows * self.patch_cols
 
     @cached_property
-    def slices(self) -> list[tuple[slice, slice]]:
-        """Row/col slice per patch, row-major over the patch grid."""
-        row_edges = [self.rows // self.patch_rows * i for i in range(self.patch_rows)]
-        row_edges.append(self.rows)
-        col_edges = [self.cols // self.patch_cols * j for j in range(self.patch_cols)]
-        col_edges.append(self.cols)
-        out = []
-        for i in range(self.patch_rows):
-            for j in range(self.patch_cols):
-                out.append(
-                    (
-                        slice(row_edges[i], row_edges[i + 1]),
-                        slice(col_edges[j], col_edges[j + 1]),
-                    )
-                )
-        return out
+    def _edges(self) -> tuple[list[int], list[int]]:
+        """Row band and column band edges."""
+        return tuple(
+            [n // bands * i for i in range(bands)] + [n]
+            for n, bands in ((self.rows, self.patch_rows), (self.cols, self.patch_cols))
+        )
 
     @cached_property
-    def bases(self) -> list[QuadraticBasis]:
-        cache: dict[tuple[int, int], QuadraticBasis] = {}
-        out = []
-        for rs, cs in self.slices:
-            key = (rs.stop - rs.start, cs.stop - cs.start)
-            if key not in cache:
-                cache[key] = QuadraticBasis(*key)
-            out.append(cache[key])
-        return out
+    def slices(self) -> list[tuple[slice, slice]]:
+        """Row/col slice per patch, row-major over the patch grid."""
+        row_edges, col_edges = self._edges
+        return [(slice(r0, r1), slice(c0, c1))
+                for r0, r1 in zip(row_edges[:-1], row_edges[1:])
+                for c0, c1 in zip(col_edges[:-1], col_edges[1:])]
+
+    @cached_property
+    def _moment_powers(self):
+        """P_u^T over all row bands, (patch_rows*5, rows), and each column
+        band's slice with its P_v, (band cols, 5)."""
+        row_edges, col_edges = self._edges
+        pu, pv = _band_powers(row_edges), _band_powers(col_edges)
+        return (np.ascontiguousarray(pu.reshape(self.rows, -1).T),
+                [(slice(c0, c1), pv[c0:c1, band])
+                 for band, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:]))])
+
+    @cached_property
+    def _surface_powers(self):
+        """Each row band's slice with its powers 0..2, (band rows, 3), and
+        the column powers 0..2 over all column bands, transposed,
+        (patch_cols*3, cols)."""
+        row_edges, col_edges = self._edges
+        pu = _band_powers(row_edges)
+        pv = _band_powers(col_edges)[:, :, :3]
+        return ([(slice(r0, r1), pu[r0:r1, band, :3].copy())
+                 for band, (r0, r1) in enumerate(zip(row_edges[:-1], row_edges[1:]))],
+                np.ascontiguousarray(pv.reshape(self.cols, -1).T))
+
+    def _moments(self, image: np.ndarray) -> np.ndarray:
+        """(K, 5, 5) per-patch moments sum(image * uu^i * vv^j), i, j <= 4."""
+        pu_t, col_bands = self._moment_powers
+        t = np.concatenate([image[:, cs] @ pv for cs, pv in col_bands], axis=1)
+        m = (pu_t @ t).reshape(self.patch_rows, 5, self.patch_cols, 5)
+        return m.transpose(0, 2, 1, 3).reshape(self.n_patches, 5, 5)
 
     def fit_all(self, image: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Per-patch quadratic fits (scaled basis), shape (K, 6)."""
-        coeffs = np.empty((self.n_patches, 6))
-        for k, (rs, cs) in enumerate(self.slices):
-            w = None if weights is None else weights[rs, cs]
-            coeffs[k] = self.bases[k].fit(image[rs, cs], w)
-        return coeffs
+        """Per-patch weighted least-squares quadratics (scaled basis), shape (K, 6).
+
+        Raises SingularFitError when a patch's normal equations lose rank
+        (e.g. all its weights zero).
+        """
+        image = np.asarray(image, dtype=np.float64)
+        weights = np.ones_like(image) if weights is None else np.asarray(weights, np.float64)
+        normal = self._moments(weights)[:, _U_POW[:, None] + _U_POW, _V_POW[:, None] + _V_POW]
+        rhs = self._moments(weights * image)[:, _U_POW, _V_POW]
+        # a normal matrix is symmetric positive semi-definite: its condition
+        # number is the ratio of its extreme eigenvalues
+        eig = np.linalg.eigvalsh(normal)
+        singular = ~(eig[:, 0] * 1e12 > eig[:, -1])
+        if np.any(singular):
+            k = int(np.argmax(singular))
+            raise SingularFitError(
+                "patch fit normal equations are rank deficient "
+                f"(patch {k}, eigenvalues {eig[k, 0]:.3e} to {eig[k, -1]:.3e})"
+            )
+        return np.linalg.solve(normal, rhs[..., None])[..., 0]
 
     def surface_image(self, coeffs: np.ndarray) -> np.ndarray:
         """Assemble the per-patch quadratic surfaces into a full image."""
+        c = np.zeros((self.n_patches, 3, 3))
+        c[:, _U_POW, _V_POW] = coeffs
+        c = c.reshape(self.patch_rows, self.patch_cols, 3, 3).transpose(0, 2, 1, 3)
+        row_bands, pv_t = self._surface_powers
         out = np.empty((self.rows, self.cols))
-        for k, (rs, cs) in enumerate(self.slices):
-            out[rs, cs] = self.bases[k].surface(coeffs[k])
+        # one product per row band: one over the whole image is large enough
+        # for OpenBLAS to start worker threads, whose spinning takes a core
+        # from the other domain's solver
+        for (rs, pu), c_band in zip(row_bands, c.reshape(self.patch_rows, 3, -1)):
+            np.matmul(pu @ c_band, pv_t, out=out[rs])
         return out
 
     def expand_patch_values(self, values: np.ndarray) -> np.ndarray:
@@ -223,10 +273,6 @@ class FlipOperator:
         out[upper] = image[lower][::-1]
         return out
 
-    def residual(self, image: np.ndarray) -> np.ndarray:
-        """Mirror-minus-identity residual; zero outside the mirrored halves."""
-        return self.apply(image) - image
-
     def normal_diag(self, shape) -> np.ndarray:
         """Diagonal of the symmetry normal operator: 2 on the halves, else 0."""
         d = np.zeros(shape)
@@ -236,16 +282,21 @@ class FlipOperator:
 
 
 def symmetry_penalty(image: np.ndarray, op: FlipOperator) -> float:
-    """Sum of squared mirror residuals over the two mirrored halves."""
-    res = op.residual(image)
-    return float(np.sum(res * res))
+    """Sum of squared mirror residuals over the two mirrored halves.
+
+    Each half's residual is the other's mirrored and negated, so the sum
+    is twice that of one half.
+    """
+    lower, upper = op.halves(image.shape[0])
+    d = image[lower] - image[upper][::-1]
+    return 2.0 * dot(d, d)
 
 
 def gradient_penalty(image: np.ndarray) -> float:
     """Sum of squared forward differences along both axes."""
-    dh = np.diff(image, axis=1)
-    dv = np.diff(image, axis=0)
-    return float(np.sum(dh * dh) + np.sum(dv * dv))
+    dh = image[:, 1:] - image[:, :-1]
+    dv = image[1:] - image[:-1]
+    return dot(dh, dh) + dot(dv, dv)
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -259,10 +310,14 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
-def neighbour_sum(image: np.ndarray) -> np.ndarray:
-    """Sum of each pixel's in-image 4-neighbours: the stencil's off-diagonal."""
-    out = np.zeros_like(image)
-    out[:, :-1] += image[:, 1:]
+def neighbour_sum(image: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of each pixel's in-image 4-neighbours: the stencil's off-diagonal.
+
+    Written into `out` when given, a buffer of the image's shape.
+    """
+    out = np.empty_like(image) if out is None else out
+    out[:, :-1] = image[:, 1:]
+    out[:, -1] = 0.0
     out[:, 1:] += image[:, :-1]
     out[:-1, :] += image[1:, :]
     out[1:, :] += image[:-1, :]

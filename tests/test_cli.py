@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import make_scene
 
-from tofdefog import irls
+from tofdefog import cli, irls
 from tofdefog.cli import main
 from tofdefog.core import CameraModel
 from tofdefog.gridfile import read_grid, write_grid
@@ -335,6 +335,62 @@ def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InputError" and "sigma" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [
+    ["x"],
+    {"config": ["x"], "input_paths": {}},
+    {"config": {"amp_input": "a", "phase_input": "p"}, "input_paths": ["x"]},
+    {"config": {"amp_input": ["a"], "phase_input": "p"}, "input_paths": {"p": "p.tofgrid"}},
+    {"config": {"amp_input": "a", "phase_input": "p"}, "input_paths": {"a": 3, "p": "p"}},
+    "modulation-frequency",
+], ids=["list", "list-config", "list-paths", "list-input-name", "int-path", "string-freq"])
+def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, doc):
+    if doc == "modulation-frequency":
+        amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+        write_grid(amp, np.ones((8, 8)), "amplitude")
+        write_grid(phase, np.ones((8, 8)), "phase")
+        doc = {"config": {"amplitude": {"profile": "amplitude-kinect16"},
+                          "phase": {"profile": "phase-kinect16"},
+                          "amp_input": amp.name, "phase_input": phase.name,
+                          "modulation_frequency_hz": "16e6"},
+               "input_paths": {amp.name: str(amp), phase.name: str(phase)}}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["defog", "--from-manifest", str(manifest), "--out", str(out), "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError" and err["exit_code"] == 2
+    assert not out.exists()
+
+
+def checkerboard_phase(n=16, eps=0.01):
+    """Phases eps and 2*pi - eps in a checkerboard: the same angle, 0, up to +-eps."""
+    i, j = np.indices((n, n))
+    return np.where((i + j) % 2 == 0, eps, 2 * np.pi - eps)
+
+
+def angle_from_zero(phase):
+    return np.abs(np.angle(np.exp(1j * phase)))
+
+
+def test_preprocess_smooths_a_phase_grid_as_its_unit_phasor(tmp_path):
+    # averaging the wrapped values would put every pixel near pi
+    src, out = tmp_path / "phase.tofgrid", tmp_path / "smooth.tofgrid"
+    write_grid(src, checkerboard_phase(), "phase")
+    assert main(["preprocess", "--in", str(src), "--out", str(out), "--sigma", "1"]) == 0
+    assert angle_from_zero(read_grid(out).values).max() < 0.01
+
+
+def test_gaussian_smooths_an_amplitude_phase_pair_as_its_phasor():
+    amplitude = np.full((16, 16), 2.0)
+    amp, phase = cli._gaussian(1.0, amplitude, checkerboard_phase())
+    assert angle_from_zero(phase).max() < 0.01
+    # the phasor's +-0.01 rad spread shortens it by 1 - cos(0.01)
+    assert np.allclose(amp, 2.0 * np.cos(0.01), rtol=1e-3)
+    assert cli._gaussian(1.0, amplitude=amplitude)[1] is None
+    assert cli._gaussian(1.0, phase=checkerboard_phase())[0] is None
 
 
 def test_preprocess_cli(tmp_path):

@@ -243,6 +243,57 @@ def test_solve_system_warm_start_near_solution_stops_early():
     assert np.linalg.norm(x - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
 
 
+def reference_pcg(a, precondition, b, x0, tol, forcing):
+    """Textbook preconditioned CG on a dense matrix, every vector a new array,
+    with _solve_system's stopping rule."""
+    x = x0.copy()
+    r = b - a @ x
+    r0_norm = np.linalg.norm(r)
+    target = max(tol * max(np.linalg.norm(b), r0_norm), forcing * r0_norm)
+    if r0_norm <= target:
+        return x, 0
+    z = precondition(r)
+    p = z.copy()
+    for it in range(1, 1000):
+        ap = a @ p
+        alpha = (r @ z) / (p @ ap)
+        x = x + alpha * p
+        r_new = r - alpha * ap
+        if np.linalg.norm(r_new) <= target:
+            return x, it
+        z_new = precondition(r_new)
+        p = z_new + ((r_new @ z_new) / (r @ z)) * p
+        r, z = r_new, z_new
+    raise AssertionError("reference PCG did not converge")
+
+
+@pytest.mark.parametrize("forcing", [0.0, FORCING])
+def test_solve_system_matches_a_textbook_pcg(forcing):
+    # buffer reuse in the CG loop must not change a single step: an
+    # aliased direction still converges, but in more iterations
+    from scipy.fft import dctn, idctn
+
+    cfg, ws, w, _, b, _ = warm_start_system(15)
+    shape = b.shape
+    lap, sym = dense_system(shape, cfg)
+    a = (np.diag(w.ravel()) + cfg.gamma1 * np.eye(w.size)
+         + cfg.gamma2 * sym + cfg.gamma3 * lap)
+    lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[0]) / shape[0])
+    lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(shape[1]) / shape[1])
+    eig = (cfg.gamma3 * (lam_r[:, None] + lam_c[None, :]) + cfg.gamma1
+           + cfg.gamma2 * np.mean(np.diag(sym)) + np.mean(w))
+
+    def precondition(r):
+        return idctn(dctn(r.reshape(shape), norm="ortho") / eig, norm="ortho").ravel()
+
+    x0 = np.zeros(shape)
+    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol, forcing)
+    x_ref, n_ref = reference_pcg(a, precondition, b.ravel(), x0.ravel(),
+                                 cfg.linear_solver_tol, forcing)
+    assert n_cg == n_ref >= 2
+    assert np.linalg.norm(x.ravel() - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 def test_defog_cg_iteration_budget():
     scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
                        coverage="small")

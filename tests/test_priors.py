@@ -54,6 +54,50 @@ def test_fit_rank_deficient_raises():
         basis.fit(np.ones(16), weights=np.zeros(16))
 
 
+def weighted_lstsq_patch_fits(image, weights, grid):
+    """Per-patch weighted least squares over an explicit design matrix:
+    (coefficients (K, 6), fitted surface image)."""
+    coeffs, surface = [], np.empty_like(image)
+    for rs, cs in grid.slices:
+        u, v = np.meshgrid(np.arange(rs.stop - rs.start, dtype=float),
+                           np.arange(cs.stop - cs.start, dtype=float), indexing="ij")
+        uu, vv = (t - t.mean() for t in (u.ravel(), v.ravel()))
+        uu, vv = uu / max(np.abs(uu).max(), 1.0), vv / max(np.abs(vv).max(), 1.0)
+        design = np.column_stack([uu * uu, uu * vv, vv * vv, uu, vv, np.ones_like(uu)])
+        root_w = np.sqrt(weights[rs, cs].ravel())
+        c = np.linalg.lstsq(root_w[:, None] * design, root_w * image[rs, cs].ravel(),
+                            rcond=None)[0]
+        coeffs.append(c)
+        surface[rs, cs] = (design @ c).reshape(u.shape)
+    return np.array(coeffs), surface
+
+
+def test_fit_all_and_surface_image_match_lstsq_on_uneven_tiling():
+    # 245 x 331 in 4 x 4 patches: the last patch row has 62 rows, the others
+    # 61, and the last patch column 85 columns, the others 82
+    grid = PatchGrid(245, 331, 4, 4)
+    assert {(rs.stop - rs.start, cs.stop - cs.start) for rs, cs in grid.slices} == {
+        (61, 82), (61, 85), (62, 82), (62, 85)}
+    rng = np.random.default_rng(7)
+    image = rng.normal(size=(245, 331)) + np.linspace(0, 3, 331)[None, :] ** 2
+    weights = rng.uniform(0, 1, (245, 331))
+    want_coeffs, want_surface = weighted_lstsq_patch_fits(image, weights, grid)
+    coeffs = grid.fit_all(image, weights)
+    assert np.allclose(coeffs, want_coeffs, rtol=1e-9, atol=1e-11)
+    assert np.allclose(grid.surface_image(coeffs), want_surface, rtol=1e-9, atol=1e-11)
+    unweighted, _ = weighted_lstsq_patch_fits(image, np.ones_like(image), grid)
+    assert np.allclose(grid.fit_all(image), unweighted, rtol=1e-9, atol=1e-11)
+
+
+def test_fit_all_raises_when_one_patch_has_no_weight():
+    grid = PatchGrid(245, 331, 4, 4)
+    weights = np.ones((245, 331))
+    rs, cs = grid.slices[6]
+    weights[rs, cs] = 0.0
+    with pytest.raises(SingularFitError):
+        grid.fit_all(np.zeros((245, 331)), weights)
+
+
 def test_flip_is_involution():
     op = FlipOperator(flip_row=8, excluded_bottom_rows=2)
     rng = np.random.default_rng(2)
