@@ -31,7 +31,6 @@ from .irls import (
     ScatteringField,
     SolverConfig,
     SolverError,
-    WeightField,
     binarize_weights,
     estimate_scattering,
     mad_scale,
@@ -45,7 +44,6 @@ from .pipeline import DefogResult, defog, load_scene, save_scene
 from .priors import (
     FlipOperator,
     PatchGrid,
-    QuadraticBasis,
     SingularFitError,
     gradient_penalty,
     symmetry_penalty,

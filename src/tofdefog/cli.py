@@ -71,6 +71,15 @@ def _gaussian(sigma, amplitude=None, phase=None):
     return (None if amplitude is None else smoothed.amplitude), smoothed.phase
 
 
+def _read_grid(path: str, domain: str) -> np.ndarray:
+    """The values of the grid at `path`; InputError unless it is a `domain` grid."""
+    grid = read_grid(path)
+    if grid.domain != domain:
+        article = "an" if domain[0] in "aeiou" else "a"
+        raise InputError(f"{path}: expected {article} {domain} grid, got {grid.domain}")
+    return grid.values
+
+
 def _write_grid(out: str, name: str, values, domain: str) -> str:
     """Write one output grid as `out`/`name`; returns its path."""
     path = os.path.join(out, name)
@@ -132,13 +141,11 @@ def _defog_setup(args):
         raise InputError("either --amp and --phase or --from-manifest is required")
     overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
     flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
-    config = {
-        "amplitude": _load_config(args.amp_profile, args.amp_config, overrides, flip).to_dict(),
-        "phase": _load_config(args.phase_profile, args.phase_config, overrides, flip).to_dict(),
-        "modulation_frequency_hz": args.freq,
-        "preprocess": args.preprocess,
-        "preprocess_sigma": args.preprocess_sigma,
-    }
+    # each domain starts from its one profile
+    config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
+              for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))}
+    config.update(modulation_frequency_hz=args.freq, preprocess=args.preprocess,
+                  preprocess_sigma=args.preprocess_sigma)
     return config, args.amp, args.phase
 
 
@@ -152,18 +159,13 @@ def cmd_defog(args) -> int:
     preprocess = config.setdefault("preprocess", "none")
     preprocess_sigma = config.setdefault("preprocess_sigma", 1.0)
 
-    amp_grid = read_grid(amp_path)
-    phase_grid = read_grid(phase_path)
-    if amp_grid.domain != "amplitude":
-        raise InputError(f"{amp_path}: expected an amplitude grid, got {amp_grid.domain}")
-    if phase_grid.domain != "phase":
-        raise InputError(f"{phase_path}: expected a phase grid, got {phase_grid.domain}")
-    if amp_grid.shape != phase_grid.shape:
+    amp_values = _read_grid(amp_path, "amplitude")
+    phase_values = _read_grid(phase_path, "phase")
+    if amp_values.shape != phase_values.shape:
         raise InputError(
-            f"amplitude {amp_grid.shape} and phase {phase_grid.shape} sizes differ"
+            f"amplitude {amp_values.shape} and phase {phase_values.shape} sizes differ"
         )
 
-    amp_values, phase_values = amp_grid.values, phase_grid.values
     if preprocess == "gaussian":
         amp_values, phase_values = _gaussian(preprocess_sigma, amp_values, phase_values)
     elif preprocess != "none":
@@ -192,7 +194,7 @@ def cmd_defog(args) -> int:
         # a phase grid holds phases in [0, 2*pi)
         field = wrap_phase(record.field.values) if domain == "phase" else record.field.values
         outputs.append(_write_grid(out, f"scattering_{domain}.tofgrid", field, domain))
-        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.fine.w.weights,
+        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.fine.w,
                                    "weight"))
 
     manifest = build_manifest(
@@ -212,25 +214,18 @@ def cmd_defog(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    est_depth = read_grid(os.path.join(args.est, "depth_masked.tofgrid"))
-    est_mask = read_grid(os.path.join(args.est, "mask_fused.tofgrid"))
-    gt_depth = read_grid(os.path.join(args.gt, "depth_gt.tofgrid"))
-    gt_mask = read_grid(os.path.join(args.gt, "mask_gt.tofgrid"))
-    regions = np.rint(read_grid(args.labels).values).astype(np.int64)
-
-    depth_est = DepthImage(depth=est_depth.values)
-    depth_gt = DepthImage(depth=gt_depth.values)
-    m_est = ObjectMask(mask=est_mask.values > 0.5)
-    m_gt = ObjectMask(mask=gt_mask.values > 0.5)
+    depth_est = DepthImage(_read_grid(os.path.join(args.est, "depth_masked.tofgrid"), "depth"))
+    m_est = ObjectMask(_read_grid(os.path.join(args.est, "mask_fused.tofgrid"), "label") > 0.5)
+    depth_gt = DepthImage(_read_grid(os.path.join(args.gt, "depth_gt.tofgrid"), "depth"))
+    m_gt = ObjectMask(_read_grid(os.path.join(args.gt, "mask_gt.tofgrid"), "label") > 0.5)
+    regions = np.rint(_read_grid(args.labels, "label")).astype(np.int64)
 
     reports = []
     foggy_phase_path = os.path.join(args.gt, "foggy_phase.tofgrid")
     if os.path.exists(foggy_phase_path):
         rows, cols = depth_gt.shape
         cam = CameraModel(modulation_frequency_hz=args.freq, rows=rows, cols=cols)
-        raw_depth = DepthImage(
-            depth=phase_to_depth(read_grid(foggy_phase_path).values, cam)
-        )
+        raw_depth = DepthImage(phase_to_depth(_read_grid(foggy_phase_path, "phase"), cam))
         raw = evaluate(raw_depth, depth_gt, m_gt, m_gt, regions, label="w/o method")
         raw.mask_iou = float("nan")  # no estimated mask in the raw pipeline
         reports.append(raw)
@@ -309,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--freq", type=float, default=16e6,
                    help="modulation frequency in Hz (default Kinect 16 MHz)")
-    p.add_argument("--amp-profile", default="amplitude-kinect16")
-    p.add_argument("--phase-profile", default="phase-kinect16")
     p.add_argument("--amp-config", help="JSON file overriding the amplitude config")
     p.add_argument("--phase-config", help="JSON file overriding the phase config")
     p.add_argument("--mask-threshold", type=float, default=None)

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -105,23 +106,22 @@ class PhasorImage:
 
 @dataclass
 class DepthImage:
-    """Metric depth grid (mm) with a validity mask.
+    """Metric depth grid (mm).
 
-    Invalid pixels hold +inf so depth grids round-trip through files that
-    encode background as IEEE infinity.
+    +inf is the one encoding of "no depth" (NaN and -inf are stored as it),
+    so depth grids round-trip through files that encode background as IEEE
+    infinity; `valid` marks the pixels that have a depth.
     """
 
     depth: np.ndarray
-    valid: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.valid is None:
-            self.valid = np.isfinite(self.depth)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.valid.shape != self.depth.shape:
-            raise ValueError("depth and validity shapes differ")
-        self.depth = np.where(self.valid, self.depth, np.inf)
+        depth = np.asarray(self.depth, dtype=np.float64)
+        self.depth = np.where(np.isfinite(depth), depth, np.inf)
+
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.depth)
 
     @property
     def shape(self):
@@ -174,3 +174,42 @@ def phasor_subtract(a: PhasorImage, b: PhasorImage) -> PhasorImage:
     """Per-pixel complex difference a - b of two phasor images."""
     _check_same_shape(a, b)
     return PhasorImage.from_complex(a.to_complex() - b.to_complex())
+
+
+def json_fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated `kind`: bool, int, or finite float."""
+    if isinstance(value, bool) or kind == "bool":
+        return isinstance(value, bool) and kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def json_kwargs(cls, doc, what: str, extra=(), complete=True) -> dict:
+    """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
+
+    Raises ValueError naming the type of a non-object, the keys that are
+    neither fields nor `extra`, a float/int/bool field (or an optional one
+    that is not null) holding another JSON type, or, when `complete`, the
+    fields without a default that are missing.  `extra` keys are accepted
+    and left out of the result.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(doc) - set(known) - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [name for name, f in known.items() if name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if complete and missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+    kwargs = {name: value for name, value in doc.items() if name in known}
+    for name, value in kwargs.items():
+        kind = known[name].type
+        if kind.endswith(" | None") and value is None:
+            continue
+        kind = kind.removesuffix(" | None")
+        if kind in ("float", "int", "bool") and not json_fits(value, kind):
+            raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
+    return kwargs

@@ -277,9 +277,7 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
 
     return SynthesisResult(
         foggy=PhasorImage.from_complex(total),
-        clean_depth=DepthImage(
-            depth=np.where(valid, scene.depth_map, np.inf), valid=valid
-        ),
+        clean_depth=DepthImage(depth=scene.depth_map),
         scattering_amplitude=ScatteringField(values=amp_s),
         scattering_phase=ScatteringField(values=wrap_phase(phase_s)),
         true_mask=ObjectMask(mask=valid),

@@ -58,8 +58,8 @@ def _validate_domain_values(values: np.ndarray, domain: str, where: str):
         if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
             raise GridFormatError(f"{where}: weights must lie in [0, 1]")
     elif domain == "label":
-        if np.any(np.isnan(values)):
-            raise GridFormatError(f"{where}: labels must not be NaN")
+        if np.any(~np.isfinite(values)):
+            raise GridFormatError(f"{where}: labels must be finite")
 
 
 def write_grid(path, values, domain: str, units: str | None = None) -> None:
@@ -104,8 +104,11 @@ def _parse_header(raw: bytes, where: str) -> dict:
     if header.get("domain") not in DOMAINS:
         raise GridFormatError(f"{where}: unknown domain {header.get('domain')!r}")
     for key in ("rows", "cols"):
-        if not isinstance(header.get(key), int) or header[key] <= 0:
+        value = header.get(key)
+        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
             raise GridFormatError(f"{where}: bad {key} in header")
+    if not isinstance(header.get("units"), str):
+        raise GridFormatError(f"{where}: units must be a string, got {header.get('units')!r}")
     return header
 
 

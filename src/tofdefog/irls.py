@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
+from .core import json_fits, json_kwargs
 from .priors import (
     FlipOperator,
     PatchGrid,
@@ -125,15 +126,14 @@ class SolverConfig:
         """
         if isinstance(doc, str):
             doc = json.loads(doc)
-        complete = not (isinstance(doc, dict) and doc.get("profile") is not None)
-        doc = _kwargs_for(cls, doc, "solver config", extra={"profile"}, complete=complete)
-        base = doc.pop("profile", None)
+        base = doc.get("profile") if isinstance(doc, dict) else None
+        doc = json_kwargs(cls, doc, "solver config", extra={"profile"}, complete=base is None)
         if "flip" in doc:
-            doc["flip"] = FlipOperator(**_kwargs_for(FlipOperator, doc["flip"], "flip"))
+            doc["flip"] = FlipOperator(**json_kwargs(FlipOperator, doc["flip"], "flip"))
         if "patch_grid" in doc:
             grid = doc["patch_grid"]
             if not (isinstance(grid, (list, tuple)) and len(grid) == 2
-                    and all(_fits(n, "int") for n in grid)):
+                    and all(json_fits(n, "int") for n in grid)):
                 raise ValueError(f"patch_grid must be a list of two ints, got {grid!r}")
             doc["patch_grid"] = tuple(grid)
         if base is not None:
@@ -143,39 +143,6 @@ class SolverConfig:
     def to_dict(self) -> dict:
         """JSON-ready fields; from_json inverts it."""
         return asdict(self)
-
-
-def _fits(value, kind: str) -> bool:
-    """Whether a JSON value fits a field annotated `kind`: bool, int, or finite float."""
-    if isinstance(value, bool) or kind == "bool":
-        return isinstance(value, bool) and kind == "bool"
-    if kind == "int":
-        return isinstance(value, int)
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _kwargs_for(cls, doc, what: str, extra=(), complete=True) -> dict:
-    """A JSON object's entries as keyword arguments of dataclass `cls`.
-
-    Raises ValueError naming the type of a non-object, the unknown keys, a
-    float/int/bool field holding another JSON type, or, when `complete`,
-    the fields without a default that are missing.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(doc) - set(known) - set(extra))
-    if unknown:
-        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
-    missing = [name for name, f in known.items() if name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
-    if complete and missing:
-        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
-    for name, value in doc.items():
-        kind = known[name].type if name in known else None
-        if kind in ("float", "int", "bool") and not _fits(value, kind):
-            raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
-    return dict(doc)
 
 
 PROFILES = {
@@ -204,26 +171,16 @@ class ScatteringField:
 
 
 @dataclass
-class WeightField:
-    """IRLS weights in [0, 1], one per pixel."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if np.any(self.weights < 0) or np.any(self.weights > 1):
-            raise ValueError("weights must lie in [0, 1]")
-
-
-@dataclass
 class IrlsState:
     """One optimization level's state, filled as the level runs; summary() records it."""
 
-    x: ScatteringField
+    # the level's iterate, the scattering field estimate
+    x: np.ndarray
     # (K, 6) patch coefficients over the scaled patch basis, as
     # PatchGrid.fit_all returns them and solve_wls takes them
     a: np.ndarray
-    w: WeightField
+    # per-pixel IRLS weights in [0, 1]; low weight marks the object region
+    w: np.ndarray
     # MAD scale of the first iteration's residuals; None before it
     sigma: float | None = None
     objective_history: list = field(default_factory=list)
@@ -295,9 +252,9 @@ def _scale_floor(x_tilde: np.ndarray) -> float:
     return 1e-6 * (float(np.max(np.abs(x_tilde))) + 1e-12)
 
 
-def binarize_weights(w: WeightField, threshold: float) -> ObjectMask:
+def binarize_weights(w: np.ndarray, threshold: float) -> ObjectMask:
     """Low weight marks an outlier, i.e. an object pixel."""
-    return ObjectMask(mask=w.weights < threshold)
+    return ObjectMask(mask=w < threshold)
 
 
 class _Workspace:
@@ -459,13 +416,13 @@ def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
 def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
     """Minimize the weighted surrogate over x with patch coefficients fixed.
 
-    `w` is a WeightField or a weight grid in [0, 1] with the image's shape;
-    `a` holds the (K, 6) per-patch coefficients over the scaled patch basis
-    (priors.QuadraticBasis), as PatchGrid.fit_all and IrlsState.a hold
-    them.  Returns the solution grid.
+    `w` is a weight grid in [0, 1] with the image's shape, as IrlsState.w
+    holds it; `a` holds the (K, 6) per-patch coefficients over the scaled
+    patch basis (see priors), as PatchGrid.fit_all returns them and
+    IrlsState.a holds them.  Returns the solution grid.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    weights = w.weights if isinstance(w, WeightField) else np.asarray(w, np.float64)
+    weights = np.asarray(w, dtype=np.float64)
     if weights.shape != x_tilde.shape:
         raise ValueError("weight grid shape does not match image")
     if np.any(weights < 0) or np.any(weights > 1):
@@ -534,8 +491,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         residual = spread = _identity
         c = cfg.c_fine
     floor = _scale_floor(x_tilde)
-    state = IrlsState(x=ScatteringField(values=x), a=coeffs, w=WeightField(weights=w_pix),
-                      level=level)
+    state = IrlsState(x=x, a=coeffs, w=w_pix, level=level)
     surface = ws.grid.surface_image(coeffs)
 
     for _ in range(cfg.max_outer_iters):
@@ -557,7 +513,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         if state.converged:
             break
 
-    state.x, state.a, state.w = ScatteringField(values=x), coeffs, WeightField(weights=w_pix)
+    state.x, state.a, state.w = x, coeffs, w_pix
     return state
 
 
@@ -576,10 +532,10 @@ def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:
 def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
     """Pixel-level robust estimation, initialized from the coarse output."""
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
-    if init.x.values.shape != x_tilde.shape:
+    if init.x.shape != x_tilde.shape:
         raise ValueError("coarse state does not belong to this image")
     ws = _Workspace(x_tilde.shape, cfg)
-    return _run_level(ws, x_tilde, "fine", init.x.values, init.w.weights, init.a)
+    return _run_level(ws, x_tilde, "fine", init.x, init.w, init.a)
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):
@@ -592,7 +548,5 @@ def estimate_scattering(x_tilde, cfg: SolverConfig):
     """
     coarse = run_coarse(x_tilde, cfg)
     fine = run_fine(x_tilde, coarse, cfg)
-    values = fine.x.values
-    if cfg.clamp_nonnegative:
-        values = np.maximum(values, 0.0)
+    values = np.maximum(fine.x, 0.0) if cfg.clamp_nonnegative else fine.x
     return coarse, fine, ScatteringField(values=values)

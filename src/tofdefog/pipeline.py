@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage
+from .core import CameraModel, DepthImage, PhasorImage, json_kwargs
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, estimate_scattering
@@ -73,7 +73,7 @@ def defog(obs: PhasorImage, cam: CameraModel,
         DomainResult(coarse, fine, field, binarize_weights(fine.w, cfg.mask_threshold))
         for (coarse, fine, field), cfg in zip(runs, cfgs))
     fused = fuse_masks(amplitude.mask, phase.mask)
-    direct = recover_direct(obs, amplitude.field, phase.field)
+    direct = recover_direct(obs, amplitude.field.values, phase.field.values)
     return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))
 
 
@@ -82,34 +82,44 @@ def defog(obs: PhasorImage, cam: CameraModel,
 def load_scene(path) -> SceneSpec:
     """Read a scene JSON; grid references resolve relative to the file.
 
-    The scene's `sources` lists the JSON and every grid file read.
+    The scene's `sources` lists the JSON and every grid file read.  A
+    document that is not a JSON object, a section with an unknown key or a
+    wrongly typed value, and a grid reference that is not a string raise
+    ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a scene must be a JSON object, got {type(doc).__name__}")
     base = os.path.dirname(os.path.abspath(str(path)))
     sources = [str(path)]
 
-    def grid(name):
+    def grid(section, key):
+        name = section.get(key)
+        if not isinstance(name, str):
+            raise ValueError(f"{path}: scene {key} must name a grid file, got {name!r}")
         sources.append(os.path.join(base, name))
         return read_grid(sources[-1]).values
 
-    cam = CameraModel(**doc["camera"])
-    medium = MediumParams(**doc["medium"])
-    scat_doc = dict(doc.get("scattering", {"source": "analytic"}))
-    source = scat_doc.pop("source", "analytic")
+    cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
+    medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))
+    scat_doc = doc.get("scattering", {})
+    source = scat_doc.get("source", "analytic") if isinstance(scat_doc, dict) else "analytic"
     if source == "analytic":
-        scattering = ScatterProfile(**scat_doc)
+        scattering = ScatterProfile(**json_kwargs(ScatterProfile, scat_doc, "scattering",
+                                                  extra={"source"}))
     elif source == "measured-image":
-        scattering = MeasuredScattering(amplitude=grid(scat_doc["amplitude"]),
-                                        phase=grid(scat_doc["phase"]))
+        refs = json_kwargs(MeasuredScattering, scat_doc, "scattering", extra={"source"})
+        scattering = MeasuredScattering(amplitude=grid(refs, "amplitude"),
+                                        phase=grid(refs, "phase"))
     else:
         raise ValueError(f"unknown scattering source {source!r}")
     labels = None
     if "labels_map" in doc:
-        labels = np.rint(grid(doc["labels_map"])).astype(np.int64)
+        labels = np.rint(grid(doc, "labels_map")).astype(np.int64)
     return SceneSpec(
-        depth_map=grid(doc["depth_map"]),
-        reflectance_map=grid(doc["reflectance_map"]),
+        depth_map=grid(doc, "depth_map"),
+        reflectance_map=grid(doc, "reflectance_map"),
         cam=cam,
         medium=medium,
         scattering=scattering,

@@ -32,64 +32,6 @@ _U_POW = np.array([2, 1, 0, 1, 0, 0])
 _V_POW = np.array([0, 1, 2, 0, 1, 0])
 
 
-@dataclass(frozen=True)
-class QuadraticBasis:
-    """The 6-term quadratic over one patch: uu^2, uu*vv, vv^2, uu, vv, 1.
-
-    The basis runs over patch-local pixel coordinates centred on the patch
-    and scaled to [-1, 1]: raw coordinates up to a few hundred pixels give
-    normal equations with condition numbers around 1e10, while the scaled
-    basis is benign.  Every coefficient vector in the package, from `fit`
-    to `irls.solve_wls`, is over this basis.  A basis is a one-patch
-    PatchGrid, whose fit and surface it uses.
-    """
-
-    n_rows: int
-    n_cols: int
-
-    def __post_init__(self):
-        if self.n_rows < 3 or self.n_cols < 3:
-            raise ValueError("patch must be at least 3x3 pixels")
-
-    @cached_property
-    def coords(self):
-        """Patch-local (u, v) pixel coordinates, each flattened row-major."""
-        u, v = np.meshgrid(
-            np.arange(self.n_rows, dtype=np.float64),
-            np.arange(self.n_cols, dtype=np.float64),
-            indexing="ij",
-        )
-        return u.ravel(), v.ravel()
-
-    @cached_property
-    def _grid(self) -> PatchGrid:
-        return PatchGrid(self.n_rows, self.n_cols, 1, 1)
-
-    def fit(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """Least-squares coefficients for patch values.
-
-        `values` is the patch as a vector or 2-D block; optional per-pixel
-        weights must be non-negative.  Raises SingularFitError when the
-        weighted normal equations lose rank (e.g. nearly all weights zero).
-        """
-        shape = (self.n_rows, self.n_cols)
-        x = np.asarray(values, dtype=np.float64)
-        if x.size != self.n_rows * self.n_cols:
-            raise ValueError("patch value count does not match basis size")
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.size != x.size:
-                raise ValueError("weight count does not match patch size")
-            if np.any(weights < 0):
-                raise ValueError("weights must be non-negative")
-            weights = weights.reshape(shape)
-        return self._grid.fit_all(x.reshape(shape), weights)[0]
-
-    def surface(self, coeffs: np.ndarray) -> np.ndarray:
-        """Evaluate the quadratic over the patch."""
-        return self._grid.surface_image(np.asarray(coeffs, dtype=np.float64)[None])
-
-
 def _centred_unit(t: np.ndarray) -> np.ndarray:
     """Coordinates shifted to mean 0, divided by their largest magnitude if above 1."""
     c = t - t.mean()
@@ -113,7 +55,13 @@ class PatchGrid:
     """Non-overlapping tiling of a rows x cols image into patches.
 
     When the image dimensions are not divisible by the grid, trailing
-    patches absorb the remainder so the tiling stays exact.
+    patches absorb the remainder so the tiling stays exact.  A 1x1 grid is
+    one patch: the whole image.
+
+    Each patch's quadratic has 6 terms, uu^2, uu*vv, vv^2, uu, vv, 1, over
+    its pixel coordinates centred on the patch and scaled to [-1, 1]: raw
+    coordinates up to a few hundred pixels give normal equations with
+    condition numbers around 1e10, while the scaled basis is benign.
 
     The tiling is a product of row bands and column bands, and the basis
     is separable: a patch's term uu^i * vv^j is row band powers P_u[:, i]

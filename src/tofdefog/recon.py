@@ -29,15 +29,15 @@ class ObjectMask:
 
 
 def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
-    """Subtract the scattering phasor from the observation, per pixel.
+    """Subtract the scattering phasor, given as amplitude and phase grids, per pixel.
 
     The subtraction runs in rectangular form; pixels whose recovered
     amplitude falls below AMPLITUDE_EPSILON have no meaningful phase (pure
     background) and come back with phase 0, i.e. flagged invalid by
     PhasorImage.valid().
     """
-    amp_s = np.asarray(getattr(scat_amp, "values", scat_amp), dtype=np.float64)
-    phi_s = np.asarray(getattr(scat_phase, "values", scat_phase), dtype=np.float64)
+    amp_s = np.asarray(scat_amp, dtype=np.float64)
+    phi_s = np.asarray(scat_phase, dtype=np.float64)
     if amp_s.shape != obs.shape or phi_s.shape != obs.shape:
         raise ValueError("scattering field shape does not match observation")
     scat = amp_s * np.exp(1j * phi_s)
@@ -53,7 +53,7 @@ def reconstruct_depth(direct: PhasorImage, cam: CameraModel,
             raise ValueError("mask shape does not match image")
         valid = valid & mask.mask
     depth = phase_to_depth(direct.phase, cam)
-    return DepthImage(depth=np.where(valid, depth, np.inf), valid=valid)
+    return DepthImage(depth=np.where(valid, depth, np.inf))
 
 
 def fuse_masks(amp_mask: ObjectMask, phase_mask: ObjectMask) -> ObjectMask:

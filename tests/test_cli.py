@@ -408,3 +408,74 @@ def test_preprocess_cli(tmp_path):
     sm = read_grid(smoothed).values
     assert not np.array_equal(sm, original)
     assert sm.std() < original.std()  # smoothing shrinks variation
+
+
+def write_malformed_input(tmp_path, case):
+    """The argv of a run on one malformed input; every other input is valid."""
+    scene = make_scene(beta=3.2e-4, seed=5, rows=8, cols=8, flip_row=4, coverage="small")
+    scene_path = tmp_path / "scene" / "scene.json"
+    save_scene(scene, scene_path)
+    doc = json.loads(scene_path.read_text())
+    if case.startswith("scene-"):
+        doc = {
+            "scene-list": [],
+            "scene-camera-key": {**doc, "camera": {**doc["camera"], "bogus": 1}},
+            "scene-string-rows": {**doc, "camera": {**doc["camera"], "rows": "8"}},
+            "scene-string-peak": {**doc, "scattering": {**doc["scattering"],
+                                                        "amplitude_peak": "1"}},
+            "scene-int-grid": {**doc, "depth_map": 5},
+            "scene-int-measured-grid": {**doc, "scattering": {
+                "source": "measured-image", "amplitude": 5, "phase": "labels.tofgrid"}},
+        }[case]
+        scene_path.write_text(json.dumps(doc))
+        return ["synth", str(scene_path), "--out", str(tmp_path / "capture")]
+    capture, est = tmp_path / "capture", tmp_path / "est"
+    assert main(["synth", str(scene_path), "--out", str(capture)]) == 0
+    est.mkdir()
+    write_grid(est / "depth_masked.tofgrid", read_grid(capture / "depth_gt.tofgrid").values,
+               "depth")
+    write_grid(est / "mask_fused.tofgrid", read_grid(capture / "mask_gt.tofgrid").values,
+               "label")
+    labels = capture / "labels.tofgrid"
+    header = {"magic": "TOFGRID", "version": 1, "rows": 8, "cols": 8, "dtype": "f32",
+              "units": "id", "domain": "label"}
+    if case == "header-no-units":
+        del header["units"]
+    elif case == "header-bool-rows":
+        header["rows"] = True  # a payload of one row fits it
+    if case.startswith("header-"):
+        labels.write_bytes(json.dumps(header).encode() + b"\x00" + bytes(header["rows"] * 8 * 4))
+    wrong = {"eval-depth-labels": (labels, "depth"),
+             "eval-amplitude-depth": (est / "depth_masked.tofgrid", "amplitude"),
+             "eval-amplitude-mask": (capture / "mask_gt.tofgrid", "amplitude"),
+             "eval-amplitude-phase": (capture / "foggy_phase.tofgrid", "amplitude")}
+    if case in wrong:
+        path, domain = wrong[case]
+        write_grid(path, np.ones((8, 8)), domain)
+    return ["eval", "--est", str(est), "--gt", str(capture), "--labels", str(labels)]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("scene-list", 2),
+    ("scene-camera-key", 2),
+    ("scene-string-rows", 2),
+    ("scene-string-peak", 2),
+    ("scene-int-grid", 2),
+    ("scene-int-measured-grid", 2),
+    ("header-no-units", 4),
+    ("header-bool-rows", 4),
+    ("eval-depth-labels", 2),
+    ("eval-amplitude-depth", 2),
+    ("eval-amplitude-mask", 2),
+    ("eval-amplitude-phase", 2),
+])
+def test_malformed_input_is_one_json_error(tmp_path, capsys, case, code):
+    argv = write_malformed_input(tmp_path, case)
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["exit_code"] == code
+    assert not (tmp_path / "est" / "report.json").exists()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,10 @@ def test_depth_image_background_inf():
     d = td.DepthImage(depth=np.array([[1.0, np.inf], [2.0, 3.0]]))
     assert d.valid.tolist() == [[True, False], [True, True]]
     assert np.isinf(d.depth[0, 1])
+
+
+def test_depth_image_stores_no_depth_as_inf_only():
+    d = td.DepthImage(np.array([[np.nan, -np.inf, 2.0]]))
+    assert [f.name for f in dataclasses.fields(d)] == ["depth"]
+    assert np.all(np.isposinf(d.depth[0, :2]))
+    assert d.valid.tolist() == [[False, False, True]]

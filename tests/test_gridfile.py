@@ -109,3 +109,22 @@ def test_malformed_header_json(tmp_path):
     path.write_bytes(b"{not json" + b"\x00" + b"\x00" * 4)
     with pytest.raises(GridFormatError):
         read_grid(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"units": None}, {"units": 1}, {"rows": True}, {"cols": True},
+], ids=["no-units", "int-units", "bool-rows", "bool-cols"])
+def test_malformed_header_field_is_a_format_error(tmp_path, change):
+    header = {"magic": "TOFGRID", "version": 1, "rows": 1, "cols": 1,
+              "dtype": "f32", "units": "1", "domain": "weight", **change}
+    header = {key: value for key, value in header.items() if value is not None}
+    path = tmp_path / "bad.tofgrid"
+    path.write_bytes(json.dumps(header).encode() + b"\x00" + b"\x00" * 4)
+    with pytest.raises(GridFormatError):
+        read_grid(path)
+
+
+def test_label_grid_must_be_finite(tmp_path):
+    # rounding an infinite label to an integer region id gives garbage
+    with pytest.raises(GridFormatError):
+        write_grid(tmp_path / "l.tofgrid", np.array([[0.0, np.inf]]), "label")

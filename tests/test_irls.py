@@ -10,7 +10,6 @@ from tofdefog.irls import (
     FORCING,
     PROFILES,
     SolverConfig,
-    WeightField,
     _scale_floor,
     _solve_system,
     _Workspace,
@@ -330,7 +329,7 @@ def test_defog_defaults_agree_with_a_fully_converged_run():
 def test_solve_wls_rejects_patch_level_weights():
     cfg = small_config()
     x_tilde = np.zeros((16, 16))
-    w = WeightField(weights=np.ones(cfg.grid_for(x_tilde.shape).n_patches))
+    w = np.ones(cfg.grid_for(x_tilde.shape).n_patches)
     with pytest.raises(ValueError):
         solve_wls(x_tilde, w, patch_coeffs(x_tilde, cfg), cfg)
 
@@ -352,10 +351,10 @@ def test_solve_wls_is_the_x_step_on_state_coefficients():
     x_tilde = quadratic_symmetric_image(16, 16, 8)
     x_tilde[4:8, 4:8] += 5.0
     state = run_coarse(x_tilde, cfg)
-    x0 = state.x.values
+    x0 = state.x
     x = solve_wls(x_tilde, state.w, state.a, cfg, x0)
     ws = _Workspace(x_tilde.shape, cfg)
-    want, _, _ = _x_step(ws, x_tilde, state.w.weights, ws.grid.surface_image(state.a), x0)
+    want, _, _ = _x_step(ws, x_tilde, state.w, ws.grid.surface_image(state.a), x0)
     assert np.array_equal(x, want)
 
 
@@ -382,8 +381,8 @@ def test_run_coarse_clean_input():
     x_tilde = quadratic_symmetric_image(16, 16, 8)
     state = run_coarse(x_tilde, cfg)
     assert state.outer_iterations <= 2
-    assert np.all(state.w.weights > 0.99)
-    assert np.allclose(state.x.values, x_tilde, rtol=1e-9)
+    assert np.all(state.w > 0.99)
+    assert np.allclose(state.x, x_tilde, rtol=1e-9)
     assert state.level == "coarse"
 
 
@@ -398,10 +397,10 @@ def test_run_coarse_outlier_patch():
     # mirror so the symmetry prior anchors the reconstruction there
     x_tilde[16:32, 16:32] += 8.0
     state = run_coarse(x_tilde, cfg)
-    w_patch = state.w.weights[16:32, 16:32]
+    w_patch = state.w[16:32, 16:32]
     assert np.all(w_patch == w_patch[0, 0])  # patchwise constant
     assert w_patch[0, 0] < 0.1
-    rel = np.abs(state.x.values[16:32, 16:32] - clean[16:32, 16:32]) \
+    rel = np.abs(state.x[16:32, 16:32] - clean[16:32, 16:32]) \
         / np.abs(clean[16:32, 16:32])
     assert np.max(rel) < 0.05
 
@@ -425,8 +424,8 @@ def test_run_fine_clean_input():
     coarse = run_coarse(x_tilde, cfg)
     fine = run_fine(x_tilde, coarse, cfg)
     assert fine.level == "fine"
-    assert np.all(fine.w.weights > 0.99)
-    assert np.allclose(fine.x.values, x_tilde, rtol=1e-9)
+    assert np.all(fine.w > 0.99)
+    assert np.allclose(fine.x, x_tilde, rtol=1e-9)
 
 
 def test_run_fine_flags_outlier_blob():
@@ -436,11 +435,11 @@ def test_run_fine_flags_outlier_blob():
     x_tilde[4:10, 20:28] += 6.0
     coarse = run_coarse(x_tilde, cfg)
     fine = run_fine(x_tilde, coarse, cfg)
-    assert np.all(fine.w.weights[5:9, 21:27] < 0.1)
+    assert np.all(fine.w[5:9, 21:27] < 0.1)
     outside = np.ones((32, 32), dtype=bool)
     outside[2:12, 18:30] = False
-    assert np.median(fine.w.weights[outside]) > 0.9
-    rel = np.abs(fine.x.values[4:10, 20:28] - clean[4:10, 20:28])
+    assert np.median(fine.w[outside]) > 0.9
+    rel = np.abs(fine.x[4:10, 20:28] - clean[4:10, 20:28])
     assert np.max(rel / np.abs(clean[4:10, 20:28])) < 0.05
 
 
@@ -456,7 +455,7 @@ def test_level_sigma_comes_from_an_exact_first_x_step():
     ws = _Workspace(x_tilde.shape, cfg)
     starts = (
         (coarse, x_tilde, np.ones_like(x_tilde), ws.grid.fit_all(x_tilde), ws.grid.patch_norms),
-        (fine, coarse.x.values, coarse.w.weights, coarse.a, lambda r: r),
+        (fine, coarse.x, coarse.w, coarse.a, lambda r: r),
     )
     for state, x0, w, coeffs, residual in starts:
         assert state.outer_iterations > 1
@@ -469,7 +468,7 @@ def test_fine_weights_median_high_on_gaussian_noise():
     cfg = small_config(rows=32, flip=FlipOperator(flip_row=16, excluded_bottom_rows=0))
     x_tilde = quadratic_symmetric_image(32, 32, 16) + rng.normal(0, 0.02, (32, 32))
     fine = run_fine(x_tilde, run_coarse(x_tilde, cfg), cfg)
-    assert np.median(fine.w.weights) > 0.9
+    assert np.median(fine.w) > 0.9
 
 
 def test_scale_invariance_of_weights():
@@ -482,7 +481,7 @@ def test_scale_invariance_of_weights():
     f1 = run_fine(x_tilde, run_coarse(x_tilde, cfg), cfg)
     scaled = 1024.0 * x_tilde
     f2 = run_fine(scaled, run_coarse(scaled, cfg), cfg)
-    assert np.array_equal(f1.w.weights, f2.w.weights)
+    assert np.array_equal(f1.w, f2.w)
 
 
 def test_determinism_bit_identical():
@@ -491,20 +490,20 @@ def test_determinism_bit_identical():
     x_tilde = quadratic_symmetric_image(16, 16, 8) + rng.normal(0, 0.1, (16, 16))
     a = run_fine(x_tilde, run_coarse(x_tilde, cfg), cfg)
     b = run_fine(x_tilde, run_coarse(x_tilde, cfg), cfg)
-    assert np.array_equal(a.w.weights, b.w.weights)
-    assert np.array_equal(a.x.values, b.x.values)
+    assert np.array_equal(a.w, b.w)
+    assert np.array_equal(a.x, b.x)
 
 
 # -- binarization and config -------------------------------------------------------
 
 def test_binarize_weights():
-    ones = WeightField(weights=np.ones((4, 4)))
-    zeros = WeightField(weights=np.zeros((4, 4)))
+    ones = np.ones((4, 4))
+    zeros = np.zeros((4, 4))
     assert binarize_weights(ones, 0.5).count() == 0
     assert binarize_weights(zeros, 0.5).count() == 16
     w = np.ones((4, 4))
     w[1, 2] = 0.3
-    mask = binarize_weights(WeightField(weights=w), 0.5)
+    mask = binarize_weights(w, 0.5)
     assert mask.count() == 1 and mask.mask[1, 2]
 
 

@@ -4,7 +4,6 @@ import pytest
 from tofdefog.priors import (
     FlipOperator,
     PatchGrid,
-    QuadraticBasis,
     SingularFitError,
     gradient_penalty,
     laplacian_diag,
@@ -13,45 +12,50 @@ from tofdefog.priors import (
 )
 
 
+def one_patch(rows, cols):
+    """A one-patch grid over a rows x cols image and its pixel coordinates."""
+    u, v = np.meshgrid(np.arange(rows, dtype=np.float64), np.arange(cols, dtype=np.float64),
+                       indexing="ij")
+    return PatchGrid(rows, cols, 1, 1), u, v
+
+
 def test_fit_recovers_exact_quadratic():
-    basis = QuadraticBasis(8, 8)
-    u, v = basis.coords
+    grid, u, v = one_patch(8, 8)
     values = 3.0 * u * u - u + 2.0
-    residual = values - basis.surface(basis.fit(values)).ravel()
+    residual = values - grid.surface_image(grid.fit_all(values))
     assert np.max(np.abs(residual)) < 1e-8
 
 
 def test_fit_constant_patch():
-    basis = QuadraticBasis(5, 7)
-    coeffs = basis.fit(np.full(35, 5.0))
-    assert np.allclose(basis.surface(coeffs), 5.0, atol=1e-9)
+    grid, _, _ = one_patch(5, 7)
+    coeffs = grid.fit_all(np.full((5, 7), 5.0))
+    assert np.allclose(grid.surface_image(coeffs), 5.0, atol=1e-9)
 
 
 def test_weighted_fit_ignores_spiked_pixel():
-    basis = QuadraticBasis(6, 6)
-    u, v = basis.coords
+    grid, u, v = one_patch(6, 6)
     clean = 0.5 * u * u + 2.0 * u * v - v + 4.0
     spiked = clean.copy()
-    spiked[17] += 1e6
+    spiked[2, 5] += 1e6
     weights = np.ones_like(clean)
-    weights[17] = 0.0
-    coeffs = basis.fit(spiked, weights)
-    assert np.allclose(basis.surface(coeffs).ravel(), clean, atol=1e-6)
+    weights[2, 5] = 0.0
+    coeffs = grid.fit_all(spiked, weights)
+    assert np.allclose(grid.surface_image(coeffs), clean, atol=1e-6)
 
 
 def test_fit_is_idempotent():
-    basis = QuadraticBasis(7, 9)
+    grid, _, _ = one_patch(7, 9)
     rng = np.random.default_rng(0)
-    values = rng.normal(size=63)
-    first = basis.fit(values)
-    again = basis.fit(basis.surface(first).ravel())
+    values = rng.normal(size=(7, 9))
+    first = grid.fit_all(values)
+    again = grid.fit_all(grid.surface_image(first))
     assert np.allclose(first, again, atol=1e-10)
 
 
 def test_fit_rank_deficient_raises():
-    basis = QuadraticBasis(4, 4)
+    grid, _, _ = one_patch(4, 4)
     with pytest.raises(SingularFitError):
-        basis.fit(np.ones(16), weights=np.zeros(16))
+        grid.fit_all(np.ones((4, 4)), weights=np.zeros((4, 4)))
 
 
 def weighted_lstsq_patch_fits(image, weights, grid):
