@@ -1,4 +1,4 @@
-"""Command-line interface: synth, defog, eval, simrange, preprocess.
+"""Command-line interface: synth, defog, eval, simrange.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -21,7 +21,7 @@ from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth, wrap_pha
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
-from .pipeline import DOMAINS, build_manifest, defog, load_scene, write_manifest
+from .pipeline import DOMAINS, build_manifest, defog, file_sha256, load_scene, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
 from .simrange import find_range, sweep, sweep_grid, write_csv, write_gnuplot_script
 
@@ -33,6 +33,10 @@ EXIT_FORMAT = 4
 
 class InputError(ValueError):
     pass
+
+
+DEFOG_CONFIG_KEYS = {*DOMAINS, "modulation_frequency_hz", "preprocess", "preprocess_sigma",
+                     "amp_input", "phase_input"}
 
 
 def _given(**flags) -> dict:
@@ -51,24 +55,18 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
 
 
-def _gaussian(sigma, amplitude=None, phase=None):
-    """Gaussian smoothing of an amplitude grid, a phase grid or a pair of them.
+def _gaussian(sigma, amplitude, phase):
+    """Gaussian smoothing of an amplitude/phase pair as its phasor amplitude * exp(j*phase).
 
-    Returns (amplitude, phase), None where none was given.  Phase is
-    smoothed as a phasor, so that 0 and 2*pi are one value: a pair as
-    amplitude * exp(j*phase), a lone phase grid as its unit phasor.  A lone
-    amplitude grid is filtered as it is.
+    Returns (amplitude, phase).  Smoothing the phasor keeps 0 and 2*pi one value.
     """
     # scipy skips the filter for a sigma <= 0 or NaN instead of failing
     if not (isinstance(sigma, (int, float)) and sigma > 0 and math.isfinite(sigma)):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
-    if phase is None:
-        return ndimage.gaussian_filter(amplitude, sigma), None
-    phasor = PhasorImage(np.ones_like(phase) if amplitude is None else amplitude,
-                         phase).to_complex()
+    phasor = PhasorImage(amplitude, phase).to_complex()
     smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
                                         + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
-    return (None if amplitude is None else smoothed.amplitude), smoothed.phase
+    return smoothed.amplitude, smoothed.phase
 
 
 def _read_grid(path: str, domain: str) -> np.ndarray:
@@ -122,24 +120,32 @@ def cmd_synth(args) -> int:
 
 
 def _defog_setup(args):
-    """The run's manifest `config` section, from flags or a replayed one, and its input paths."""
+    """The run's manifest `config` section, from flags or a replayed one, and its input paths.
+
+    A replay reads the absolute paths in `config`, each with the sha256 `inputs` records.
+    """
     if args.from_manifest:
         with open(args.from_manifest, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         doc = doc if isinstance(doc, dict) else {}
-        config, paths = doc.get("config"), doc.get("input_paths")
-        if not (isinstance(config, dict) and isinstance(paths, dict)):
-            raise InputError(f"{args.from_manifest}: a manifest's config and input_paths "
+        config, inputs = doc.get("config"), doc.get("inputs")
+        if not (isinstance(config, dict) and isinstance(inputs, dict)):
+            raise InputError(f"{args.from_manifest}: a manifest's config and inputs "
                              "must be JSON objects")
-        inputs = [paths.get(name) if isinstance(name, str) else None
-                  for name in (config.get("amp_input"), config.get("phase_input"))]
-        if not all(isinstance(path, str) for path in inputs):
-            raise InputError(f"{args.from_manifest}: config amp_input and phase_input must "
-                             "name input_paths entries")
-        return config, *inputs
+        unknown = sorted(set(config) - DEFOG_CONFIG_KEYS)
+        if unknown:
+            raise InputError(f"{args.from_manifest}: unknown config key(s): {', '.join(unknown)}")
+        paths = [config.get("amp_input"), config.get("phase_input")]
+        for path in paths:
+            if not (isinstance(path, str) and os.path.isabs(path)):
+                raise InputError(f"{args.from_manifest}: config amp_input and phase_input "
+                                 f"must be absolute paths, got {path!r}")
+            if inputs.get(path) != file_sha256(path):
+                raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
+        return config, *paths
     if not args.amp or not args.phase:
         raise InputError("either --amp and --phase or --from-manifest is required")
-    overrides = _given(mask_threshold=args.mask_threshold, max_outer_iters=args.max_iters)
+    overrides = _given(max_outer_iters=args.max_iters)
     flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
     # each domain starts from its one profile
     config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
@@ -154,8 +160,8 @@ def cmd_defog(args) -> int:
     amp_cfg, phase_cfg = (SolverConfig.from_json(config[domain]) for domain in DOMAINS)
     # written back resolved, so that a replay of this run needs no defaults
     config.update(amplitude=amp_cfg.to_dict(), phase=phase_cfg.to_dict(),
-                  amp_input=os.path.basename(amp_path),
-                  phase_input=os.path.basename(phase_path))
+                  amp_input=os.path.abspath(amp_path),
+                  phase_input=os.path.abspath(phase_path))
     preprocess = config.setdefault("preprocess", "none")
     preprocess_sigma = config.setdefault("preprocess_sigma", 1.0)
 
@@ -262,20 +268,6 @@ def cmd_simrange(args) -> int:
     return EXIT_OK
 
 
-def cmd_preprocess(args) -> int:
-    grid = read_grid(args.input)
-    values = grid.values
-    if args.method == "gaussian" and grid.domain == "phase":
-        values = _gaussian(args.sigma, phase=values)[1]
-    elif args.method == "gaussian":
-        values = _gaussian(args.sigma, amplitude=values)[0]
-    elif args.method != "none":
-        raise InputError(f"unknown method {args.method!r}")
-    write_grid(args.out, values, grid.domain, grid.units)
-    print(f"preprocess ({args.method}) {args.input} -> {args.out}")
-    return EXIT_OK
-
-
 # -- parser --------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="modulation frequency in Hz (default Kinect 16 MHz)")
     p.add_argument("--amp-config", help="JSON file overriding the amplitude config")
     p.add_argument("--phase-config", help="JSON file overriding the phase config")
-    p.add_argument("--mask-threshold", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--flip-row", type=int, default=None)
     p.add_argument("--excluded-rows", type=int, default=None)
@@ -342,14 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gnuplot", help="also write a gnuplot script here")
     common(p)
     p.set_defaults(func=cmd_simrange)
-
-    p = sub.add_parser("preprocess", help="smooth a grid before defogging")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["gaussian", "none"], default="gaussian")
-    p.add_argument("--sigma", type=float, default=1.0)
-    common(p)
-    p.set_defaults(func=cmd_preprocess)
 
     return parser
 

@@ -19,6 +19,7 @@ from .recon import ObjectMask, fuse_masks, reconstruct_depth, recover_direct
 
 THREADS_ENV = "TOFDEFOG_THREADS"
 DOMAINS = ("amplitude", "phase")
+SCENE_KEYS = {"camera", "medium", "scattering", "depth_map", "reflectance_map", "labels_map"}
 
 
 def max_threads() -> int:
@@ -83,14 +84,17 @@ def load_scene(path) -> SceneSpec:
     """Read a scene JSON; grid references resolve relative to the file.
 
     The scene's `sources` lists the JSON and every grid file read.  A
-    document that is not a JSON object, a section with an unknown key or a
-    wrongly typed value, and a grid reference that is not a string raise
-    ValueError.
+    document that is not a JSON object, an unknown key at the top level or
+    in a section, a wrongly typed value, and a grid reference that is not a
+    string raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a scene must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - SCENE_KEYS)
+    if unknown:
+        raise ValueError(f"{path}: unknown scene key(s): {', '.join(unknown)}")
     base = os.path.dirname(os.path.abspath(str(path)))
     sources = [str(path)]
 
@@ -178,8 +182,7 @@ def build_manifest(command: str, config: dict, inputs: list, outputs: list,
         "command": command,
         "created_unix": time.time(),
         "config": config,
-        "inputs": {os.path.basename(str(p)): file_sha256(p) for p in inputs},
-        "input_paths": {os.path.basename(str(p)): os.path.abspath(str(p)) for p in inputs},
+        "inputs": {os.path.abspath(str(p)): file_sha256(p) for p in inputs},
         "outputs": {os.path.basename(str(p)): file_sha256(p) for p in outputs},
         "solver": solver or {},
         "timings_s": timings or {},

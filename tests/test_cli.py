@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -132,9 +133,9 @@ def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, s
     partial.write_text(json.dumps({
         "config": {"amplitude": json.loads(open(amp_cfg).read()),
                    "phase": json.loads(open(phase_cfg).read()),
-                   "amp_input": amp.name, "phase_input": phase.name,
+                   "amp_input": str(amp), "phase_input": str(phase),
                    "modulation_frequency_hz": 16e6},
-        "input_paths": {amp.name: str(amp), phase.name: str(phase)},
+        "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
     }))
     replay = tmp_path / "replay"
     assert main(["defog", "--from-manifest", str(partial), "--out", str(replay)]) == 0
@@ -145,6 +146,26 @@ def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, s
     every_field = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(got["config"]["amplitude"]) == set(got["config"]["phase"]) == every_field
     assert got["outputs"] == want["outputs"]
+
+
+def test_defog_replay_of_a_same_basename_pair(tmp_path, scene_dir):
+    # a/frame.tofgrid and b/frame.tofgrid are two inputs, not one
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    amp, phase = tmp_path / "a" / "frame.tofgrid", tmp_path / "b" / "frame.tofgrid"
+    for src, dst in ((synth_out / "foggy_amplitude.tofgrid", amp),
+                     (synth_out / "foggy_phase.tofgrid", phase)):
+        dst.parent.mkdir()
+        shutil.copy(src, dst)
+    amp_cfg, phase_cfg = write_small_configs(tmp_path)
+    out1, out2 = tmp_path / "d1", tmp_path / "d2"
+    assert main(["defog", "--amp", str(amp), "--phase", str(phase), "--out", str(out1),
+                 "--amp-config", amp_cfg, "--phase-config", phase_cfg]) == 0
+    m1 = json.loads((out1 / "manifest.json").read_text())
+    assert m1["inputs"] == {str(amp): file_sha256(amp), str(phase): file_sha256(phase)}
+    assert main(["defog", "--from-manifest", str(out1 / "manifest.json"),
+                 "--out", str(out2)]) == 0
+    assert json.loads((out2 / "manifest.json").read_text())["outputs"] == m1["outputs"]
 
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
@@ -307,61 +328,83 @@ def test_simrange_nonpositive_z_step_exit_code(tmp_path, capsys, step):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
-@pytest.mark.parametrize("command", ["preprocess", "defog", "replay"])
-def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
-    # scipy's gaussian_filter treats such a sigma as "no filter"
+def write_replay_manifest(tmp_path, **config):
+    """A manifest of a run on two flat 8x8 grids, its `config` updated by `config`."""
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
     write_grid(amp, np.ones((8, 8)), "amplitude")
     write_grid(phase, np.ones((8, 8)), "phase")
-    out = tmp_path / "out"
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "config": {"amplitude": {"profile": "amplitude-kinect16"},
                    "phase": {"profile": "phase-kinect16"},
-                   "amp_input": amp.name, "phase_input": phase.name,
-                   "modulation_frequency_hz": 16e6,
-                   "preprocess": "gaussian", "preprocess_sigma": float(sigma)},
-        "input_paths": {amp.name: str(amp), phase.name: str(phase)},
+                   "amp_input": str(amp), "phase_input": str(phase),
+                   "modulation_frequency_hz": 16e6, **config},
+        "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
     }))
+    return manifest
+
+
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+@pytest.mark.parametrize("command", ["defog", "replay"])
+def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
+    # scipy's gaussian_filter treats such a sigma as "no filter"
+    manifest = write_replay_manifest(tmp_path, preprocess="gaussian",
+                                     preprocess_sigma=float(sigma))
+    out = tmp_path / "out"
     argv = {
-        "preprocess": ["preprocess", "--in", str(amp), f"--sigma={sigma}"],
-        "defog": ["defog", "--amp", str(amp), "--phase", str(phase),
+        "defog": ["defog", "--amp", str(tmp_path / "amp.tofgrid"),
+                  "--phase", str(tmp_path / "phase.tofgrid"),
                   "--preprocess", "gaussian", f"--preprocess-sigma={sigma}"],
         "replay": ["defog", "--from-manifest", str(manifest)],
     }[command]
     code = main(argv + ["--out", str(out), "--json"])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "InputError" and "sigma" in err["message"]
+    assert err["error"] == "InputError" and "Gaussian sigma" in err["message"]
     assert not out.exists()
 
 
-@pytest.mark.parametrize("doc", [
-    ["x"],
-    {"config": ["x"], "input_paths": {}},
-    {"config": {"amp_input": "a", "phase_input": "p"}, "input_paths": ["x"]},
-    {"config": {"amp_input": ["a"], "phase_input": "p"}, "input_paths": {"p": "p.tofgrid"}},
-    {"config": {"amp_input": "a", "phase_input": "p"}, "input_paths": {"a": 3, "p": "p"}},
-    "modulation-frequency",
-], ids=["list", "list-config", "list-paths", "list-input-name", "int-path", "string-freq"])
-def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, doc):
-    if doc == "modulation-frequency":
-        amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
-        write_grid(amp, np.ones((8, 8)), "amplitude")
-        write_grid(phase, np.ones((8, 8)), "phase")
-        doc = {"config": {"amplitude": {"profile": "amplitude-kinect16"},
-                          "phase": {"profile": "phase-kinect16"},
-                          "amp_input": amp.name, "phase_input": phase.name,
-                          "modulation_frequency_hz": "16e6"},
-               "input_paths": {amp.name: str(amp), phase.name: str(phase)}}
-    manifest = tmp_path / "manifest.json"
+# what the replay's error names, per malformed manifest
+MALFORMED_MANIFESTS = {
+    "list": "config and inputs",
+    "list-config": "config and inputs",
+    "list-inputs": "config and inputs",
+    "list-input-name": "amp_input",
+    "relative-path": "amp_input",
+    "unknown-config-key": "preprocess_sigmaa",
+    "rewritten-input": "amp.tofgrid",
+    "string-freq": "modulation_frequency_hz",
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, case):
+    manifest = write_replay_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    config = doc["config"]
+    if case == "list":
+        doc = ["x"]
+    elif case == "list-config":
+        doc["config"] = ["x"]
+    elif case == "list-inputs":
+        doc["inputs"] = list(doc["inputs"])
+    elif case == "list-input-name":
+        config["amp_input"] = [config["amp_input"]]
+    elif case == "relative-path":
+        config["amp_input"] = "amp.tofgrid"
+    elif case == "unknown-config-key":
+        config["preprocess_sigmaa"] = 2.0
+    elif case == "rewritten-input":
+        write_grid(tmp_path / "amp.tofgrid", np.full((8, 8), 2.0), "amplitude")
+    else:
+        config["modulation_frequency_hz"] = "16e6"
     manifest.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = main(["defog", "--from-manifest", str(manifest), "--out", str(out), "--json"])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InputError" and err["exit_code"] == 2
+    assert MALFORMED_MANIFESTS[case] in err["message"]
     assert not out.exists()
 
 
@@ -375,39 +418,12 @@ def angle_from_zero(phase):
     return np.abs(np.angle(np.exp(1j * phase)))
 
 
-def test_preprocess_smooths_a_phase_grid_as_its_unit_phasor(tmp_path):
-    # averaging the wrapped values would put every pixel near pi
-    src, out = tmp_path / "phase.tofgrid", tmp_path / "smooth.tofgrid"
-    write_grid(src, checkerboard_phase(), "phase")
-    assert main(["preprocess", "--in", str(src), "--out", str(out), "--sigma", "1"]) == 0
-    assert angle_from_zero(read_grid(out).values).max() < 0.01
-
-
 def test_gaussian_smooths_an_amplitude_phase_pair_as_its_phasor():
     amplitude = np.full((16, 16), 2.0)
     amp, phase = cli._gaussian(1.0, amplitude, checkerboard_phase())
     assert angle_from_zero(phase).max() < 0.01
     # the phasor's +-0.01 rad spread shortens it by 1 - cos(0.01)
     assert np.allclose(amp, 2.0 * np.cos(0.01), rtol=1e-3)
-    assert cli._gaussian(1.0, amplitude=amplitude)[1] is None
-    assert cli._gaussian(1.0, phase=checkerboard_phase())[0] is None
-
-
-def test_preprocess_cli(tmp_path):
-    src = tmp_path / "in.tofgrid"
-    rng = np.random.default_rng(0)
-    write_grid(src, rng.uniform(0, 1, (16, 16)), "amplitude")
-    smoothed = tmp_path / "smooth.tofgrid"
-    assert main(["preprocess", "--in", str(src), "--out", str(smoothed),
-                 "--method", "gaussian", "--sigma", "1.5"]) == 0
-    copied = tmp_path / "copy.tofgrid"
-    assert main(["preprocess", "--in", str(src), "--out", str(copied),
-                 "--method", "none"]) == 0
-    original = read_grid(src).values
-    assert np.array_equal(read_grid(copied).values, original)
-    sm = read_grid(smoothed).values
-    assert not np.array_equal(sm, original)
-    assert sm.std() < original.std()  # smoothing shrinks variation
 
 
 def write_malformed_input(tmp_path, case):
@@ -419,6 +435,7 @@ def write_malformed_input(tmp_path, case):
     if case.startswith("scene-"):
         doc = {
             "scene-list": [],
+            "scene-top-level-key": {**doc, "labels_mpa": "labels.tofgrid"},
             "scene-camera-key": {**doc, "camera": {**doc["camera"], "bogus": 1}},
             "scene-string-rows": {**doc, "camera": {**doc["camera"], "rows": "8"}},
             "scene-string-peak": {**doc, "scattering": {**doc["scattering"],
@@ -457,6 +474,7 @@ def write_malformed_input(tmp_path, case):
 
 @pytest.mark.parametrize("case, code", [
     ("scene-list", 2),
+    ("scene-top-level-key", 2),
     ("scene-camera-key", 2),
     ("scene-string-rows", 2),
     ("scene-string-peak", 2),

@@ -67,7 +67,7 @@ def test_synth_manifest_lists_measured_scattering_inputs(tmp_path):
     out = tmp_path / "synth"
     assert main(["synth", str(path), "--out", str(out)]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert inputs == {name: file_sha256(path.parent / name) for name in (
+    assert inputs == {str(path.parent / name): file_sha256(path.parent / name) for name in (
         "scene.json", "depth_gt.tofgrid", "reflectance.tofgrid",
         "scattering_amp_in.tofgrid", "scattering_phase_in.tofgrid")}
 
