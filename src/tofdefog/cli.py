@@ -1,4 +1,4 @@
-"""Command-line interface: synth, defog, eval, simrange.
+"""Command-line interface: synth, defog, replay, eval, simrange.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -17,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy import ndimage
 
-from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth, wrap_phase
+from .core import CameraModel, DepthImage, PhasorImage, json_fits, phase_to_depth, wrap_phase
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
@@ -35,8 +34,8 @@ class InputError(ValueError):
     pass
 
 
-DEFOG_CONFIG_KEYS = {*DOMAINS, "modulation_frequency_hz", "preprocess", "preprocess_sigma",
-                     "amp_input", "phase_input"}
+# a run's settings besides its two solver configs, each with its one default
+RUN_DEFAULTS = {"modulation_frequency_hz": 16e6, "preprocess": "none", "preprocess_sigma": 1.0}
 
 
 def _given(**flags) -> dict:
@@ -60,9 +59,6 @@ def _gaussian(sigma, amplitude, phase):
 
     Returns (amplitude, phase).  Smoothing the phasor keeps 0 and 2*pi one value.
     """
-    # scipy skips the filter for a sigma <= 0 or NaN instead of failing
-    if not (isinstance(sigma, (int, float)) and sigma > 0 and math.isfinite(sigma)):
-        raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
     phasor = PhasorImage(amplitude, phase).to_complex()
     smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
                                         + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
@@ -119,51 +115,56 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _defog_setup(args):
-    """The run's manifest `config` section, from flags or a replayed one, and its input paths.
-
-    A replay reads the absolute paths in `config`, each with the sha256 `inputs` records.
-    """
-    if args.from_manifest:
-        with open(args.from_manifest, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc = doc if isinstance(doc, dict) else {}
-        config, inputs = doc.get("config"), doc.get("inputs")
-        if not (isinstance(config, dict) and isinstance(inputs, dict)):
-            raise InputError(f"{args.from_manifest}: a manifest's config and inputs "
-                             "must be JSON objects")
-        unknown = sorted(set(config) - DEFOG_CONFIG_KEYS)
-        if unknown:
-            raise InputError(f"{args.from_manifest}: unknown config key(s): {', '.join(unknown)}")
-        paths = [config.get("amp_input"), config.get("phase_input")]
-        for path in paths:
-            if not (isinstance(path, str) and os.path.isabs(path)):
-                raise InputError(f"{args.from_manifest}: config amp_input and phase_input "
-                                 f"must be absolute paths, got {path!r}")
-            if inputs.get(path) != file_sha256(path):
-                raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
-        return config, *paths
-    if not args.amp or not args.phase:
-        raise InputError("either --amp and --phase or --from-manifest is required")
+def cmd_defog(args) -> int:
+    if args.preprocess_sigma is not None and args.preprocess != "gaussian":
+        raise InputError("--preprocess-sigma needs --preprocess gaussian")
     overrides = _given(max_outer_iters=args.max_iters)
     flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
     # each domain starts from its one profile
     config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
               for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))}
-    config.update(modulation_frequency_hz=args.freq, preprocess=args.preprocess,
-                  preprocess_sigma=args.preprocess_sigma)
-    return config, args.amp, args.phase
+    config.update(_given(modulation_frequency_hz=args.freq, preprocess=args.preprocess,
+                         preprocess_sigma=args.preprocess_sigma))
+    return _run(args, config, args.amp, args.phase)
 
 
-def cmd_defog(args) -> int:
-    config, amp_path, phase_path = _defog_setup(args)
+def cmd_replay(args) -> int:
+    """Rerun a manifest's run on its `config` input paths, whose sha256s must match `inputs`."""
+    with open(args.manifest, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc = doc if isinstance(doc, dict) else {}
+    config, inputs = doc.get("config"), doc.get("inputs")
+    if not (isinstance(config, dict) and isinstance(inputs, dict)):
+        raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
+    unknown = sorted(set(config) - {*DOMAINS, *RUN_DEFAULTS, "amp_input", "phase_input"})
+    if unknown:
+        raise InputError(f"{args.manifest}: unknown config key(s): {', '.join(unknown)}")
+    paths = [config.get("amp_input"), config.get("phase_input")]
+    for path in paths:
+        if not (isinstance(path, str) and os.path.isabs(path)):
+            raise InputError(f"{args.manifest}: config amp_input and phase_input "
+                             f"must be absolute paths, got {path!r}")
+        if inputs.get(path) != file_sha256(path):
+            raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
+    return _run(args, config, *paths)
+
+
+def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
+    """Defog the pair under a run's `config` section, its unset settings from RUN_DEFAULTS."""
+    config = {**RUN_DEFAULTS, **config}
+    freq, preprocess, sigma = (config[key] for key in RUN_DEFAULTS)
+    if not (json_fits(freq, "float") and freq > 0):
+        raise InputError(f"config modulation_frequency_hz must be a positive number, got {freq!r}")
+    if preprocess not in ("none", "gaussian"):
+        raise InputError(f"unknown preprocess method {preprocess!r}")
+    # scipy skips the filter for a sigma <= 0 or NaN instead of failing
+    if not (json_fits(sigma, "float") and sigma > 0):
+        raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
     amp_cfg, phase_cfg = (SolverConfig.from_json(config[domain]) for domain in DOMAINS)
     # written back resolved, so that a replay of this run needs no defaults
     config.update(amplitude=amp_cfg.to_dict(), phase=phase_cfg.to_dict(),
                   amp_input=os.path.abspath(amp_path),
                   phase_input=os.path.abspath(phase_path))
-    preprocess = config.setdefault("preprocess", "none")
-    preprocess_sigma = config.setdefault("preprocess_sigma", 1.0)
 
     amp_values = _read_grid(amp_path, "amplitude")
     phase_values = _read_grid(phase_path, "phase")
@@ -173,13 +174,7 @@ def cmd_defog(args) -> int:
         )
 
     if preprocess == "gaussian":
-        amp_values, phase_values = _gaussian(preprocess_sigma, amp_values, phase_values)
-    elif preprocess != "none":
-        raise InputError(f"unknown preprocess method {preprocess!r}")
-
-    freq = config["modulation_frequency_hz"]
-    if isinstance(freq, bool) or not isinstance(freq, (int, float)):
-        raise InputError(f"config modulation_frequency_hz must be a number, got {freq!r}")
+        amp_values, phase_values = _gaussian(sigma, amp_values, phase_values)
     rows, cols = amp_values.shape
     cam = CameraModel(modulation_frequency_hz=freq, rows=rows, cols=cols)
     obs = PhasorImage(amplitude=amp_values, phase=phase_values)
@@ -291,23 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("defog", help="estimate scattering, object mask and depth")
-    p.add_argument("--amp", help="amplitude TOFGRID file")
-    p.add_argument("--phase", help="phase TOFGRID file")
+    p.add_argument("--amp", required=True, help="amplitude TOFGRID file")
+    p.add_argument("--phase", required=True, help="phase TOFGRID file")
     p.add_argument("--out", required=True)
-    p.add_argument("--freq", type=float, default=16e6,
+    p.add_argument("--freq", type=float,
                    help="modulation frequency in Hz (default Kinect 16 MHz)")
     p.add_argument("--amp-config", help="JSON file overriding the amplitude config")
     p.add_argument("--phase-config", help="JSON file overriding the phase config")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--flip-row", type=int, default=None)
     p.add_argument("--excluded-rows", type=int, default=None)
-    p.add_argument("--preprocess", choices=["none", "gaussian"], default="none")
-    p.add_argument("--preprocess-sigma", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="overrides TOFDEFOG_THREADS")
-    p.add_argument("--from-manifest", help="replay a previous run's manifest")
+    p.add_argument("--preprocess", choices=["none", "gaussian"])
+    p.add_argument("--preprocess-sigma", type=float, help="needs --preprocess gaussian")
+    p.add_argument("--threads", type=int, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_defog)
+
+    p = sub.add_parser("replay", help="rerun a defog run from its manifest")
+    p.add_argument("manifest", help="the run's manifest.json")
+    p.add_argument("--out", required=True)
+    p.add_argument("--threads", type=int, help="overrides TOFDEFOG_THREADS")
+    common(p)
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("eval", help="depth error report against ground truth")
     p.add_argument("--est", required=True, help="defog output directory")

@@ -25,7 +25,6 @@ unscaled gammas for objective tracking once sigma is known.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -117,15 +116,13 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, doc) -> "SolverConfig":
-        """Build a config from a JSON document (dict or string).
+        """Build a config from a JSON document.
 
         Field names mirror the dataclass; an optional "profile" key selects
         a base profile that the remaining keys override.  A document of the
         wrong shape, a value of the wrong JSON type, or (without a profile)
         a missing field raises ValueError naming the offending key or type.
         """
-        if isinstance(doc, str):
-            doc = json.loads(doc)
         base = doc.get("profile") if isinstance(doc, dict) else None
         doc = json_kwargs(cls, doc, "solver config", extra={"profile"}, complete=base is None)
         if "flip" in doc:

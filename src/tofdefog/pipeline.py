@@ -85,8 +85,8 @@ def load_scene(path) -> SceneSpec:
 
     The scene's `sources` lists the JSON and every grid file read.  A
     document that is not a JSON object, an unknown key at the top level or
-    in a section, a wrongly typed value, and a grid reference that is not a
-    string raise ValueError.
+    in a section, a wrongly typed value, a grid reference that is not a
+    string, and a grid of another domain than its key's raise ValueError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -98,12 +98,15 @@ def load_scene(path) -> SceneSpec:
     base = os.path.dirname(os.path.abspath(str(path)))
     sources = [str(path)]
 
-    def grid(section, key):
+    def grid(section, key, domain):
         name = section.get(key)
         if not isinstance(name, str):
             raise ValueError(f"{path}: scene {key} must name a grid file, got {name!r}")
         sources.append(os.path.join(base, name))
-        return read_grid(sources[-1]).values
+        got = read_grid(sources[-1])
+        if got.domain != domain:
+            raise ValueError(f"{sources[-1]}: scene {key} needs domain {domain}, got {got.domain}")
+        return got.values
 
     cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
     medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))
@@ -114,16 +117,16 @@ def load_scene(path) -> SceneSpec:
                                                   extra={"source"}))
     elif source == "measured-image":
         refs = json_kwargs(MeasuredScattering, scat_doc, "scattering", extra={"source"})
-        scattering = MeasuredScattering(amplitude=grid(refs, "amplitude"),
-                                        phase=grid(refs, "phase"))
+        scattering = MeasuredScattering(amplitude=grid(refs, "amplitude", "amplitude"),
+                                        phase=grid(refs, "phase", "phase"))
     else:
         raise ValueError(f"unknown scattering source {source!r}")
     labels = None
     if "labels_map" in doc:
-        labels = np.rint(grid(doc, "labels_map")).astype(np.int64)
+        labels = np.rint(grid(doc, "labels_map", "label")).astype(np.int64)
     return SceneSpec(
-        depth_map=grid(doc, "depth_map"),
-        reflectance_map=grid(doc, "reflectance_map"),
+        depth_map=grid(doc, "depth_map", "depth"),
+        reflectance_map=grid(doc, "reflectance_map", "amplitude"),
         cam=cam,
         medium=medium,
         scattering=scattering,

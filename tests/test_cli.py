@@ -109,7 +109,7 @@ def test_defog_replay_from_manifest(tmp_path, scene_dir):
     run_defog(tmp_path, synth_out, out1)
     out2 = tmp_path / "d2"
     assert main([
-        "defog", "--from-manifest", str(out1 / "manifest.json"),
+        "replay", str(out1 / "manifest.json"),
         "--out", str(out2),
     ]) == 0
     m1 = json.loads((out1 / "manifest.json").read_text())
@@ -138,7 +138,7 @@ def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, s
         "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
     }))
     replay = tmp_path / "replay"
-    assert main(["defog", "--from-manifest", str(partial), "--out", str(replay)]) == 0
+    assert main(["replay", str(partial), "--out", str(replay)]) == 0
     want = json.loads((flagged / "manifest.json").read_text())
     got = json.loads((replay / "manifest.json").read_text())
     assert got["config"] == want["config"]
@@ -163,9 +163,52 @@ def test_defog_replay_of_a_same_basename_pair(tmp_path, scene_dir):
                  "--amp-config", amp_cfg, "--phase-config", phase_cfg]) == 0
     m1 = json.loads((out1 / "manifest.json").read_text())
     assert m1["inputs"] == {str(amp): file_sha256(amp), str(phase): file_sha256(phase)}
-    assert main(["defog", "--from-manifest", str(out1 / "manifest.json"),
+    assert main(["replay", str(out1 / "manifest.json"),
                  "--out", str(out2)]) == 0
     assert json.loads((out2 / "manifest.json").read_text())["outputs"] == m1["outputs"]
+
+
+def test_defog_has_no_replay_mode(tmp_path, scene_dir):
+    # replay is its own command; defog must not run a manifest with its flags dropped
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    run_defog(tmp_path, synth_out, tmp_path / "d0")
+    with pytest.raises(SystemExit) as exc:
+        main(["defog", "--from-manifest", str(tmp_path / "d0" / "manifest.json"),
+              "--out", str(tmp_path / "d"), "--max-iters", "1"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "d").exists()
+
+
+# each of defog's run flags, with a value; a replay runs the manifest's settings only
+DEFOG_RUN_FLAGS = [["--amp", "a.tofgrid"], ["--phase", "p.tofgrid"], ["--freq", "16e6"],
+                   ["--amp-config", "a.json"], ["--phase-config", "p.json"],
+                   ["--max-iters", "1"], ["--flip-row", "4"], ["--excluded-rows", "2"],
+                   ["--preprocess", "gaussian"], ["--preprocess-sigma", "2"]]
+
+
+@pytest.mark.parametrize("flag", DEFOG_RUN_FLAGS, ids=[flag[0] for flag in DEFOG_RUN_FLAGS])
+def test_replay_rejects_a_run_flag(tmp_path, capsys, flag):
+    manifest = write_replay_manifest(tmp_path)
+    argv = ["replay", str(manifest), "--out", str(tmp_path / "out"), "--threads", "2"]
+    assert cli.build_parser().parse_args(argv).threads == 2
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("preprocess", [[], ["--preprocess", "none"]], ids=["unset", "none"])
+def test_preprocess_sigma_without_gaussian_exit_code(tmp_path, capsys, preprocess):
+    code = main(["defog", *write_flat_pair(tmp_path), *preprocess,
+                 "--preprocess-sigma", "3", "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError"
+    assert "--preprocess-sigma" in err["message"] and "--preprocess gaussian" in err["message"]
+    assert not (tmp_path / "d").exists()
 
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
@@ -355,7 +398,7 @@ def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
         "defog": ["defog", "--amp", str(tmp_path / "amp.tofgrid"),
                   "--phase", str(tmp_path / "phase.tofgrid"),
                   "--preprocess", "gaussian", f"--preprocess-sigma={sigma}"],
-        "replay": ["defog", "--from-manifest", str(manifest)],
+        "replay": ["replay", str(manifest)],
     }[command]
     code = main(argv + ["--out", str(out), "--json"])
     assert code == 2
@@ -374,6 +417,8 @@ MALFORMED_MANIFESTS = {
     "unknown-config-key": "preprocess_sigmaa",
     "rewritten-input": "amp.tofgrid",
     "string-freq": "modulation_frequency_hz",
+    "bool-sigma": "Gaussian sigma",
+    "string-sigma": "Gaussian sigma",
 }
 
 
@@ -396,11 +441,15 @@ def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, case):
         config["preprocess_sigmaa"] = 2.0
     elif case == "rewritten-input":
         write_grid(tmp_path / "amp.tofgrid", np.full((8, 8), 2.0), "amplitude")
+    elif case == "bool-sigma":
+        config.update(preprocess="gaussian", preprocess_sigma=True)
+    elif case == "string-sigma":
+        config.update(preprocess="none", preprocess_sigma="abc")
     else:
         config["modulation_frequency_hz"] = "16e6"
     manifest.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    code = main(["defog", "--from-manifest", str(manifest), "--out", str(out), "--json"])
+    code = main(["replay", str(manifest), "--out", str(out), "--json"])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InputError" and err["exit_code"] == 2
@@ -443,6 +492,8 @@ def write_malformed_input(tmp_path, case):
             "scene-int-grid": {**doc, "depth_map": 5},
             "scene-int-measured-grid": {**doc, "scattering": {
                 "source": "measured-image", "amplitude": 5, "phase": "labels.tofgrid"}},
+            "scene-depth-as-labels": {**doc, "labels_map": "depth_gt.tofgrid"},
+            "scene-labels-as-reflectance": {**doc, "reflectance_map": "labels.tofgrid"},
         }[case]
         scene_path.write_text(json.dumps(doc))
         return ["synth", str(scene_path), "--out", str(tmp_path / "capture")]
@@ -480,6 +531,8 @@ def write_malformed_input(tmp_path, case):
     ("scene-string-peak", 2),
     ("scene-int-grid", 2),
     ("scene-int-measured-grid", 2),
+    ("scene-depth-as-labels", 2),
+    ("scene-labels-as-reflectance", 2),
     ("header-no-units", 4),
     ("header-bool-rows", 4),
     ("eval-depth-labels", 2),

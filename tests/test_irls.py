@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -563,7 +562,6 @@ def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
 ], ids=["amplitude", "phase", "flip-override"])
 def test_config_round_trip(cfg):
     assert SolverConfig.from_json(cfg.to_dict()) == cfg
-    assert SolverConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
 
 def test_config_validation():
