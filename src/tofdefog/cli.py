@@ -1,5 +1,8 @@
 """Command-line interface: synth, defog, replay, eval, simrange.
 
+`eval` reads the modulation frequency from the scored run's manifest and
+the regions from the synth capture's labels.tofgrid.
+
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
 """
@@ -34,8 +37,8 @@ class InputError(ValueError):
     pass
 
 
-# a run's settings besides its two solver configs, each with its one default
-RUN_DEFAULTS = {"modulation_frequency_hz": 16e6, "preprocess": "none", "preprocess_sigma": 1.0}
+# a run's settings besides its two solver configs, each with its one default (null: no smoothing)
+RUN_DEFAULTS = {"modulation_frequency_hz": 16e6, "gaussian_sigma": None}
 
 
 def _given(**flags) -> dict:
@@ -52,6 +55,20 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
             doc.setdefault("profile", profile)
         cfg = SolverConfig.from_json(doc)
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
+
+
+def _json_object(path: str) -> dict:
+    """The JSON document at `path`, or {} when it is not an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return doc if isinstance(doc, dict) else {}
+
+
+def _frequency(value, where: str) -> float:
+    """`value` as a modulation frequency; InputError naming `where` unless finite and > 0."""
+    if not (json_fits(value, "float") and value > 0):
+        raise InputError(f"{where} modulation_frequency_hz must be finite and > 0, got {value!r}")
+    return value
 
 
 def _gaussian(sigma, amplitude, phase):
@@ -116,23 +133,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_defog(args) -> int:
-    if args.preprocess_sigma is not None and args.preprocess != "gaussian":
-        raise InputError("--preprocess-sigma needs --preprocess gaussian")
     overrides = _given(max_outer_iters=args.max_iters)
     flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
     # each domain starts from its one profile
     config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
               for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))}
-    config.update(_given(modulation_frequency_hz=args.freq, preprocess=args.preprocess,
-                         preprocess_sigma=args.preprocess_sigma))
+    config.update(_given(modulation_frequency_hz=args.freq, gaussian_sigma=args.gaussian_sigma))
     return _run(args, config, args.amp, args.phase)
 
 
 def cmd_replay(args) -> int:
     """Rerun a manifest's run on its `config` input paths, whose sha256s must match `inputs`."""
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc = doc if isinstance(doc, dict) else {}
+    doc = _json_object(args.manifest)
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
         raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
@@ -152,13 +164,9 @@ def cmd_replay(args) -> int:
 def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
     """Defog the pair under a run's `config` section, its unset settings from RUN_DEFAULTS."""
     config = {**RUN_DEFAULTS, **config}
-    freq, preprocess, sigma = (config[key] for key in RUN_DEFAULTS)
-    if not (json_fits(freq, "float") and freq > 0):
-        raise InputError(f"config modulation_frequency_hz must be a positive number, got {freq!r}")
-    if preprocess not in ("none", "gaussian"):
-        raise InputError(f"unknown preprocess method {preprocess!r}")
+    freq, sigma = _frequency(config["modulation_frequency_hz"], "config"), config["gaussian_sigma"]
     # scipy skips the filter for a sigma <= 0 or NaN instead of failing
-    if not (json_fits(sigma, "float") and sigma > 0):
+    if not (sigma is None or json_fits(sigma, "float") and sigma > 0):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
     amp_cfg, phase_cfg = (SolverConfig.from_json(config[domain]) for domain in DOMAINS)
     # written back resolved, so that a replay of this run needs no defaults
@@ -173,7 +181,7 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
             f"amplitude {amp_values.shape} and phase {phase_values.shape} sizes differ"
         )
 
-    if preprocess == "gaussian":
+    if sigma is not None:
         amp_values, phase_values = _gaussian(sigma, amp_values, phase_values)
     rows, cols = amp_values.shape
     cam = CameraModel(modulation_frequency_hz=freq, rows=rows, cols=cols)
@@ -215,22 +223,23 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score a defog run (`--est`) and the raw capture against a synth capture (`--gt`)."""
+    manifest = os.path.join(args.est, "manifest.json")
+    config = _json_object(manifest).get("config")
+    freq = _frequency(config.get("modulation_frequency_hz") if isinstance(config, dict) else None,
+                      f"{manifest}: config")
     depth_est = DepthImage(_read_grid(os.path.join(args.est, "depth_masked.tofgrid"), "depth"))
     m_est = ObjectMask(_read_grid(os.path.join(args.est, "mask_fused.tofgrid"), "label") > 0.5)
     depth_gt = DepthImage(_read_grid(os.path.join(args.gt, "depth_gt.tofgrid"), "depth"))
     m_gt = ObjectMask(_read_grid(os.path.join(args.gt, "mask_gt.tofgrid"), "label") > 0.5)
-    regions = np.rint(_read_grid(args.labels, "label")).astype(np.int64)
-
-    reports = []
-    foggy_phase_path = os.path.join(args.gt, "foggy_phase.tofgrid")
-    if os.path.exists(foggy_phase_path):
-        rows, cols = depth_gt.shape
-        cam = CameraModel(modulation_frequency_hz=args.freq, rows=rows, cols=cols)
-        raw_depth = DepthImage(phase_to_depth(_read_grid(foggy_phase_path, "phase"), cam))
-        raw = evaluate(raw_depth, depth_gt, m_gt, m_gt, regions, label="w/o method")
-        raw.mask_iou = float("nan")  # no estimated mask in the raw pipeline
-        reports.append(raw)
-    reports.append(evaluate(depth_est, depth_gt, m_est, m_gt, regions, label="proposed"))
+    labels = _read_grid(os.path.join(args.gt, "labels.tofgrid"), "label")
+    regions = np.rint(labels).astype(np.int64)
+    cam = CameraModel(freq, *depth_gt.shape)
+    foggy_phase = _read_grid(os.path.join(args.gt, "foggy_phase.tofgrid"), "phase")
+    raw_depth = DepthImage(phase_to_depth(foggy_phase, cam))
+    raw = evaluate(raw_depth, depth_gt, m_gt, m_gt, regions, label="w/o method")
+    raw.mask_iou = float("nan")  # no estimated mask in the raw pipeline
+    reports = [raw, evaluate(depth_est, depth_gt, m_est, m_gt, regions, label="proposed")]
 
     out = args.out or args.est
     os.makedirs(out, exist_ok=True)
@@ -296,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--flip-row", type=int, default=None)
     p.add_argument("--excluded-rows", type=int, default=None)
-    p.add_argument("--preprocess", choices=["none", "gaussian"])
-    p.add_argument("--preprocess-sigma", type=float, help="needs --preprocess gaussian")
+    p.add_argument("--gaussian-sigma", type=float,
+                   help="smooth the input pair with this Gaussian sigma (px) first")
     p.add_argument("--threads", type=int, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_defog)
@@ -312,9 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="depth error report against ground truth")
     p.add_argument("--est", required=True, help="defog output directory")
     p.add_argument("--gt", required=True, help="synth output directory")
-    p.add_argument("--labels", required=True, help="region label TOFGRID file")
     p.add_argument("--out", default=None, help="report directory (default: --est)")
-    p.add_argument("--freq", type=float, default=16e6)
     common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -177,9 +177,9 @@ def phasor_subtract(a: PhasorImage, b: PhasorImage) -> PhasorImage:
 
 
 def json_fits(value, kind: str) -> bool:
-    """Whether a JSON value fits a field annotated `kind`: bool, int, or finite float."""
-    if isinstance(value, bool) or kind == "bool":
-        return isinstance(value, bool) and kind == "bool"
+    """Whether a JSON value fits a field annotated `kind`: int, or finite float; never a bool."""
+    if isinstance(value, bool):
+        return False
     if kind == "int":
         return isinstance(value, int)
     return isinstance(value, (int, float)) and math.isfinite(value)
@@ -189,7 +189,7 @@ def json_kwargs(cls, doc, what: str, extra=(), complete=True) -> dict:
     """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
 
     Raises ValueError naming the type of a non-object, the keys that are
-    neither fields nor `extra`, a float/int/bool field (or an optional one
+    neither fields nor `extra`, a float/int field (or an optional one
     that is not null) holding another JSON type, or, when `complete`, the
     fields without a default that are missing.  `extra` keys are accepted
     and left out of the result.
@@ -210,6 +210,6 @@ def json_kwargs(cls, doc, what: str, extra=(), complete=True) -> dict:
         if kind.endswith(" | None") and value is None:
             continue
         kind = kind.removesuffix(" | None")
-        if kind in ("float", "int", "bool") and not json_fits(value, kind):
+        if kind in ("float", "int") and not json_fits(value, kind):
             raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
     return kwargs

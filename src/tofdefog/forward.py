@@ -223,6 +223,8 @@ class SceneSpec:
             raise ValueError("depth and reflectance shapes differ")
         if self.depth_map.shape != (self.cam.rows, self.cam.cols):
             raise ValueError("scene grids do not match the camera size")
+        if self.labels is not None and np.shape(self.labels) != self.depth_map.shape:
+            raise ValueError(f"labels shape {np.shape(self.labels)} differs from the scene's")
         if np.any(self.reflectance_map < 0):
             raise ValueError("reflectance must be non-negative")
         valid = self.valid_depth()

@@ -39,10 +39,6 @@ class GridFile:
     domain: str
     units: str
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def _validate_domain_values(values: np.ndarray, domain: str, where: str):
     if domain == "phase":

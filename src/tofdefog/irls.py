@@ -89,8 +89,6 @@ class SolverConfig:
     convergence_tol: float = 1e-4
     linear_solver_tol: float = 1e-6
     mask_threshold: float = 0.5
-    # Project the final field to >= 0 (physical for amplitude, not phase).
-    clamp_nonnegative: bool = False
 
     def __post_init__(self):
         if min(self.gamma1, self.gamma2, self.gamma3) < 0:
@@ -147,7 +145,6 @@ PROFILES = {
     # carry no symmetry information.
     "amplitude-kinect16": SolverConfig(
         gamma1=0.1, gamma2=0.1, gamma3=10.0, c_coarse=4.0, c_fine=7.0,
-        clamp_nonnegative=True,
     ),
     "phase-kinect16": SolverConfig(
         gamma1=0.01, gamma2=0.1, gamma3=50.0, c_coarse=2.0, c_fine=3.0,
@@ -536,14 +533,6 @@ def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):
-    """Full coarse-to-fine run for one domain.
-
-    Returns (coarse_state, fine_state, field) where the field is the final
-    scattering estimate, projected to >= 0 when the config asks for it
-    (amplitude domain; projection happens only after the final iteration so
-    each inner step stays an unconstrained weighted least-squares solve).
-    """
+    """Full coarse-to-fine run for one domain: (coarse_state, fine_state), x the estimate."""
     coarse = run_coarse(x_tilde, cfg)
-    fine = run_fine(x_tilde, coarse, cfg)
-    values = np.maximum(fine.x, 0.0) if cfg.clamp_nonnegative else fine.x
-    return coarse, fine, ScatteringField(values=values)
+    return coarse, run_fine(x_tilde, coarse, cfg)

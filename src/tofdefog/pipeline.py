@@ -64,15 +64,17 @@ def defog(obs: PhasorImage, cam: CameraModel,
     The amplitude and phase solvers are independent and may run
     concurrently; the thread count is capped by the TOFDEFOG_THREADS
     environment variable.  Results depend neither on the execution order
-    nor on the BLAS thread count.
+    nor on the BLAS thread count.  The amplitude field is clamped to >= 0
+    after the solve, as an amplitude is; the phase field is not.
     """
     threads = max_threads() if threads is None else max(threads, 1)
     cfgs = (amp_cfg, phase_cfg)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
         runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
     amplitude, phase = (
-        DomainResult(coarse, fine, field, binarize_weights(fine.w, cfg.mask_threshold))
-        for (coarse, fine, field), cfg in zip(runs, cfgs))
+        DomainResult(coarse, fine, ScatteringField(np.maximum(fine.x, 0.0) if clamp else fine.x),
+                     binarize_weights(fine.w, cfg.mask_threshold))
+        for (coarse, fine), cfg, clamp in zip(runs, cfgs, (True, False)))
     fused = fuse_masks(amplitude.mask, phase.mask)
     direct = recover_direct(obs, amplitude.field.values, phase.field.values)
     return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))

@@ -125,12 +125,11 @@ def write_csv(sweep_: RangeSweep, path):
             )
 
 
-def write_gnuplot_script(csv_path, script_path, png_path=None):
-    """Companion gnuplot script plotting the four curves from the CSV."""
-    png_path = png_path or str(csv_path) + ".png"
+def write_gnuplot_script(csv_path, script_path):
+    """Companion gnuplot script plotting the four curves from the CSV into `csv_path`.png."""
     lines = [
         "set datafile separator ','",
-        f"set output '{png_path}'",
+        f"set output '{csv_path}.png'",
         "set terminal pngcairo size 1200,800",
         "set multiplot layout 2,2",
         "set xlabel 'z (mm)'",

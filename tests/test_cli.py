@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,12 +72,7 @@ def test_synth_defog_eval_round_trip(tmp_path, scene_dir):
                  "weights_phase", "mask_fused", "depth_masked"):
         assert (defog_out / f"{name}.tofgrid").exists()
 
-    assert main([
-        "eval",
-        "--est", str(defog_out),
-        "--gt", str(synth_out),
-        "--labels", str(synth_out / "labels.tofgrid"),
-    ]) == 0
+    assert main(["eval", "--est", str(defog_out), "--gt", str(synth_out)]) == 0
     report = json.loads((defog_out / "report.json").read_text())
     by_label = {r["label"]: r for r in report}
     assert set(by_label) == {"w/o method", "proposed"}
@@ -87,6 +84,65 @@ def test_synth_defog_eval_round_trip(tmp_path, scene_dir):
     assert by_label["proposed"]["mask_iou"] > 0.5
     csv_lines = (defog_out / "report.csv").read_text().strip().splitlines()
     assert csv_lines[0].startswith(",region_1")
+
+
+def test_eval_takes_the_frequency_from_the_run_manifest(tmp_path):
+    # a 20 MHz capture defogged at 20 MHz: the raw baseline converts the
+    # foggy phase at 20 MHz, not at the Kinect's 16 MHz
+    scene = make_scene(beta=3.2e-4, seed=5, rows=ROWS, cols=COLS,
+                       flip_row=ROWS // 2, coverage="small")
+    scene.cam = CameraModel(20e6, rows=ROWS, cols=COLS)
+    save_scene(scene, tmp_path / "scene" / "scene.json")
+    synth_out, defog_out = tmp_path / "synth", tmp_path / "defog"
+    run_synth(tmp_path / "scene" / "scene.json", synth_out)
+    run_defog(tmp_path, synth_out, defog_out, ["--freq", "20e6"])
+    assert main(["eval", "--est", str(defog_out), "--gt", str(synth_out)]) == 0
+    by_label = {r["label"]: r for r in json.loads((defog_out / "report.json").read_text())}
+    # what `eval --freq 20e6` reported when the frequency was a flag; the
+    # 16 MHz default gave 208.79 mm
+    assert by_label["w/o method"]["overall_mean_mm"] == pytest.approx(528.04, abs=0.005)
+
+
+@pytest.mark.parametrize("manifest", [
+    None,
+    ["x"],
+    {"config": {}},
+    {"config": {"modulation_frequency_hz": 0}},
+    {"config": {"modulation_frequency_hz": -16e6}},
+    {"config": {"modulation_frequency_hz": "16e6"}},
+], ids=["missing", "list", "no-frequency", "zero-frequency", "negative-frequency",
+        "string-frequency"])
+def test_eval_without_a_run_frequency_exit_code(tmp_path, capsys, manifest):
+    argv = write_malformed_input(tmp_path, "valid")
+    path = tmp_path / "est" / "manifest.json"
+    if manifest is None:
+        path.unlink()
+    else:
+        path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and str(path) in err["message"]
+    assert not (tmp_path / "est" / "report.json").exists()
+
+
+def test_defog_gaussian_sigma_is_recorded_and_replayed(tmp_path, scene_dir):
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    plain, smoothed, replayed = tmp_path / "plain", tmp_path / "smoothed", tmp_path / "replayed"
+    run_defog(tmp_path, synth_out, plain)
+    run_defog(tmp_path, synth_out, smoothed, ["--gaussian-sigma", "1.0"])
+    assert main(["replay", str(smoothed / "manifest.json"), "--out", str(replayed)]) == 0
+    m_plain, m_smoothed, m_replayed = (json.loads((out / "manifest.json").read_text())
+                                       for out in (plain, smoothed, replayed))
+    assert m_plain["config"]["gaussian_sigma"] is None
+    assert m_smoothed["config"] == {**m_plain["config"], "gaussian_sigma": 1.0}
+    assert all(m_smoothed["outputs"][name] != digest
+               for name, digest in m_plain["outputs"].items())
+    assert m_replayed["config"] == m_smoothed["config"]
+    assert m_replayed["outputs"] == m_smoothed["outputs"]
+    for name, digest in m_smoothed["outputs"].items():
+        assert file_sha256(replayed / name) == digest
 
 
 def test_defog_runs_are_byte_identical(tmp_path, scene_dir):
@@ -121,7 +177,7 @@ def test_defog_replay_from_manifest(tmp_path, scene_dir):
 
 
 def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, scene_dir):
-    # profile-plus-overrides solver sections and no preprocess keys: the
+    # profile-plus-overrides solver sections and no gaussian_sigma: the
     # replay writes back what a flag run with the same settings writes
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
@@ -142,7 +198,7 @@ def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, s
     want = json.loads((flagged / "manifest.json").read_text())
     got = json.loads((replay / "manifest.json").read_text())
     assert got["config"] == want["config"]
-    assert got["config"]["preprocess"] == "none" and got["config"]["preprocess_sigma"] == 1.0
+    assert got["config"]["gaussian_sigma"] is None
     every_field = {f.name for f in dataclasses.fields(SolverConfig)}
     assert set(got["config"]["amplitude"]) == set(got["config"]["phase"]) == every_field
     assert got["outputs"] == want["outputs"]
@@ -184,7 +240,7 @@ def test_defog_has_no_replay_mode(tmp_path, scene_dir):
 DEFOG_RUN_FLAGS = [["--amp", "a.tofgrid"], ["--phase", "p.tofgrid"], ["--freq", "16e6"],
                    ["--amp-config", "a.json"], ["--phase-config", "p.json"],
                    ["--max-iters", "1"], ["--flip-row", "4"], ["--excluded-rows", "2"],
-                   ["--preprocess", "gaussian"], ["--preprocess-sigma", "2"]]
+                   ["--gaussian-sigma", "2"]]
 
 
 @pytest.mark.parametrize("flag", DEFOG_RUN_FLAGS, ids=[flag[0] for flag in DEFOG_RUN_FLAGS])
@@ -198,17 +254,6 @@ def test_replay_rejects_a_run_flag(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
-
-
-@pytest.mark.parametrize("preprocess", [[], ["--preprocess", "none"]], ids=["unset", "none"])
-def test_preprocess_sigma_without_gaussian_exit_code(tmp_path, capsys, preprocess):
-    code = main(["defog", *write_flat_pair(tmp_path), *preprocess,
-                 "--preprocess-sigma", "3", "--json"])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "InputError"
-    assert "--preprocess-sigma" in err["message"] and "--preprocess gaussian" in err["message"]
-    assert not (tmp_path / "d").exists()
 
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
@@ -391,19 +436,37 @@ def write_replay_manifest(tmp_path, **config):
 @pytest.mark.parametrize("command", ["defog", "replay"])
 def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
     # scipy's gaussian_filter treats such a sigma as "no filter"
-    manifest = write_replay_manifest(tmp_path, preprocess="gaussian",
-                                     preprocess_sigma=float(sigma))
+    manifest = write_replay_manifest(tmp_path, gaussian_sigma=float(sigma))
     out = tmp_path / "out"
     argv = {
         "defog": ["defog", "--amp", str(tmp_path / "amp.tofgrid"),
                   "--phase", str(tmp_path / "phase.tofgrid"),
-                  "--preprocess", "gaussian", f"--preprocess-sigma={sigma}"],
+                  f"--gaussian-sigma={sigma}"],
         "replay": ["replay", str(manifest)],
     }[command]
     code = main(argv + ["--out", str(out), "--json"])
     assert code == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "InputError" and "Gaussian sigma" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "preprocess", "gaussian"),
+    (None, "preprocess_sigma", 1.0),
+    ("amplitude", "clamp_nonnegative", True),
+    ("phase", "plain_patch_fit", False),
+], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit"])
+def test_replay_of_a_removed_setting_exit_code(tmp_path, capsys, section, key, value):
+    # settings an earlier tofdefog recorded: a replay names the key instead of running
+    manifest = write_replay_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    (doc["config"] if section is None else doc["config"][section])[key] = value
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["replay", str(manifest), "--out", str(out), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and f"key(s): {key}" in err["message"]
     assert not out.exists()
 
 
@@ -414,7 +477,7 @@ MALFORMED_MANIFESTS = {
     "list-inputs": "config and inputs",
     "list-input-name": "amp_input",
     "relative-path": "amp_input",
-    "unknown-config-key": "preprocess_sigmaa",
+    "unknown-config-key": "gaussian_sigmaa",
     "rewritten-input": "amp.tofgrid",
     "string-freq": "modulation_frequency_hz",
     "bool-sigma": "Gaussian sigma",
@@ -438,13 +501,13 @@ def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, case):
     elif case == "relative-path":
         config["amp_input"] = "amp.tofgrid"
     elif case == "unknown-config-key":
-        config["preprocess_sigmaa"] = 2.0
+        config["gaussian_sigmaa"] = 2.0
     elif case == "rewritten-input":
         write_grid(tmp_path / "amp.tofgrid", np.full((8, 8), 2.0), "amplitude")
     elif case == "bool-sigma":
-        config.update(preprocess="gaussian", preprocess_sigma=True)
+        config["gaussian_sigma"] = True
     elif case == "string-sigma":
-        config.update(preprocess="none", preprocess_sigma="abc")
+        config["gaussian_sigma"] = "abc"
     else:
         config["modulation_frequency_hz"] = "16e6"
     manifest.write_text(json.dumps(doc))
@@ -494,12 +557,15 @@ def write_malformed_input(tmp_path, case):
                 "source": "measured-image", "amplitude": 5, "phase": "labels.tofgrid"}},
             "scene-depth-as-labels": {**doc, "labels_map": "depth_gt.tofgrid"},
             "scene-labels-as-reflectance": {**doc, "reflectance_map": "labels.tofgrid"},
+            "scene-labels-shape": {**doc, "labels_map": "labels_5x7.tofgrid"},
         }[case]
+        write_grid(scene_path.parent / "labels_5x7.tofgrid", np.ones((5, 7)), "label")
         scene_path.write_text(json.dumps(doc))
         return ["synth", str(scene_path), "--out", str(tmp_path / "capture")]
     capture, est = tmp_path / "capture", tmp_path / "est"
     assert main(["synth", str(scene_path), "--out", str(capture)]) == 0
     est.mkdir()
+    (est / "manifest.json").write_text(json.dumps({"config": {"modulation_frequency_hz": 16e6}}))
     write_grid(est / "depth_masked.tofgrid", read_grid(capture / "depth_gt.tofgrid").values,
                "depth")
     write_grid(est / "mask_fused.tofgrid", read_grid(capture / "mask_gt.tofgrid").values,
@@ -520,7 +586,7 @@ def write_malformed_input(tmp_path, case):
     if case in wrong:
         path, domain = wrong[case]
         write_grid(path, np.ones((8, 8)), domain)
-    return ["eval", "--est", str(est), "--gt", str(capture), "--labels", str(labels)]
+    return ["eval", "--est", str(est), "--gt", str(capture)]
 
 
 @pytest.mark.parametrize("case, code", [
@@ -533,6 +599,7 @@ def write_malformed_input(tmp_path, case):
     ("scene-int-measured-grid", 2),
     ("scene-depth-as-labels", 2),
     ("scene-labels-as-reflectance", 2),
+    ("scene-labels-shape", 2),
     ("header-no-units", 4),
     ("header-bool-rows", 4),
     ("eval-depth-labels", 2),
@@ -550,3 +617,21 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, case, code):
     assert len(lines) == 1
     assert json.loads(lines[0])["exit_code"] == code
     assert not (tmp_path / "est" / "report.json").exists()
+
+
+def readme_walkthrough_commands():
+    """Each `tofdefog ...` command line in README's CLI walkthrough, as its argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
+    # [...] marks optional flags
+    return [[token.strip("[]") for token in shlex.split(line)[1:]]
+            for line in walkthrough.replace("\\\n", " ").splitlines()
+            if line.startswith("tofdefog ")]
+
+
+def test_readme_walkthrough_commands_parse():
+    commands = readme_walkthrough_commands()
+    assert {argv[0] for argv in commands} == {"synth", "defog", "replay", "eval", "simrange"}
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

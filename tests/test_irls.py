@@ -510,7 +510,6 @@ def test_profiles_match_published_hyperparameters():
     amp = PROFILES["amplitude-kinect16"]
     assert (amp.gamma1, amp.gamma2, amp.gamma3) == (0.1, 0.1, 10.0)
     assert (amp.c_coarse, amp.c_fine) == (4.0, 7.0)
-    assert amp.clamp_nonnegative
     ph = PROFILES["phase-kinect16"]
     assert (ph.gamma1, ph.gamma2, ph.gamma3) == (0.01, 0.1, 50.0)
     assert (ph.c_coarse, ph.c_fine) == (2.0, 3.0)
@@ -543,12 +542,11 @@ def test_config_from_json():
     ({"profile": "phase-kinect16", "gamma2": float("nan")}, "gamma2"),
     ({"profile": "phase-kinect16", "c_fine": float("inf")}, "c_fine"),
     ({"profile": "phase-kinect16", "max_outer_iters": 5.0}, "max_outer_iters"),
-    ({"profile": "phase-kinect16", "clamp_nonnegative": 1}, "clamp_nonnegative"),
     ({"profile": "phase-kinect16", "flip": {"flip_row": "3"}}, "flip_row"),
     ({"profile": "phase-kinect16", "flip": {}}, "flip_row"),
     ({"profile": ["phase-kinect16"]}, "unknown profile"),
     ({"gamma1": 0.1, "gamma2": 0.1, "gamma3": 1.0}, "c_coarse, c_fine"),
-], ids=["bool-gamma", "null-threshold", "nan-gamma", "inf-tukey", "float-iters", "int-flag",
+], ids=["bool-gamma", "null-threshold", "nan-gamma", "inf-tukey", "float-iters",
         "string-flip-row", "empty-flip", "list-profile", "missing-tukey"])
 def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
     with pytest.raises(ValueError, match=named):
@@ -572,12 +570,3 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=4, c_fine=7,
                      mask_threshold=1.5)
-
-
-def test_estimate_scattering_clamps_amplitude_domain():
-    cfg = small_config(rows=16, clamp_nonnegative=True)
-    rng = np.random.default_rng(10)
-    # field near zero so the unconstrained estimate dips negative somewhere
-    x_tilde = np.abs(rng.normal(0, 0.01, (16, 16)))
-    _, _, field = td.estimate_scattering(x_tilde, cfg)
-    assert np.all(field.values >= 0.0)

@@ -167,6 +167,28 @@ def test_defog_result_summary_and_masks(tmp_path, monkeypatch):
     assert not res.depth.valid[~res.fused_mask.mask].any()
 
 
+def test_defog_clamps_the_amplitude_field_and_not_the_phase(monkeypatch):
+    # each domain's final estimate is shifted to dip below zero: an
+    # amplitude is non-negative, so only the amplitude field is clamped
+    scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    run_fine = irls.run_fine
+
+    def shifted_run_fine(x_tilde, init, cfg):
+        state = run_fine(x_tilde, init, cfg)
+        state.x = state.x - np.median(state.x)
+        return state
+
+    monkeypatch.setattr(irls, "run_fine", shifted_run_fine)
+    res = td.defog(syn.foggy, scene.cam, small_config("amplitude-kinect16", rows=48),
+                   small_config("phase-kinect16", rows=48), threads=1)
+    amp, phase = res.amplitude, res.phase
+    assert amp.fine.x.min() < 0 and phase.fine.x.min() < 0
+    assert np.array_equal(amp.field.values, np.maximum(amp.fine.x, 0.0))
+    assert np.array_equal(phase.field.values, phase.fine.x)
+
+
 def test_solver_summary_flags_levels_stopped_by_the_cap():
     scene = make_scene(beta=3.2e-4, seed=3, rows=48, cols=48, flip_row=24,
                        coverage="small")
