@@ -1,7 +1,11 @@
 """Command-line interface: synth, defog, replay, eval, simrange.
 
-`eval` reads the modulation frequency from the scored run's manifest and
-the regions from the synth capture's labels.tofgrid.
+`defog` starts each domain from its Kinect profile; an --amp-config or
+--phase-config file lays its keys over that profile.  A run's manifest
+records both solver configs complete, which is the one form `replay`
+reads.  `eval` reads the modulation frequency from the scored run's
+manifest and the regions from the synth capture's labels.tofgrid.
+`simrange` sweeps the one default depth grid of `simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -17,7 +21,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 
 from .core import CameraModel, DepthImage, PhasorImage, json_fits, phase_to_depth, wrap_phase
 from .forward import MediumParams, synthesize
@@ -25,7 +28,7 @@ from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
 from .pipeline import DOMAINS, build_manifest, defog, file_sha256, load_scene, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
-from .simrange import find_range, sweep, sweep_grid, write_csv, write_gnuplot_script
+from .simrange import find_range, sweep, write_csv, write_gnuplot_script
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,9 +54,7 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        if isinstance(doc, dict):
-            doc.setdefault("profile", profile)
-        cfg = SolverConfig.from_json(doc)
+        cfg = SolverConfig.from_json({**cfg.to_dict(), **doc} if isinstance(doc, dict) else doc)
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
 
 
@@ -76,6 +77,8 @@ def _gaussian(sigma, amplitude, phase):
 
     Returns (amplitude, phase).  Smoothing the phasor keeps 0 and 2*pi one value.
     """
+    from scipy import ndimage  # only a smoothed run pays for importing it
+
     phasor = PhasorImage(amplitude, phase).to_complex()
     smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
                                         + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
@@ -259,12 +262,9 @@ def cmd_simrange(args) -> int:
     cam = CameraModel(modulation_frequency_hz=args.freq)
     medium = MediumParams(beta=args.beta, g=args.g, z0=args.z0,
                           z_saturate=max(args.z0 + 1.0, 1000.0))
-    if args.z_step is not None and not args.z_step > 0:
-        raise InputError(f"--z-step must be positive, got {args.z_step}")
-    z_grid = sweep_grid(medium, cam, args.z_min, args.z_max, args.z_step)
-    sweep_ = sweep(medium, cam, reflectance=args.reflectance, z_grid=z_grid)
+    sweep_ = sweep(medium, cam, reflectance=args.reflectance)
     write_csv(sweep_, args.out)
-    z_sat, z_bg = find_range(sweep_, sat_tol=args.sat_tol, bg_tol=args.bg_tol)
+    z_sat, z_bg = find_range(sweep_)
     if args.gnuplot:
         write_gnuplot_script(args.out, args.gnuplot)
     bg_text = "unbounded" if not np.isfinite(z_bg) else f"{z_bg:.0f} mm"
@@ -273,6 +273,14 @@ def cmd_simrange(args) -> int:
 
 
 # -- parser --------------------------------------------------------------------
+
+def _threads(text: str) -> int:
+    """A --threads value: an int of at least 1."""
+    threads = int(text)
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -307,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excluded-rows", type=int, default=None)
     p.add_argument("--gaussian-sigma", type=float,
                    help="smooth the input pair with this Gaussian sigma (px) first")
-    p.add_argument("--threads", type=int, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=_threads, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_defog)
 
     p = sub.add_parser("replay", help="rerun a defog run from its manifest")
     p.add_argument("manifest", help="the run's manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=_threads, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_replay)
 
@@ -331,11 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", type=float, default=16e6)
     p.add_argument("--I", dest="reflectance", type=float, default=1.0)
     p.add_argument("--z0", type=float, default=10.0)
-    p.add_argument("--z-min", type=float, default=None)
-    p.add_argument("--z-max", type=float, default=None)
-    p.add_argument("--z-step", type=float, default=None)
-    p.add_argument("--sat-tol", type=float, default=0.01)
-    p.add_argument("--bg-tol", type=float, default=0.01)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--gnuplot", help="also write a gnuplot script here")
     common(p)

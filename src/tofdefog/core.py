@@ -185,14 +185,14 @@ def json_fits(value, kind: str) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def json_kwargs(cls, doc, what: str, extra=(), complete=True) -> dict:
+def json_kwargs(cls, doc, what: str, extra=()) -> dict:
     """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
 
     Raises ValueError naming the type of a non-object, the keys that are
     neither fields nor `extra`, a float/int field (or an optional one
-    that is not null) holding another JSON type, or, when `complete`, the
-    fields without a default that are missing.  `extra` keys are accepted
-    and left out of the result.
+    that is not null) holding another JSON type, or the fields without a
+    default that are missing.  `extra` keys are accepted and left out of
+    the result.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -202,7 +202,7 @@ def json_kwargs(cls, doc, what: str, extra=(), complete=True) -> dict:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
     missing = [name for name, f in known.items() if name not in doc
                and f.default is MISSING and f.default_factory is MISSING]
-    if complete and missing:
+    if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
     kwargs = {name: value for name, value in doc.items() if name in known}
     for name, value in kwargs.items():

@@ -256,8 +256,9 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
     scattering component only.  Optional sensor noise is additive Gaussian
     on the rectangular components, seeded for reproducibility.
     """
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    # NaN fails every comparison: without isfinite it would pass as no noise
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     valid = scene.valid_depth()
     direct = np.zeros(scene.depth_map.shape, dtype=np.complex128)
     if valid.any():

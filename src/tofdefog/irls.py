@@ -114,15 +114,14 @@ class SolverConfig:
 
     @classmethod
     def from_json(cls, doc) -> "SolverConfig":
-        """Build a config from a JSON document.
+        """Build a config from a JSON document of its fields.
 
-        Field names mirror the dataclass; an optional "profile" key selects
-        a base profile that the remaining keys override.  A document of the
-        wrong shape, a value of the wrong JSON type, or (without a profile)
-        a missing field raises ValueError naming the offending key or type.
+        Field names mirror the dataclass; fields without a default are
+        required.  A document of the wrong shape, an unknown or missing
+        key, or a value of the wrong JSON type raises ValueError naming
+        the offending key or type.
         """
-        base = doc.get("profile") if isinstance(doc, dict) else None
-        doc = json_kwargs(cls, doc, "solver config", extra={"profile"}, complete=base is None)
+        doc = json_kwargs(cls, doc, "solver config")
         if "flip" in doc:
             doc["flip"] = FlipOperator(**json_kwargs(FlipOperator, doc["flip"], "flip"))
         if "patch_grid" in doc:
@@ -131,8 +130,6 @@ class SolverConfig:
                     and all(json_fits(n, "int") for n in grid)):
                 raise ValueError(f"patch_grid must be a list of two ints, got {grid!r}")
             doc["patch_grid"] = tuple(grid)
-        if base is not None:
-            return cls.profile(base, **doc)
         return cls(**doc)
 
     def to_dict(self) -> dict:

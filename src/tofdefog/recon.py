@@ -119,20 +119,16 @@ def evaluate(depth_est: DepthImage, depth_gt: DepthImage,
     return report
 
 
-def report_table_csv(reports, region_names=None) -> str:
+def report_table_csv(reports) -> str:
     """CSV with one column per region and one row per estimate.
 
     Mirrors the usual per-object error table: rows are labeled estimates
     (e.g. "w/o method" and "proposed"), cells are mm errors.
     """
     labels = sorted({lab for r in reports for lab in r.region_errors})
-    names = region_names or {}
     out = io.StringIO()
     writer = csv.writer(out)
-    writer.writerow(
-        [""] + [names.get(lab, f"region_{lab}") for lab in labels]
-        + ["overall_mm", "mask_iou"]
-    )
+    writer.writerow([""] + [f"region_{lab}" for lab in labels] + ["overall_mm", "mask_iou"])
     for r in reports:
         writer.writerow(
             [r.label]

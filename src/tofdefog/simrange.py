@@ -36,30 +36,17 @@ class RangeSweep:
     residual_phase: np.ndarray
 
 
-def sweep_grid(medium: MediumParams, cam: CameraModel, z_min=None, z_max=None,
-               z_step=None) -> np.ndarray:
-    """Depths from z_min every z_step mm, none past z_max.
-
-    An unset value takes DEFAULT_Z_GRID's, with the start raised to the
-    medium's z0 and the stop capped below the unambiguous range c/(2f).
-    An explicit z_max is kept as given, so one past that range fails in
-    `sweep`.
-    """
-    start, stop, step = DEFAULT_Z_GRID
-    step = step if z_step is None else z_step
-    start = max(start, medium.z0) if z_min is None else z_min
-    if z_max is None:
-        return np.arange(start, min(stop + 0.5 * step, cam.unambiguous_range_mm), step)
-    # a point within rounding of an explicit z_max is z_max; none lies past it
-    grid = np.arange(start, z_max + 0.5 * step, step)
-    return np.minimum(grid[grid <= z_max + 1e-6 * step], z_max)
-
-
 def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
           z_grid=None) -> RangeSweep:
-    """Evaluate the saturation and residual curves over a depth grid."""
+    """Evaluate the saturation and residual curves over a depth grid.
+
+    The default grid is DEFAULT_Z_GRID's, started at the medium's z0 when
+    that lies deeper and stopped below the unambiguous range c/(2f).
+    """
     if z_grid is None:
-        z_grid = sweep_grid(medium, cam)
+        start, stop, step = DEFAULT_Z_GRID
+        z_grid = np.arange(max(start, medium.z0),
+                           min(stop + 0.5 * step, cam.unambiguous_range_mm), step)
     z_grid = np.asarray(z_grid, dtype=np.float64)
     if z_grid.size == 0 or np.any(np.diff(z_grid) <= 0):
         raise ValueError("z_grid must be non-empty and strictly increasing")

@@ -1,7 +1,12 @@
+import argparse
 import dataclasses
 import json
+import os
+import re
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +35,9 @@ def scene_dir(tmp_path):
 def write_small_configs(tmp_path):
     flip = {"flip_row": ROWS // 2, "excluded_bottom_rows": 4}
     amp = tmp_path / "amp_cfg.json"
-    amp.write_text(json.dumps(
-        {"profile": "amplitude-kinect16", "patch_grid": [2, 2], "flip": flip}
-    ))
+    amp.write_text(json.dumps({"patch_grid": [2, 2], "flip": flip}))
     phase = tmp_path / "phase_cfg.json"
-    phase.write_text(json.dumps(
-        {"profile": "phase-kinect16", "patch_grid": [2, 2], "flip": flip}
-    ))
+    phase.write_text(json.dumps({"patch_grid": [2, 2], "flip": flip}))
     return str(amp), str(phase)
 
 
@@ -158,6 +159,16 @@ def test_defog_runs_are_byte_identical(tmp_path, scene_dir):
         assert a == b, name
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1e-9"])
+def test_synth_non_finite_or_negative_noise_exit_code(tmp_path, capsys, scene_dir, noise):
+    # a NaN sigma used to write a noise-free capture and a bare NaN into manifest.json
+    out = tmp_path / "capture"
+    assert main(["synth", str(scene_dir), "--out", str(out), f"--noise={noise}", "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "noise_sigma" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
 def test_defog_replay_from_manifest(tmp_path, scene_dir):
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
@@ -176,26 +187,19 @@ def test_defog_replay_from_manifest(tmp_path, scene_dir):
             assert file_sha256(out2 / name) == digest
 
 
-def test_defog_replay_of_partial_configs_writes_the_resolved_section(tmp_path, scene_dir):
-    # profile-plus-overrides solver sections and no gaussian_sigma: the
-    # replay writes back what a flag run with the same settings writes
+def test_defog_replay_without_gaussian_sigma_writes_it_back_null(tmp_path, scene_dir):
+    # a config section without gaussian_sigma: the replay writes back what
+    # a flag run with the same settings writes, the key included
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
     flagged = tmp_path / "flagged"
     run_defog(tmp_path, synth_out, flagged)
-    amp_cfg, phase_cfg = write_small_configs(tmp_path)
-    amp, phase = synth_out / "foggy_amplitude.tofgrid", synth_out / "foggy_phase.tofgrid"
+    want = json.loads((flagged / "manifest.json").read_text())
     partial = tmp_path / "partial.json"
-    partial.write_text(json.dumps({
-        "config": {"amplitude": json.loads(open(amp_cfg).read()),
-                   "phase": json.loads(open(phase_cfg).read()),
-                   "amp_input": str(amp), "phase_input": str(phase),
-                   "modulation_frequency_hz": 16e6},
-        "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
-    }))
+    config = {key: value for key, value in want["config"].items() if key != "gaussian_sigma"}
+    partial.write_text(json.dumps({"config": config, "inputs": want["inputs"]}))
     replay = tmp_path / "replay"
     assert main(["replay", str(partial), "--out", str(replay)]) == 0
-    want = json.loads((flagged / "manifest.json").read_text())
     got = json.loads((replay / "manifest.json").read_text())
     assert got["config"] == want["config"]
     assert got["config"]["gaussian_sigma"] is None
@@ -254,6 +258,29 @@ def test_replay_rejects_a_run_flag(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["defog", "replay"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
+    argv = {"defog": ["defog", "--amp", "a.tofgrid", "--phase", "p.tofgrid"],
+            "replay": ["replay", str(tmp_path / "manifest.json")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out"), f"--threads={threads}"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
+    # only a --gaussian-sigma run needs it, and importing it costs most of a start-up
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, tofdefog.cli; print('scipy.ndimage' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False"
 
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
@@ -326,11 +353,12 @@ def test_defog_format_error_exit_code(tmp_path, scene_dir, capsys):
     ([1, 2], "list"),
     ({"gamma1": "0.1"}, "gamma1"),
     ({"patch_grid": ["a", 2]}, "patch_grid"),
-    ({"profile": None, "gamma1": 0.1}, "gamma2"),
+    ({"profile": "amplitude-kinect16"}, "profile"),
 ], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list",
-        "string-gamma", "non-int-patch-grid", "missing-fields"])
+        "string-gamma", "non-int-patch-grid", "profile-key"])
 def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
-    # the config is rejected before the (absent) grids are opened
+    # the config is rejected before the (absent) grids are opened; a file
+    # lays its keys over its domain's profile, so none names a profile
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     code = main([
@@ -359,8 +387,7 @@ def test_simrange_cli(tmp_path):
     out = tmp_path / "sweep.csv"
     gp = tmp_path / "sweep.gp"
     assert main([
-        "simrange", "--beta", "3.2e-4", "--g", "0.9", "--freq", "16e6",
-        "--I", "1.0", "--z-min", "100", "--z-max", "3000", "--z-step", "50",
+        "simrange", "--beta", "3.2e-4", "--g", "0.9", "--freq", "16e6", "--I", "1.0",
         "--out", str(out), "--gnuplot", str(gp),
     ]) == 0
     lines = out.read_text().strip().splitlines()
@@ -375,47 +402,6 @@ def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     assert "unbounded" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flags", [["--z-step", "5"], ["--z-min", "20"], ["--z-step", "10"]])
-def test_simrange_unset_grid_flags_take_the_default_grid(tmp_path, flags):
-    # at 16 MHz the default grid stops below c/(2f) = 9,368.5 mm, not at
-    # 10,000 mm; a grid flag must not bring the unset bounds back past it
-    default, flagged = tmp_path / "default.csv", tmp_path / "flagged.csv"
-    assert main(["simrange", "--beta", "3.2e-4", "--out", str(default)]) == 0
-    assert main(["simrange", "--beta", "3.2e-4", *flags, "--out", str(flagged)]) == 0
-    z = [float(line.split(",")[0]) for line in flagged.read_text().splitlines()[1:]]
-    assert 9300.0 <= z[-1] < CameraModel(16e6).unambiguous_range_mm
-    assert z[0] == (float(flags[1]) if flags[0] == "--z-min" else 10.0)
-    if flags == ["--z-step", "10"]:
-        assert flagged.read_bytes() == default.read_bytes()
-
-
-def test_simrange_explicit_z_max_just_inside_the_range(tmp_path):
-    # 9,368 mm lies inside c/(2f) = 9,368.5 mm at 16 MHz: the grid stops at
-    # 9,360 mm instead of stepping past z_max to 9,370 mm
-    out = tmp_path / "sweep.csv"
-    assert main(["simrange", "--beta", "3.2e-4", "--z-max", "9368", "--out", str(out)]) == 0
-    z = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
-    assert z[0] == 10.0 and z[-1] == 9360.0
-
-
-def test_simrange_explicit_z_max_past_the_range_exit_code(tmp_path, capsys):
-    code = main(["simrange", "--beta", "3.2e-4", "--z-max", "10000",
-                 "--out", str(tmp_path / "sweep.csv"), "--json"])
-    assert code == 2
-    assert "unambiguous range" in json.loads(capsys.readouterr().err.strip())["message"]
-
-
-@pytest.mark.parametrize("step", ["0", "-10"])
-def test_simrange_nonpositive_z_step_exit_code(tmp_path, capsys, step):
-    out = tmp_path / "sweep.csv"
-    code = main(["simrange", "--beta", "3.2e-4", "--z-step", step,
-                 "--out", str(out), "--json"])
-    assert code == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "InputError" and "--z-step" in err["message"]
-    assert not out.exists()
-
-
 def write_replay_manifest(tmp_path, **config):
     """A manifest of a run on two flat 8x8 grids, its `config` updated by `config`."""
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
@@ -423,8 +409,8 @@ def write_replay_manifest(tmp_path, **config):
     write_grid(phase, np.ones((8, 8)), "phase")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
-        "config": {"amplitude": {"profile": "amplitude-kinect16"},
-                   "phase": {"profile": "phase-kinect16"},
+        "config": {"amplitude": SolverConfig.profile("amplitude-kinect16").to_dict(),
+                   "phase": SolverConfig.profile("phase-kinect16").to_dict(),
                    "amp_input": str(amp), "phase_input": str(phase),
                    "modulation_frequency_hz": 16e6, **config},
         "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
@@ -456,9 +442,10 @@ def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
     (None, "preprocess_sigma", 1.0),
     ("amplitude", "clamp_nonnegative", True),
     ("phase", "plain_patch_fit", False),
-], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit"])
+    ("amplitude", "profile", "amplitude-kinect16"),
+], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit", "profile"])
 def test_replay_of_a_removed_setting_exit_code(tmp_path, capsys, section, key, value):
-    # settings an earlier tofdefog recorded: a replay names the key instead of running
+    # settings an earlier tofdefog recorded or read: a replay names the key instead of running
     manifest = write_replay_manifest(tmp_path)
     doc = json.loads(manifest.read_text())
     (doc["config"] if section is None else doc["config"][section])[key] = value
@@ -635,3 +622,14 @@ def test_readme_walkthrough_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_names_only_flags_the_cli_has():
+    # in prose too, so that a removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme))
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    assert "--amp-config" in named and "--gaussian-sigma" in named
+    assert named - flags == {"--ignore"}  # pytest's, in the install section

@@ -520,31 +520,35 @@ def test_profiles_match_published_hyperparameters():
         assert cfg.mask_threshold == 0.5
 
 
+# a complete config document: the one form from_json reads
+PHASE_DOC = PROFILES["phase-kinect16"].to_dict()
+
+
 def test_config_from_json():
     doc = {
-        "profile": "phase-kinect16",
+        **PHASE_DOC,
         "gamma3": 42.0,
         "flip": {"flip_row": 100, "excluded_bottom_rows": 0},
         "patch_grid": [2, 2],
     }
     cfg = SolverConfig.from_json(doc)
     assert cfg.gamma3 == 42.0
-    assert cfg.gamma1 == 0.01  # inherited from the profile
+    assert cfg.gamma1 == 0.01
     assert cfg.flip.flip_row == 100
     assert cfg.patch_grid == (2, 2)
-    with pytest.raises(ValueError):
-        SolverConfig.from_json({"profile": "nope"})
+    with pytest.raises(ValueError, match=r"key\(s\): profile"):
+        SolverConfig.from_json({**PHASE_DOC, "profile": "phase-kinect16"})
 
 
 @pytest.mark.parametrize("doc, named", [
-    ({"profile": "phase-kinect16", "gamma1": True}, "gamma1"),
-    ({"profile": "phase-kinect16", "mask_threshold": None}, "mask_threshold"),
-    ({"profile": "phase-kinect16", "gamma2": float("nan")}, "gamma2"),
-    ({"profile": "phase-kinect16", "c_fine": float("inf")}, "c_fine"),
-    ({"profile": "phase-kinect16", "max_outer_iters": 5.0}, "max_outer_iters"),
-    ({"profile": "phase-kinect16", "flip": {"flip_row": "3"}}, "flip_row"),
-    ({"profile": "phase-kinect16", "flip": {}}, "flip_row"),
-    ({"profile": ["phase-kinect16"]}, "unknown profile"),
+    ({**PHASE_DOC, "gamma1": True}, "gamma1"),
+    ({**PHASE_DOC, "mask_threshold": None}, "mask_threshold"),
+    ({**PHASE_DOC, "gamma2": float("nan")}, "gamma2"),
+    ({**PHASE_DOC, "c_fine": float("inf")}, "c_fine"),
+    ({**PHASE_DOC, "max_outer_iters": 5.0}, "max_outer_iters"),
+    ({**PHASE_DOC, "flip": {"flip_row": "3"}}, "flip_row"),
+    ({**PHASE_DOC, "flip": {}}, "flip_row"),
+    ({**PHASE_DOC, "profile": ["phase-kinect16"]}, r"key\(s\): profile"),
     ({"gamma1": 0.1, "gamma2": 0.1, "gamma3": 1.0}, "c_coarse, c_fine"),
 ], ids=["bool-gamma", "null-threshold", "nan-gamma", "inf-tukey", "float-iters",
         "string-flip-row", "empty-flip", "list-profile", "missing-tukey"])

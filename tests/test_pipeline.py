@@ -100,14 +100,12 @@ def test_defog_blas_thread_count_does_not_change_results(tmp_path):
                           flip_row=rows // 2, coverage="small"), scene_path)
     synth = tmp_path / "synth"
     assert main(["synth", str(scene_path), "--out", str(synth)]) == 0
-    configs = []
-    for profile in ("amplitude-kinect16", "phase-kinect16"):
-        path = tmp_path / f"{profile}.json"
-        path.write_text(json.dumps({
-            "profile": profile, "patch_grid": [1, 2],
-            "flip": {"flip_row": rows // 2, "excluded_bottom_rows": rows // 8},
-        }))
-        configs.append(str(path))
+    # laid over each domain's own profile
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "patch_grid": [1, 2],
+        "flip": {"flip_row": rows // 2, "excluded_bottom_rows": rows // 8},
+    }))
     src = os.path.dirname(os.path.dirname(td.__file__))
     manifests = []
     for blas_threads in ("1", "2"):
@@ -119,7 +117,7 @@ def test_defog_blas_thread_count_does_not_change_results(tmp_path):
              "--amp", str(synth / "foggy_amplitude.tofgrid"),
              "--phase", str(synth / "foggy_phase.tofgrid"),
              "--out", str(out), "--threads", "1",
-             "--amp-config", configs[0], "--phase-config", configs[1]],
+             "--amp-config", str(config), "--phase-config", str(config)],
             env=env, check=True, capture_output=True, timeout=120,
         )
         manifests.append(json.loads((out / "manifest.json").read_text()))

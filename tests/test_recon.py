@@ -168,9 +168,9 @@ def test_report_table_mirrors_per_object_layout():
         overall_mean=38.0,
         mask_iou=0.93,
     )
-    csv_text = report_table_csv([raw, prop], region_names={1: "Plane", 2: "Chair"})
+    csv_text = report_table_csv([raw, prop])
     lines = csv_text.strip().splitlines()
-    assert lines[0] == ",Plane,Chair,overall_mm,mask_iou"
+    assert lines[0] == ",region_1,region_2,overall_mm,mask_iou"
     assert lines[1].startswith("w/o method,253.38,372.02")
     assert lines[2].startswith("proposed,20.67,60.27")
     doc = prop.to_dict()

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 import tofdefog as td
-from tofdefog.simrange import RangeSweep, find_range, sweep, sweep_grid, write_csv
+from tofdefog.simrange import RangeSweep, find_range, sweep, write_csv
 
 CAM = td.CameraModel(16e6)
 FOG_MEDIUM = td.MediumParams(beta=3.2e-4, g=0.9, z0=10.0, z_saturate=1000.0)
@@ -32,16 +32,16 @@ def test_sweep_validates_grid():
         sweep(FOG_MEDIUM, CAM, z_grid=np.array([1.0, 50.0]))
 
 
-@pytest.mark.parametrize("z_min, z_step, z_max, last", [
-    (10.0, 10.0, 1006.0, 1000.0),   # off the grid: half a step past it is 1010
-    (10.0, 10.0, 1000.0, 1000.0),
-    (10.2, 0.3, 11.1, 11.1),        # np.arange's seventh point is 11.100000000000001
+@pytest.mark.parametrize("freq, z0, last", [
+    (16e6, 10.0, 9360.0),    # c/(2f) = 9,368.5 mm
+    (20e6, 50.0, 7490.0),    # c/(2f) = 7,494.8 mm
+    (8e6, 10.0, 10000.0),    # c/(2f) = 18,737 mm lies past the 10 m stop
 ])
-def test_sweep_grid_stops_at_an_explicit_z_max(z_min, z_step, z_max, last):
-    z = sweep_grid(FOG_MEDIUM, CAM, z_min, z_max, z_step)
-    assert z[0] == z_min
-    assert z[-1] == last
-    assert np.all(np.diff(z) > 0)
+def test_default_grid_runs_from_z0_to_below_the_unambiguous_range(freq, z0, last):
+    medium = td.MediumParams(beta=3.2e-4, g=0.9, z0=z0, z_saturate=1000.0)
+    z = sweep(medium, td.CameraModel(freq)).z_mm
+    assert z[0] == z0 and z[-1] == last
+    assert np.allclose(np.diff(z), 10.0)
 
 
 def test_sweep_saturation_ratio():
