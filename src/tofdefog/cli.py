@@ -3,8 +3,9 @@
 `defog` starts each domain from its Kinect profile; an --amp-config or
 --phase-config file lays its keys over that profile.  A run's manifest
 records both solver configs complete, which is the one form `replay`
-reads.  `eval` reads the modulation frequency from the scored run's
-manifest and the regions from the synth capture's labels.tofgrid.
+reads.  `synth` writes the camera's modulation frequency into the headers
+of the capture's foggy amplitude/phase pair, and `defog` and `eval` read
+it from there; `eval` reads the regions from the capture's labels.tofgrid.
 `simrange` sweeps the one default depth grid of `simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import CameraModel, DepthImage, PhasorImage, json_fits, phase_to_depth, wrap_phase
 from .forward import MediumParams, synthesize
-from .gridfile import GridFormatError, read_grid, write_grid
+from .gridfile import GridFile, GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
 from .pipeline import DOMAINS, build_manifest, defog, file_sha256, load_scene, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
@@ -40,8 +41,8 @@ class InputError(ValueError):
     pass
 
 
-# a run's settings besides its two solver configs, each with its one default (null: no smoothing)
-RUN_DEFAULTS = {"modulation_frequency_hz": 16e6, "gaussian_sigma": None}
+# a run's settings besides its solver configs and inputs, each with its default (null: no smoothing)
+RUN_DEFAULTS = {"gaussian_sigma": None}
 
 
 def _given(**flags) -> dict:
@@ -54,22 +55,25 @@ def _load_config(profile: str, config_path: str | None, overrides: dict,
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        cfg = SolverConfig.from_json({**cfg.to_dict(), **doc} if isinstance(doc, dict) else doc)
+        if isinstance(doc, dict):
+            base = cfg.to_dict()
+            if isinstance(doc.get("flip"), dict):  # a flip object lays its keys over the profile's
+                doc = {**doc, "flip": {**base["flip"], **doc["flip"]}}
+            doc = {**base, **doc}
+        cfg = SolverConfig.from_json(doc)
     return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
 
 
-def _json_object(path: str) -> dict:
-    """The JSON document at `path`, or {} when it is not an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return doc if isinstance(doc, dict) else {}
-
-
-def _frequency(value, where: str) -> float:
-    """`value` as a modulation frequency; InputError naming `where` unless finite and > 0."""
-    if not (json_fits(value, "float") and value > 0):
-        raise InputError(f"{where} modulation_frequency_hz must be finite and > 0, got {value!r}")
-    return value
+def _frequency(grids: dict) -> float:
+    """The modulation frequency that the headers of a capture's {path: GridFile} all hold."""
+    freqs = {path: grid.modulation_frequency_hz for path, grid in grids.items()}
+    for path, freq in freqs.items():
+        if freq is None:
+            raise InputError(f"{path}: header has no modulation_frequency_hz, "
+                             f"which a capture's amplitude and phase grids carry")
+    if len(set(freqs.values())) > 1:
+        raise InputError(f"the capture's grids differ in modulation_frequency_hz: {freqs}")
+    return next(iter(freqs.values()))
 
 
 def _gaussian(sigma, amplitude, phase):
@@ -85,19 +89,19 @@ def _gaussian(sigma, amplitude, phase):
     return smoothed.amplitude, smoothed.phase
 
 
-def _read_grid(path: str, domain: str) -> np.ndarray:
-    """The values of the grid at `path`; InputError unless it is a `domain` grid."""
+def _read_grid(path: str, domain: str) -> GridFile:
+    """The grid at `path`; InputError unless it is a `domain` grid."""
     grid = read_grid(path)
     if grid.domain != domain:
         article = "an" if domain[0] in "aeiou" else "a"
         raise InputError(f"{path}: expected {article} {domain} grid, got {grid.domain}")
-    return grid.values
+    return grid
 
 
-def _write_grid(out: str, name: str, values, domain: str) -> str:
-    """Write one output grid as `out`/`name`; returns its path."""
+def _write_grid(out: str, name: str, values, domain: str, frequency=None) -> str:
+    """Write one output grid as `out`/`name`, a capture's with its frequency; returns its path."""
     path = os.path.join(out, name)
-    write_grid(path, values, domain)
+    write_grid(path, values, domain, modulation_frequency_hz=frequency)
     return path
 
 
@@ -109,9 +113,10 @@ def cmd_synth(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     labels = result.true_mask.mask if scene.labels is None else scene.labels
+    freq = scene.cam.modulation_frequency_hz
     outputs = sorted([
-        _write_grid(out, "foggy_amplitude.tofgrid", result.foggy.amplitude, "amplitude"),
-        _write_grid(out, "foggy_phase.tofgrid", result.foggy.phase, "phase"),
+        _write_grid(out, "foggy_amplitude.tofgrid", result.foggy.amplitude, "amplitude", freq),
+        _write_grid(out, "foggy_phase.tofgrid", result.foggy.phase, "phase", freq),
         _write_grid(out, "depth_gt.tofgrid", result.clean_depth.depth, "depth"),
         _write_grid(out, "scattering_amplitude_gt.tofgrid",
                     result.scattering_amplitude.values, "amplitude"),
@@ -141,13 +146,15 @@ def cmd_defog(args) -> int:
     # each domain starts from its one profile
     config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
               for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))}
-    config.update(_given(modulation_frequency_hz=args.freq, gaussian_sigma=args.gaussian_sigma))
+    config.update(_given(gaussian_sigma=args.gaussian_sigma))
     return _run(args, config, args.amp, args.phase)
 
 
 def cmd_replay(args) -> int:
     """Rerun a manifest's run on its `config` input paths, whose sha256s must match `inputs`."""
-    doc = _json_object(args.manifest)
+    with open(args.manifest, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc = doc if isinstance(doc, dict) else {}
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
         raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
@@ -167,7 +174,7 @@ def cmd_replay(args) -> int:
 def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
     """Defog the pair under a run's `config` section, its unset settings from RUN_DEFAULTS."""
     config = {**RUN_DEFAULTS, **config}
-    freq, sigma = _frequency(config["modulation_frequency_hz"], "config"), config["gaussian_sigma"]
+    sigma = config["gaussian_sigma"]
     # scipy skips the filter for a sigma <= 0 or NaN instead of failing
     if not (sigma is None or json_fits(sigma, "float") and sigma > 0):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
@@ -177,18 +184,13 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
                   amp_input=os.path.abspath(amp_path),
                   phase_input=os.path.abspath(phase_path))
 
-    amp_values = _read_grid(amp_path, "amplitude")
-    phase_values = _read_grid(phase_path, "phase")
-    if amp_values.shape != phase_values.shape:
-        raise InputError(
-            f"amplitude {amp_values.shape} and phase {phase_values.shape} sizes differ"
-        )
-
+    amp, phase = _read_grid(amp_path, "amplitude"), _read_grid(phase_path, "phase")
+    freq = _frequency({amp_path: amp, phase_path: phase})
+    amp_values, phase_values = amp.values, phase.values
     if sigma is not None:
         amp_values, phase_values = _gaussian(sigma, amp_values, phase_values)
-    rows, cols = amp_values.shape
-    cam = CameraModel(modulation_frequency_hz=freq, rows=rows, cols=cols)
     obs = PhasorImage(amplitude=amp_values, phase=phase_values)
+    cam = CameraModel(freq, *obs.shape)
 
     t0 = time.monotonic()
     result = defog(obs, cam, amp_cfg, phase_cfg, threads=args.threads)
@@ -227,19 +229,18 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
 
 def cmd_eval(args) -> int:
     """Score a defog run (`--est`) and the raw capture against a synth capture (`--gt`)."""
-    manifest = os.path.join(args.est, "manifest.json")
-    config = _json_object(manifest).get("config")
-    freq = _frequency(config.get("modulation_frequency_hz") if isinstance(config, dict) else None,
-                      f"{manifest}: config")
-    depth_est = DepthImage(_read_grid(os.path.join(args.est, "depth_masked.tofgrid"), "depth"))
-    m_est = ObjectMask(_read_grid(os.path.join(args.est, "mask_fused.tofgrid"), "label") > 0.5)
-    depth_gt = DepthImage(_read_grid(os.path.join(args.gt, "depth_gt.tofgrid"), "depth"))
-    m_gt = ObjectMask(_read_grid(os.path.join(args.gt, "mask_gt.tofgrid"), "label") > 0.5)
-    labels = _read_grid(os.path.join(args.gt, "labels.tofgrid"), "label")
-    regions = np.rint(labels).astype(np.int64)
-    cam = CameraModel(freq, *depth_gt.shape)
-    foggy_phase = _read_grid(os.path.join(args.gt, "foggy_phase.tofgrid"), "phase")
-    raw_depth = DepthImage(phase_to_depth(foggy_phase, cam))
+    def values(directory, name, domain):
+        return _read_grid(os.path.join(directory, f"{name}.tofgrid"), domain).values
+
+    depth_est = DepthImage(values(args.est, "depth_masked", "depth"))
+    m_est = ObjectMask(values(args.est, "mask_fused", "label") > 0.5)
+    depth_gt = DepthImage(values(args.gt, "depth_gt", "depth"))
+    m_gt = ObjectMask(values(args.gt, "mask_gt", "label") > 0.5)
+    regions = np.rint(values(args.gt, "labels", "label")).astype(np.int64)
+    foggy_path = os.path.join(args.gt, "foggy_phase.tofgrid")
+    foggy_phase = _read_grid(foggy_path, "phase")
+    cam = CameraModel(_frequency({foggy_path: foggy_phase}), *depth_gt.shape)
+    raw_depth = DepthImage(phase_to_depth(foggy_phase.values, cam))
     raw = evaluate(raw_depth, depth_gt, m_gt, m_gt, regions, label="w/o method")
     raw.mask_iou = float("nan")  # no estimated mask in the raw pipeline
     reports = [raw, evaluate(depth_est, depth_gt, m_est, m_gt, regions, label="proposed")]
@@ -306,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--amp", required=True, help="amplitude TOFGRID file")
     p.add_argument("--phase", required=True, help="phase TOFGRID file")
     p.add_argument("--out", required=True)
-    p.add_argument("--freq", type=float,
-                   help="modulation frequency in Hz (default Kinect 16 MHz)")
     p.add_argument("--amp-config", help="JSON file overriding the amplitude config")
     p.add_argument("--phase-config", help="JSON file overriding the phase config")
     p.add_argument("--max-iters", type=int, default=None)

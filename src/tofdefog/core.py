@@ -42,8 +42,8 @@ class CameraModel:
     speed_of_light_mm_per_s: float = SPEED_OF_LIGHT_MM_S
 
     def __post_init__(self):
-        if not (self.modulation_frequency_hz > 0):
-            raise ValueError("modulation_frequency_hz must be positive")
+        if not (0 < self.modulation_frequency_hz < math.inf):
+            raise ValueError("modulation_frequency_hz must be finite and positive")
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError("sensor dimensions must be positive")
 

@@ -38,14 +38,14 @@ class MediumParams:
     z_saturate: float = 1000.0   # distance past which backscatter is flat, mm
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        # written so that NaN fails each check
+        if not (0 <= self.beta < np.inf):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta!r}")
         if not (-1.0 < self.g < 1.0):
-            raise ValueError("g must lie in (-1, 1)")
-        if self.z0 <= 0:
-            raise ValueError("z0 must be positive")
-        if self.z0 >= self.z_saturate:
-            raise ValueError("z0 must be below z_saturate")
+            raise ValueError(f"g must lie in (-1, 1), got {self.g!r}")
+        if not (0 < self.z0 < self.z_saturate < np.inf):
+            raise ValueError(f"z0 must satisfy 0 < z0 < z_saturate < inf, "
+                             f"got z0={self.z0!r}, z_saturate={self.z_saturate!r}")
 
 
 def hg_phase(theta, g: float):

@@ -5,6 +5,7 @@ rows*cols little-endian float32 values in row-major order.
 
 Domains carry their value contracts: phase grids hold radians in
 [0, 2*pi); depth grids use +inf for background; weights lie in [0, 1].
+A capture's amplitude and phase grids carry its modulation_frequency_hz.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI
+from .core import TWO_PI, json_fits
 
 MAGIC = "TOFGRID"
 VERSION = 1
@@ -38,6 +39,7 @@ class GridFile:
     values: np.ndarray          # float64 view of the stored float32 payload
     domain: str
     units: str
+    modulation_frequency_hz: float | None = None   # a capture grid's, from its header
 
 
 def _validate_domain_values(values: np.ndarray, domain: str, where: str):
@@ -58,8 +60,9 @@ def _validate_domain_values(values: np.ndarray, domain: str, where: str):
             raise GridFormatError(f"{where}: labels must be finite")
 
 
-def write_grid(path, values, domain: str, units: str | None = None) -> None:
-    """Write a grid; float64 input is cast to the stored float32."""
+def write_grid(path, values, domain: str, units: str | None = None,
+               modulation_frequency_hz: float | None = None) -> None:
+    """Write a grid; float64 input is cast to the stored float32, a frequency to the header."""
     if domain not in DOMAINS:
         raise GridFormatError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
     values = np.asarray(values, dtype=np.float64)
@@ -80,6 +83,8 @@ def write_grid(path, values, domain: str, units: str | None = None) -> None:
         "units": units if units is not None else DEFAULT_UNITS[domain],
         "domain": domain,
     }
+    if modulation_frequency_hz is not None:
+        header["modulation_frequency_hz"] = modulation_frequency_hz
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\x00")
@@ -105,6 +110,10 @@ def _parse_header(raw: bytes, where: str) -> dict:
             raise GridFormatError(f"{where}: bad {key} in header")
     if not isinstance(header.get("units"), str):
         raise GridFormatError(f"{where}: units must be a string, got {header.get('units')!r}")
+    freq = header.get("modulation_frequency_hz")
+    if "modulation_frequency_hz" in header and not (json_fits(freq, "float") and freq > 0):
+        raise GridFormatError(f"{where}: modulation_frequency_hz must be finite and > 0, "
+                              f"got {freq!r}")
     return header
 
 
@@ -126,4 +135,5 @@ def read_grid(path) -> GridFile:
     values = np.frombuffer(payload, dtype="<f4").reshape(header["rows"], header["cols"])
     values = values.astype(np.float64)
     _validate_domain_values(values, header["domain"], str(path))
-    return GridFile(values=values, domain=header["domain"], units=header["units"])
+    return GridFile(values=values, domain=header["domain"], units=header["units"],
+                    modulation_frequency_hz=header.get("modulation_frequency_hz"))

@@ -52,6 +52,8 @@ from .recon import ObjectMask
 # squares methods", COAP 2016).
 FORCING = 0.1
 
+MASK_THRESHOLD = 0.5  # a pixel whose final weight lies below it is an object's
+
 
 class SolverError(RuntimeError):
     """Linear solver failed to converge; carries the residual norm."""
@@ -88,15 +90,12 @@ class SolverConfig:
     max_outer_iters: int = 50
     convergence_tol: float = 1e-4
     linear_solver_tol: float = 1e-6
-    mask_threshold: float = 0.5
 
     def __post_init__(self):
         if min(self.gamma1, self.gamma2, self.gamma3) < 0:
             raise ValueError("gamma constants must be non-negative")
         if self.c_coarse <= 0 or self.c_fine <= 0:
             raise ValueError("Tukey tuning constants must be positive")
-        if not (0 < self.mask_threshold < 1):
-            raise ValueError("mask_threshold must lie in (0, 1)")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
         if self.convergence_tol <= 0 or self.linear_solver_tol <= 0:
@@ -243,9 +242,9 @@ def _scale_floor(x_tilde: np.ndarray) -> float:
     return 1e-6 * (float(np.max(np.abs(x_tilde))) + 1e-12)
 
 
-def binarize_weights(w: np.ndarray, threshold: float) -> ObjectMask:
-    """Low weight marks an outlier, i.e. an object pixel."""
-    return ObjectMask(mask=w < threshold)
+def binarize_weights(w: np.ndarray) -> ObjectMask:
+    """Low weight marks an outlier, i.e. an object pixel: w < MASK_THRESHOLD."""
+    return ObjectMask(mask=w < MASK_THRESHOLD)
 
 
 class _Workspace:

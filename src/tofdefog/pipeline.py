@@ -73,8 +73,8 @@ def defog(obs: PhasorImage, cam: CameraModel,
         runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
     amplitude, phase = (
         DomainResult(coarse, fine, ScatteringField(np.maximum(fine.x, 0.0) if clamp else fine.x),
-                     binarize_weights(fine.w, cfg.mask_threshold))
-        for (coarse, fine), cfg, clamp in zip(runs, cfgs, (True, False)))
+                     binarize_weights(fine.w))
+        for (coarse, fine), clamp in zip(runs, (True, False)))
     fused = fuse_masks(amplitude.mask, phase.mask)
     direct = recover_direct(obs, amplitude.field.values, phase.field.values)
     return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))

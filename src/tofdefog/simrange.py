@@ -43,6 +43,8 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
     The default grid is DEFAULT_Z_GRID's, started at the medium's z0 when
     that lies deeper and stopped below the unambiguous range c/(2f).
     """
+    if not (0 <= reflectance < math.inf):
+        raise ValueError(f"reflectance must be finite and non-negative, got {reflectance!r}")
     if z_grid is None:
         start, stop, step = DEFAULT_Z_GRID
         z_grid = np.arange(max(start, medium.z0),

@@ -87,44 +87,91 @@ def test_synth_defog_eval_round_trip(tmp_path, scene_dir):
     assert csv_lines[0].startswith(",region_1")
 
 
-def test_eval_takes_the_frequency_from_the_run_manifest(tmp_path):
-    # a 20 MHz capture defogged at 20 MHz: the raw baseline converts the
-    # foggy phase at 20 MHz, not at the Kinect's 16 MHz
+def set_header(path, **keys):
+    """Rewrite the TOFGRID header of `path` with `keys` set; a key set to ... is deleted."""
+    header, payload = path.read_bytes().split(b"\x00", 1)
+    header = {**json.loads(header), **keys}
+    header = {key: value for key, value in header.items() if value is not ...}
+    path.write_bytes(json.dumps(header).encode() + b"\x00" + payload)
+
+
+def test_defog_and_eval_take_the_frequency_from_the_capture(tmp_path):
+    # a 20 MHz capture: defog and the raw baseline convert phase at 20 MHz,
+    # not at the Kinect's 16 MHz, with no flag naming it
     scene = make_scene(beta=3.2e-4, seed=5, rows=ROWS, cols=COLS,
                        flip_row=ROWS // 2, coverage="small")
     scene.cam = CameraModel(20e6, rows=ROWS, cols=COLS)
     save_scene(scene, tmp_path / "scene" / "scene.json")
     synth_out, defog_out = tmp_path / "synth", tmp_path / "defog"
     run_synth(tmp_path / "scene" / "scene.json", synth_out)
-    run_defog(tmp_path, synth_out, defog_out, ["--freq", "20e6"])
+    carried = {path.name: read_grid(path).modulation_frequency_hz
+               for path in synth_out.glob("*.tofgrid")}
+    assert {name for name, freq in carried.items() if freq is not None} == {
+        "foggy_amplitude.tofgrid", "foggy_phase.tofgrid"}
+    assert carried["foggy_phase.tofgrid"] == 20e6
+    run_defog(tmp_path, synth_out, defog_out)
+    config = json.loads((defog_out / "manifest.json").read_text())["config"]
+    assert "modulation_frequency_hz" not in config
     assert main(["eval", "--est", str(defog_out), "--gt", str(synth_out)]) == 0
     by_label = {r["label"]: r for r in json.loads((defog_out / "report.json").read_text())}
-    # what `eval --freq 20e6` reported when the frequency was a flag; the
-    # 16 MHz default gave 208.79 mm
+    # a defog at the 16 MHz that was the default gave 424.11 mm, and its
+    # eval 208.79 mm for the raw baseline
+    assert by_label["proposed"]["overall_mean_mm"] == pytest.approx(21.72, abs=0.005)
     assert by_label["w/o method"]["overall_mean_mm"] == pytest.approx(528.04, abs=0.005)
 
 
-@pytest.mark.parametrize("manifest", [
-    None,
-    ["x"],
-    {"config": {}},
-    {"config": {"modulation_frequency_hz": 0}},
-    {"config": {"modulation_frequency_hz": -16e6}},
-    {"config": {"modulation_frequency_hz": "16e6"}},
+@pytest.mark.parametrize("freq, code", [
+    (..., 2), (["x"], 4), (None, 4), (0, 4), (-16e6, 4), ("16e6", 4),
 ], ids=["missing", "list", "no-frequency", "zero-frequency", "negative-frequency",
         "string-frequency"])
-def test_eval_without_a_run_frequency_exit_code(tmp_path, capsys, manifest):
+def test_eval_without_a_run_frequency_exit_code(tmp_path, capsys, freq, code):
+    # eval converts the raw baseline at the frequency in --gt's foggy phase header
     argv = write_malformed_input(tmp_path, "valid")
-    path = tmp_path / "est" / "manifest.json"
-    if manifest is None:
-        path.unlink()
-    else:
-        path.write_text(json.dumps(manifest))
+    path = tmp_path / "capture" / "foggy_phase.tofgrid"
+    set_header(path, modulation_frequency_hz=freq)
     capsys.readouterr()
-    assert main(argv + ["--json"]) == 2
+    assert main(argv + ["--json"]) == code
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["exit_code"] == 2 and str(path) in err["message"]
+    assert err["exit_code"] == code and str(path) in err["message"]
     assert not (tmp_path / "est" / "report.json").exists()
+
+
+@pytest.mark.parametrize("amp_freq, phase_freq, named", [
+    (..., 16e6, "amp"), (16e6, ..., "phase"), (16e6, 20e6, "amp"), (16e6, 20e6, "phase"),
+], ids=["amplitude-without", "phase-without", "differ-names-amplitude", "differ-names-phase"])
+def test_defog_of_a_pair_without_one_frequency_exit_code(tmp_path, capsys, amp_freq,
+                                                         phase_freq, named):
+    argv = write_flat_pair(tmp_path)
+    set_header(tmp_path / "amp.tofgrid", modulation_frequency_hz=amp_freq)
+    set_header(tmp_path / "phase.tofgrid", modulation_frequency_hz=phase_freq)
+    assert main(["defog", *argv, "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and str(tmp_path / f"{named}.tofgrid") in err["message"]
+    assert "modulation_frequency_hz" in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_defog_has_no_freq_flag(tmp_path, capsys):
+    # the capture's headers carry the frequency; a flag would be a second source
+    with pytest.raises(SystemExit) as exc:
+        main(["defog", *write_flat_pair(tmp_path), "--freq", "16e6"])
+    assert exc.value.code == 2
+    assert "--freq" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("sigma", [[], ["--gaussian-sigma", "1.0"]], ids=["plain", "smoothed"])
+def test_defog_of_a_pair_of_two_sizes_exit_code(tmp_path, capsys, sigma):
+    amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+    write_grid(amp, np.ones((16, 16)), "amplitude", modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((16, 12), 0.1), "phase", modulation_frequency_hz=16e6)
+    out = tmp_path / "d"
+    code = main(["defog", "--amp", str(amp), "--phase", str(phase), "--out", str(out),
+                 "--flip-row", "8", "--excluded-rows", "2", *sigma, "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "(16, 16)" in err["message"] and "(16, 12)" in err["message"]
+    assert not out.exists()
 
 
 def test_defog_gaussian_sigma_is_recorded_and_replayed(tmp_path, scene_dir):
@@ -241,7 +288,7 @@ def test_defog_has_no_replay_mode(tmp_path, scene_dir):
 
 
 # each of defog's run flags, with a value; a replay runs the manifest's settings only
-DEFOG_RUN_FLAGS = [["--amp", "a.tofgrid"], ["--phase", "p.tofgrid"], ["--freq", "16e6"],
+DEFOG_RUN_FLAGS = [["--amp", "a.tofgrid"], ["--phase", "p.tofgrid"],
                    ["--amp-config", "a.json"], ["--phase-config", "p.json"],
                    ["--max-iters", "1"], ["--flip-row", "4"], ["--excluded-rows", "2"],
                    ["--gaussian-sigma", "2"]]
@@ -285,8 +332,8 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
-    write_grid(amp, np.ones((16, 16)), amp_domain)
-    write_grid(phase, np.full((16, 16), 0.1), phase_domain)
+    write_grid(amp, np.ones((16, 16)), amp_domain, modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((16, 16), 0.1), phase_domain, modulation_frequency_hz=16e6)
     return ["--amp", str(amp), "--phase", str(phase),
             "--flip-row", "8", "--excluded-rows", "2", "--out", str(tmp_path / "d")]
 
@@ -319,7 +366,7 @@ def test_defog_dimension_mismatch_exit_code(tmp_path, scene_dir):
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
     small = tmp_path / "small.tofgrid"
-    write_grid(small, np.zeros((8, 8)), "phase")
+    write_grid(small, np.zeros((8, 8)), "phase", modulation_frequency_hz=16e6)
     code = main([
         "defog",
         "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
@@ -354,8 +401,10 @@ def test_defog_format_error_exit_code(tmp_path, scene_dir, capsys):
     ({"gamma1": "0.1"}, "gamma1"),
     ({"patch_grid": ["a", 2]}, "patch_grid"),
     ({"profile": "amplitude-kinect16"}, "profile"),
+    ({"mask_threshold": 0.4}, "mask_threshold"),
+    ({"flip": [5, 2]}, "flip"),
 ], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list",
-        "string-gamma", "non-int-patch-grid", "profile-key"])
+        "string-gamma", "non-int-patch-grid", "profile-key", "mask-threshold-key", "list-flip"])
 def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
     # the config is rejected before the (absent) grids are opened; a file
     # lays its keys over its domain's profile, so none names a profile
@@ -372,6 +421,13 @@ def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ValueError" and err["exit_code"] == 2
     assert named in err["message"]
+
+
+def test_a_partial_flip_object_lays_its_keys_over_the_profile(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"flip": {"flip_row": 100}}))
+    cfg = cli._load_config("amplitude-kinect16", str(path), {}, {})
+    assert (cfg.flip.flip_row, cfg.flip.excluded_bottom_rows) == (100, 24)
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -396,6 +452,25 @@ def test_simrange_cli(tmp_path):
     assert "plot" in gp.read_text()
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--beta", "nan", "beta"),
+    ("--beta", "inf", "beta"),
+    ("--I", "nan", "reflectance"),
+    ("--I", "-1", "reflectance"),
+    ("--I", "inf", "reflectance"),
+    ("--z0", "nan", "z0"),
+    ("--freq", "inf", "modulation_frequency_hz"),
+])
+def test_simrange_non_finite_or_negative_value_exit_code(tmp_path, capsys, flag, value, named):
+    # NaN passes a check written as `value < 0`; such a sweep wrote NaN or inf columns
+    out = tmp_path / "sweep.csv"
+    assert main(["simrange", "--beta", "3.2e-4", f"{flag}={value}", "--out", str(out),
+                 "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and f"{named} must" in err["message"]
+    assert not out.exists()
+
+
 def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simrange", "--beta", "0", "--out", str(out)]) == 0
@@ -405,14 +480,13 @@ def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
 def write_replay_manifest(tmp_path, **config):
     """A manifest of a run on two flat 8x8 grids, its `config` updated by `config`."""
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
-    write_grid(amp, np.ones((8, 8)), "amplitude")
-    write_grid(phase, np.ones((8, 8)), "phase")
+    write_grid(amp, np.ones((8, 8)), "amplitude", modulation_frequency_hz=16e6)
+    write_grid(phase, np.ones((8, 8)), "phase", modulation_frequency_hz=16e6)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({
         "config": {"amplitude": SolverConfig.profile("amplitude-kinect16").to_dict(),
                    "phase": SolverConfig.profile("phase-kinect16").to_dict(),
-                   "amp_input": str(amp), "phase_input": str(phase),
-                   "modulation_frequency_hz": 16e6, **config},
+                   "amp_input": str(amp), "phase_input": str(phase), **config},
         "inputs": {str(amp): file_sha256(amp), str(phase): file_sha256(phase)},
     }))
     return manifest
@@ -443,7 +517,10 @@ def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
     ("amplitude", "clamp_nonnegative", True),
     ("phase", "plain_patch_fit", False),
     ("amplitude", "profile", "amplitude-kinect16"),
-], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit", "profile"])
+    (None, "modulation_frequency_hz", 16e6),
+    ("phase", "mask_threshold", 0.5),
+], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit", "profile",
+        "modulation-frequency", "mask-threshold"])
 def test_replay_of_a_removed_setting_exit_code(tmp_path, capsys, section, key, value):
     # settings an earlier tofdefog recorded or read: a replay names the key instead of running
     manifest = write_replay_manifest(tmp_path)
@@ -466,7 +543,6 @@ MALFORMED_MANIFESTS = {
     "relative-path": "amp_input",
     "unknown-config-key": "gaussian_sigmaa",
     "rewritten-input": "amp.tofgrid",
-    "string-freq": "modulation_frequency_hz",
     "bool-sigma": "Gaussian sigma",
     "string-sigma": "Gaussian sigma",
 }
@@ -493,10 +569,8 @@ def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, case):
         write_grid(tmp_path / "amp.tofgrid", np.full((8, 8), 2.0), "amplitude")
     elif case == "bool-sigma":
         config["gaussian_sigma"] = True
-    elif case == "string-sigma":
-        config["gaussian_sigma"] = "abc"
     else:
-        config["modulation_frequency_hz"] = "16e6"
+        config["gaussian_sigma"] = "abc"
     manifest.write_text(json.dumps(doc))
     out = tmp_path / "out"
     code = main(["replay", str(manifest), "--out", str(out), "--json"])
@@ -552,7 +626,6 @@ def write_malformed_input(tmp_path, case):
     capture, est = tmp_path / "capture", tmp_path / "est"
     assert main(["synth", str(scene_path), "--out", str(capture)]) == 0
     est.mkdir()
-    (est / "manifest.json").write_text(json.dumps({"config": {"modulation_frequency_hz": 16e6}}))
     write_grid(est / "depth_masked.tofgrid", read_grid(capture / "depth_gt.tofgrid").values,
                "depth")
     write_grid(est / "mask_fused.tofgrid", read_grid(capture / "mask_gt.tofgrid").values,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,19 @@ def test_round_trip_bit_identical_payload(tmp_path):
     path2 = tmp_path / "b.tofgrid"
     write_grid(path2, grid.values, "amplitude")
     assert path.read_bytes() == path2.read_bytes()
+    assert grid.modulation_frequency_hz is None
+
+
+def test_capture_frequency_round_trips_through_the_header(tmp_path):
+    values = np.full((3, 4), 0.5)
+    plain, capture = tmp_path / "plain.tofgrid", tmp_path / "capture.tofgrid"
+    write_grid(plain, values, "phase")
+    write_grid(capture, values, "phase", modulation_frequency_hz=20e6)
+    assert read_grid(capture).modulation_frequency_hz == 20e6
+    header = json.loads(capture.read_bytes().split(b"\x00", 1)[0])
+    assert header["modulation_frequency_hz"] == 20e6
+    # the key changes the header only
+    assert capture.read_bytes().split(b"\x00", 1)[1] == plain.read_bytes().split(b"\x00", 1)[1]
 
 
 def test_payload_size_424x512(tmp_path):
@@ -113,14 +127,19 @@ def test_malformed_header_json(tmp_path):
 
 @pytest.mark.parametrize("change", [
     {"units": None}, {"units": 1}, {"rows": True}, {"cols": True},
-], ids=["no-units", "int-units", "bool-rows", "bool-cols"])
+    {"modulation_frequency_hz": True}, {"modulation_frequency_hz": "16e6"},
+    {"modulation_frequency_hz": float("nan")}, {"modulation_frequency_hz": float("inf")},
+    {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": -16e6},
+], ids=["no-units", "int-units", "bool-rows", "bool-cols", "bool-frequency",
+        "string-frequency", "nan-frequency", "inf-frequency", "zero-frequency",
+        "negative-frequency"])
 def test_malformed_header_field_is_a_format_error(tmp_path, change):
     header = {"magic": "TOFGRID", "version": 1, "rows": 1, "cols": 1,
               "dtype": "f32", "units": "1", "domain": "weight", **change}
     header = {key: value for key, value in header.items() if value is not None}
     path = tmp_path / "bad.tofgrid"
     path.write_bytes(json.dumps(header).encode() + b"\x00" + b"\x00" * 4)
-    with pytest.raises(GridFormatError):
+    with pytest.raises(GridFormatError, match=re.escape(str(path))):
         read_grid(path)
 
 

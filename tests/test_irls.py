@@ -498,11 +498,11 @@ def test_determinism_bit_identical():
 def test_binarize_weights():
     ones = np.ones((4, 4))
     zeros = np.zeros((4, 4))
-    assert binarize_weights(ones, 0.5).count() == 0
-    assert binarize_weights(zeros, 0.5).count() == 16
+    assert binarize_weights(ones).count() == 0
+    assert binarize_weights(zeros).count() == 16
     w = np.ones((4, 4))
     w[1, 2] = 0.3
-    mask = binarize_weights(w, 0.5)
+    mask = binarize_weights(w)
     assert mask.count() == 1 and mask.mask[1, 2]
 
 
@@ -517,7 +517,6 @@ def test_profiles_match_published_hyperparameters():
         assert cfg.patch_grid == (4, 4)
         assert cfg.flip.flip_row == 200
         assert cfg.flip.excluded_bottom_rows == 24
-        assert cfg.mask_threshold == 0.5
 
 
 # a complete config document: the one form from_json reads
@@ -542,7 +541,7 @@ def test_config_from_json():
 
 @pytest.mark.parametrize("doc, named", [
     ({**PHASE_DOC, "gamma1": True}, "gamma1"),
-    ({**PHASE_DOC, "mask_threshold": None}, "mask_threshold"),
+    ({**PHASE_DOC, "convergence_tol": None}, "convergence_tol"),
     ({**PHASE_DOC, "gamma2": float("nan")}, "gamma2"),
     ({**PHASE_DOC, "c_fine": float("inf")}, "c_fine"),
     ({**PHASE_DOC, "max_outer_iters": 5.0}, "max_outer_iters"),
@@ -550,7 +549,7 @@ def test_config_from_json():
     ({**PHASE_DOC, "flip": {}}, "flip_row"),
     ({**PHASE_DOC, "profile": ["phase-kinect16"]}, r"key\(s\): profile"),
     ({"gamma1": 0.1, "gamma2": 0.1, "gamma3": 1.0}, "c_coarse, c_fine"),
-], ids=["bool-gamma", "null-threshold", "nan-gamma", "inf-tukey", "float-iters",
+], ids=["bool-gamma", "null-tolerance", "nan-gamma", "inf-tukey", "float-iters",
         "string-flip-row", "empty-flip", "list-profile", "missing-tukey"])
 def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
     with pytest.raises(ValueError, match=named):
@@ -572,5 +571,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=0, c_fine=7)
     with pytest.raises(ValueError):
-        SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=4, c_fine=7,
-                     mask_threshold=1.5)
+        SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=4, c_fine=7, max_outer_iters=0)
