@@ -1,11 +1,13 @@
 """Command-line interface: synth, defog, replay, eval, simrange.
 
 `defog` starts each domain from its Kinect profile; an --amp-config or
---phase-config file lays its keys over that profile.  A run's manifest
-records both solver configs complete, which is the one form `replay`
-reads.  `synth` writes the camera's modulation frequency into the headers
-of the capture's foggy amplitude/phase pair, and `defog` and `eval` read
-it from there; `eval` reads the regions from the capture's labels.tofgrid.
+--phase-config file lays its keys over that profile, and the
+--flip-row/--excluded-rows/--max-iters flags lay theirs over both.  A run's
+manifest records both solver configs complete, which is the one form
+`replay` reads.  `synth` writes the camera's modulation frequency into the
+headers of the capture's foggy amplitude/phase pair, and `defog` and `eval`
+read it from there; `eval` reads the regions from the capture's
+labels.tofgrid.  A grid read for a role it does not fit is an InputError.
 `simrange` sweeps the one default depth grid of `simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
@@ -19,15 +21,16 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, json_fits, phase_to_depth, wrap_phase
+from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, phase_to_depth,
+                   wrap_phase)
 from .forward import MediumParams, synthesize
-from .gridfile import GridFile, GridFormatError, read_grid, write_grid
+from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
-from .pipeline import DOMAINS, build_manifest, defog, file_sha256, load_scene, write_manifest
+from .pipeline import (DOMAINS, build_manifest, defog, file_sha256, load_scene, thread_count,
+                       write_manifest)
 from .recon import ObjectMask, evaluate, report_table_csv
 from .simrange import find_range, sweep, write_csv, write_gnuplot_script
 
@@ -37,31 +40,27 @@ EXIT_SOLVER = 3
 EXIT_FORMAT = 4
 
 
-class InputError(ValueError):
-    pass
-
-
-# a run's settings besides its solver configs and inputs, each with its default (null: no smoothing)
-RUN_DEFAULTS = {"gaussian_sigma": None}
-
-
 def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _load_config(profile: str, config_path: str | None, overrides: dict,
-                 flip_overrides: dict) -> SolverConfig:
+def _lay(cfg: SolverConfig, layer) -> SolverConfig:
+    """The config document `layer` laid key by key over `cfg`, a flip object's over cfg's flip."""
+    if isinstance(layer, dict):
+        base = cfg.to_dict()
+        if isinstance(layer.get("flip"), dict):
+            layer = {**layer, "flip": {**base["flip"], **layer["flip"]}}
+        layer = {**base, **layer}
+    return SolverConfig.from_json(layer)
+
+
+def _solver_config(profile: str, config_path: str | None, flags: dict) -> SolverConfig:
+    """A domain's solver config: its profile, then its config file's keys, then the flags'."""
     cfg = SolverConfig.profile(profile)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict):
-            base = cfg.to_dict()
-            if isinstance(doc.get("flip"), dict):  # a flip object lays its keys over the profile's
-                doc = {**doc, "flip": {**base["flip"], **doc["flip"]}}
-            doc = {**base, **doc}
-        cfg = SolverConfig.from_json(doc)
-    return replace(cfg, flip=replace(cfg.flip, **flip_overrides), **overrides)
+            cfg = _lay(cfg, json.load(fh))
+    return _lay(cfg, flags)
 
 
 def _frequency(grids: dict) -> float:
@@ -87,15 +86,6 @@ def _gaussian(sigma, amplitude, phase):
     smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
                                         + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
     return smoothed.amplitude, smoothed.phase
-
-
-def _read_grid(path: str, domain: str) -> GridFile:
-    """The grid at `path`; InputError unless it is a `domain` grid."""
-    grid = read_grid(path)
-    if grid.domain != domain:
-        article = "an" if domain[0] in "aeiou" else "a"
-        raise InputError(f"{path}: expected {article} {domain} grid, got {grid.domain}")
-    return grid
 
 
 def _write_grid(out: str, name: str, values, domain: str, frequency=None) -> str:
@@ -141,13 +131,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_defog(args) -> int:
-    overrides = _given(max_outer_iters=args.max_iters)
     flip = _given(flip_row=args.flip_row, excluded_bottom_rows=args.excluded_rows)
+    flags = _given(max_outer_iters=args.max_iters, flip=flip or None)
     # each domain starts from its one profile
-    config = {domain: _load_config(f"{domain}-kinect16", path, overrides, flip).to_dict()
-              for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))}
-    config.update(_given(gaussian_sigma=args.gaussian_sigma))
-    return _run(args, config, args.amp, args.phase)
+    cfgs = [_solver_config(f"{domain}-kinect16", path, flags)
+            for domain, path in zip(DOMAINS, (args.amp_config, args.phase_config))]
+    return _run(args, cfgs, args.gaussian_sigma, args.amp, args.phase)
 
 
 def cmd_replay(args) -> int:
@@ -158,7 +147,7 @@ def cmd_replay(args) -> int:
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
         raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
-    unknown = sorted(set(config) - {*DOMAINS, *RUN_DEFAULTS, "amp_input", "phase_input"})
+    unknown = sorted(set(config) - {*DOMAINS, "gaussian_sigma", "amp_input", "phase_input"})
     if unknown:
         raise InputError(f"{args.manifest}: unknown config key(s): {', '.join(unknown)}")
     paths = [config.get("amp_input"), config.get("phase_input")]
@@ -168,23 +157,20 @@ def cmd_replay(args) -> int:
                              f"must be absolute paths, got {path!r}")
         if inputs.get(path) != file_sha256(path):
             raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
-    return _run(args, config, *paths)
+    cfgs = [SolverConfig.from_json(config[domain]) for domain in DOMAINS]
+    return _run(args, cfgs, config.get("gaussian_sigma"), *paths)
 
 
-def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
-    """Defog the pair under a run's `config` section, its unset settings from RUN_DEFAULTS."""
-    config = {**RUN_DEFAULTS, **config}
-    sigma = config["gaussian_sigma"]
+def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
+    """Defog the pair under the resolved (amplitude, phase) solver configs, smoothed by `sigma`."""
     # scipy skips the filter for a sigma <= 0 or NaN instead of failing
     if not (sigma is None or json_fits(sigma, "float") and sigma > 0):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
-    amp_cfg, phase_cfg = (SolverConfig.from_json(config[domain]) for domain in DOMAINS)
-    # written back resolved, so that a replay of this run needs no defaults
-    config.update(amplitude=amp_cfg.to_dict(), phase=phase_cfg.to_dict(),
-                  amp_input=os.path.abspath(amp_path),
-                  phase_input=os.path.abspath(phase_path))
+    # the run's every setting, so that a replay of it needs no defaults
+    config = dict(zip(DOMAINS, (cfg.to_dict() for cfg in cfgs)), gaussian_sigma=sigma,
+                  amp_input=os.path.abspath(amp_path), phase_input=os.path.abspath(phase_path))
 
-    amp, phase = _read_grid(amp_path, "amplitude"), _read_grid(phase_path, "phase")
+    amp, phase = read_grid(amp_path, "amplitude"), read_grid(phase_path, "phase")
     freq = _frequency({amp_path: amp, phase_path: phase})
     amp_values, phase_values = amp.values, phase.values
     if sigma is not None:
@@ -193,7 +179,7 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
     cam = CameraModel(freq, *obs.shape)
 
     t0 = time.monotonic()
-    result = defog(obs, cam, amp_cfg, phase_cfg, threads=args.threads)
+    result = defog(obs, cam, *cfgs, threads=args.threads)
     solve_s = time.monotonic() - t0
 
     out = args.out
@@ -230,7 +216,7 @@ def _run(args, config: dict, amp_path: str, phase_path: str) -> int:
 def cmd_eval(args) -> int:
     """Score a defog run (`--est`) and the raw capture against a synth capture (`--gt`)."""
     def values(directory, name, domain):
-        return _read_grid(os.path.join(directory, f"{name}.tofgrid"), domain).values
+        return read_grid(os.path.join(directory, f"{name}.tofgrid"), domain).values
 
     depth_est = DepthImage(values(args.est, "depth_masked", "depth"))
     m_est = ObjectMask(values(args.est, "mask_fused", "label") > 0.5)
@@ -238,7 +224,7 @@ def cmd_eval(args) -> int:
     m_gt = ObjectMask(values(args.gt, "mask_gt", "label") > 0.5)
     regions = np.rint(values(args.gt, "labels", "label")).astype(np.int64)
     foggy_path = os.path.join(args.gt, "foggy_phase.tofgrid")
-    foggy_phase = _read_grid(foggy_path, "phase")
+    foggy_phase = read_grid(foggy_path, "phase")
     cam = CameraModel(_frequency({foggy_path: foggy_phase}), *depth_gt.shape)
     raw_depth = DepthImage(phase_to_depth(foggy_phase.values, cam))
     raw = evaluate(raw_depth, depth_gt, m_gt, m_gt, regions, label="w/o method")
@@ -275,14 +261,6 @@ def cmd_simrange(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
-def _threads(text: str) -> int:
-    """A --threads value: an int of at least 1."""
-    threads = int(text)
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tofdefog",
@@ -314,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excluded-rows", type=int, default=None)
     p.add_argument("--gaussian-sigma", type=float,
                    help="smooth the input pair with this Gaussian sigma (px) first")
-    p.add_argument("--threads", type=_threads, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=thread_count, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_defog)
 
     p = sub.add_parser("replay", help="rerun a defog run from its manifest")
     p.add_argument("manifest", help="the run's manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_threads, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=thread_count, help="overrides TOFDEFOG_THREADS")
     common(p)
     p.set_defaults(func=cmd_replay)
 
@@ -365,7 +343,7 @@ def main(argv=None) -> int:
         return _report_error(exc, EXIT_FORMAT, as_json)
     except SolverError as exc:
         return _report_error(exc, EXIT_SOLVER, as_json)
-    except (InputError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         return _report_error(exc, EXIT_INPUT, as_json)
 
 

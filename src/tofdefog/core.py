@@ -27,6 +27,10 @@ AMPLITUDE_EPSILON = 1e-9
 TWO_PI = 2.0 * np.pi
 
 
+class InputError(ValueError):
+    """An input that is well formed but does not fit its role, such as a grid of another domain."""
+
+
 def wrap_phase(phase):
     """Wrap phase values into [0, 2*pi)."""
     return np.mod(phase, TWO_PI)

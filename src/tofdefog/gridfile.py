@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, json_fits
+from .core import TWO_PI, InputError, json_fits
 
 MAGIC = "TOFGRID"
 VERSION = 1
@@ -62,9 +62,10 @@ def _validate_domain_values(values: np.ndarray, domain: str, where: str):
 
 def write_grid(path, values, domain: str, units: str | None = None,
                modulation_frequency_hz: float | None = None) -> None:
-    """Write a grid; float64 input is cast to the stored float32, a frequency to the header."""
-    if domain not in DOMAINS:
-        raise GridFormatError(f"unknown domain {domain!r}; expected one of {DOMAINS}")
+    """Write a grid; float64 input is cast to the stored float32, a frequency to the header.
+
+    A header that read_grid would reject raises GridFormatError before any byte is written.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise GridFormatError("grids must be 2-D")
@@ -80,13 +81,15 @@ def write_grid(path, values, domain: str, units: str | None = None,
         "rows": int(values.shape[0]),
         "cols": int(values.shape[1]),
         "dtype": "f32",
-        "units": units if units is not None else DEFAULT_UNITS[domain],
+        "units": units if units is not None else DEFAULT_UNITS.get(domain),
         "domain": domain,
     }
     if modulation_frequency_hz is not None:
         header["modulation_frequency_hz"] = modulation_frequency_hz
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    _parse_header(raw, str(path))
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(raw)
         fh.write(b"\x00")
         fh.write(payload.tobytes())
 
@@ -117,8 +120,11 @@ def _parse_header(raw: bytes, where: str) -> dict:
     return header
 
 
-def read_grid(path) -> GridFile:
-    """Read a grid; validates payload size and domain values."""
+def read_grid(path, domain: str | None = None) -> GridFile:
+    """Read a grid; validates payload size and domain values.
+
+    InputError, naming the file, when `domain` is given and the grid holds another.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     sep = data.find(b"\x00")
@@ -135,5 +141,8 @@ def read_grid(path) -> GridFile:
     values = np.frombuffer(payload, dtype="<f4").reshape(header["rows"], header["cols"])
     values = values.astype(np.float64)
     _validate_domain_values(values, header["domain"], str(path))
+    if domain is not None and header["domain"] != domain:
+        article = "an" if domain[0] in "aeiou" else "a"
+        raise InputError(f"{path}: expected {article} {domain} grid, got {header['domain']}")
     return GridFile(values=values, domain=header["domain"], units=header["units"],
                     modulation_frequency_hz=header.get("modulation_frequency_hz"))

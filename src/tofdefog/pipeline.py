@@ -22,13 +22,24 @@ DOMAINS = ("amplitude", "phase")
 SCENE_KEYS = {"camera", "medium", "scattering", "depth_map", "reflectance_map", "labels_map"}
 
 
+def thread_count(value) -> int:
+    """`value`, an int or its text, as a thread count; ValueError unless it is an int >= 1."""
+    try:
+        count = int(value)
+    except ValueError:  # text that is not an int
+        count = 0
+    if count < 1:
+        raise ValueError(f"a thread count must be an int of at least 1, got {value!r}")
+    return count
+
+
 def max_threads() -> int:
+    """TOFDEFOG_THREADS as a thread count, 2 when it is unset or empty."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
-        n = int(raw)
-    except ValueError:
-        return 2
-    return max(n, 1)
+        return thread_count(raw) if raw else 2
+    except ValueError as exc:
+        raise ValueError(f"{THREADS_ENV}: {exc}") from None
 
 
 @dataclass
@@ -62,12 +73,12 @@ def defog(obs: PhasorImage, cam: CameraModel,
     """Estimate scattering in both domains, fuse masks, recover depth.
 
     The amplitude and phase solvers are independent and may run
-    concurrently; the thread count is capped by the TOFDEFOG_THREADS
-    environment variable.  Results depend neither on the execution order
-    nor on the BLAS thread count.  The amplitude field is clamped to >= 0
+    concurrently on up to `threads` threads (a thread_count; by default
+    TOFDEFOG_THREADS's, see max_threads).  Results depend neither on the
+    execution order nor on the BLAS thread count.  The amplitude field is clamped to >= 0
     after the solve, as an amplitude is; the phase field is not.
     """
-    threads = max_threads() if threads is None else max(threads, 1)
+    threads = max_threads() if threads is None else thread_count(threads)
     cfgs = (amp_cfg, phase_cfg)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
         runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
@@ -87,8 +98,8 @@ def load_scene(path) -> SceneSpec:
 
     The scene's `sources` lists the JSON and every grid file read.  A
     document that is not a JSON object, an unknown key at the top level or
-    in a section, a wrongly typed value, a grid reference that is not a
-    string, and a grid of another domain than its key's raise ValueError.
+    in a section, a wrongly typed value and a grid reference that is not a
+    string raise ValueError; a grid of another domain than its key's, InputError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -105,10 +116,7 @@ def load_scene(path) -> SceneSpec:
         if not isinstance(name, str):
             raise ValueError(f"{path}: scene {key} must name a grid file, got {name!r}")
         sources.append(os.path.join(base, name))
-        got = read_grid(sources[-1])
-        if got.domain != domain:
-            raise ValueError(f"{sources[-1]}: scene {key} needs domain {domain}, got {got.domain}")
-        return got.values
+        return read_grid(sources[-1], domain).values
 
     cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
     medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))

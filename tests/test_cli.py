@@ -338,6 +338,15 @@ def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
             "--flip-row", "8", "--excluded-rows", "2", "--out", str(tmp_path / "d")]
 
 
+@pytest.mark.parametrize("threads", ["junk", "0", "-3"])
+def test_a_bad_threads_variable_is_an_input_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("TOFDEFOG_THREADS", threads)
+    assert main(["defog", *write_flat_pair(tmp_path), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "TOFDEFOG_THREADS" in err["message"]
+    assert not (tmp_path / "d").exists()
+
+
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise SolverError("x-step did not converge", residual_norm=1.0)
@@ -426,8 +435,24 @@ def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
 def test_a_partial_flip_object_lays_its_keys_over_the_profile(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"flip": {"flip_row": 100}}))
-    cfg = cli._load_config("amplitude-kinect16", str(path), {}, {})
+    cfg = cli._solver_config("amplitude-kinect16", str(path), {})
     assert (cfg.flip.flip_row, cfg.flip.excluded_bottom_rows) == (100, 24)
+
+
+def test_flags_lay_over_a_config_file(tmp_path):
+    amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+    write_grid(amp, np.ones((112, 16)), "amplitude", modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((112, 16), 0.1), "phase", modulation_frequency_hz=16e6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"flip": {"flip_row": 100}, "max_outer_iters": 9}))
+    out = tmp_path / "d"
+    assert main(["defog", "--amp", str(amp), "--phase", str(phase), "--out", str(out),
+                 "--amp-config", str(path), "--phase-config", str(path),
+                 "--excluded-rows", "10", "--max-iters", "3"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    for domain in ("amplitude", "phase"):
+        assert config[domain]["flip"] == {"flip_row": 100, "excluded_bottom_rows": 10}
+        assert config[domain]["max_outer_iters"] == 3
 
 
 def test_missing_input_exit_code(tmp_path):
@@ -625,6 +650,10 @@ def write_malformed_input(tmp_path, case):
         return ["synth", str(scene_path), "--out", str(tmp_path / "capture")]
     capture, est = tmp_path / "capture", tmp_path / "est"
     assert main(["synth", str(scene_path), "--out", str(capture)]) == 0
+    if case.startswith("defog-"):
+        amp, phase = capture / "foggy_amplitude.tofgrid", capture / "foggy_phase.tofgrid"
+        amp, phase = {"defog-phase-as-amp": (phase, phase), "defog-amp-as-phase": (amp, amp)}[case]
+        return ["defog", "--amp", str(amp), "--phase", str(phase), "--out", str(tmp_path / "d")]
     est.mkdir()
     write_grid(est / "depth_masked.tofgrid", read_grid(capture / "depth_gt.tofgrid").values,
                "depth")
@@ -649,6 +678,17 @@ def write_malformed_input(tmp_path, case):
     return ["eval", "--est", str(est), "--gt", str(capture)]
 
 
+# each case whose grid holds another domain than its role's, with the grid's file name
+ROLE_CASES = {"scene-depth-as-labels": "depth_gt.tofgrid",
+              "scene-labels-as-reflectance": "labels.tofgrid",
+              "eval-depth-labels": "labels.tofgrid",
+              "eval-amplitude-depth": "depth_masked.tofgrid",
+              "eval-amplitude-mask": "mask_gt.tofgrid",
+              "eval-amplitude-phase": "foggy_phase.tofgrid",
+              "defog-phase-as-amp": "foggy_phase.tofgrid",
+              "defog-amp-as-phase": "foggy_amplitude.tofgrid"}
+
+
 @pytest.mark.parametrize("case, code", [
     ("scene-list", 2),
     ("scene-top-level-key", 2),
@@ -666,6 +706,8 @@ def write_malformed_input(tmp_path, case):
     ("eval-amplitude-depth", 2),
     ("eval-amplitude-mask", 2),
     ("eval-amplitude-phase", 2),
+    ("defog-phase-as-amp", 2),
+    ("defog-amp-as-phase", 2),
 ])
 def test_malformed_input_is_one_json_error(tmp_path, capsys, case, code):
     argv = write_malformed_input(tmp_path, case)
@@ -675,8 +717,13 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, case, code):
     assert "Traceback" not in out + err
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["exit_code"] == code
+    err = json.loads(lines[0])
+    assert err["exit_code"] == code
     assert not (tmp_path / "est" / "report.json").exists()
+    if case in ROLE_CASES:  # a grid read for a role it does not fit, named by its path
+        assert err["error"] == "InputError"
+        name = re.escape(ROLE_CASES[case])
+        assert re.search(rf"/{name}: expected an? \w+ grid, got \w+$", err["message"])
 
 
 def readme_walkthrough_commands():

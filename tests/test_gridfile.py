@@ -143,6 +143,20 @@ def test_malformed_header_field_is_a_format_error(tmp_path, change):
         read_grid(path)
 
 
+@pytest.mark.parametrize("change", [
+    {"modulation_frequency_hz": float("nan")}, {"modulation_frequency_hz": float("inf")},
+    {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": True},
+    {"modulation_frequency_hz": "16e6"}, {"units": 5}, {"domain": "voltage"},
+], ids=["nan-frequency", "inf-frequency", "zero-frequency", "bool-frequency",
+        "string-frequency", "int-units", "unknown-domain"])
+def test_write_grid_refuses_a_header_read_grid_would_reject(tmp_path, change):
+    path = tmp_path / "bad.tofgrid"
+    kwargs = {"domain": "amplitude", **change}
+    with pytest.raises(GridFormatError, match=re.escape(str(path))):
+        write_grid(path, np.ones((2, 2)), **kwargs)
+    assert not path.exists()
+
+
 def test_label_grid_must_be_finite(tmp_path):
     # rounding an infinite label to an integer region id gives garbage
     with pytest.raises(GridFormatError):

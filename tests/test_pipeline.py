@@ -229,6 +229,16 @@ def test_max_threads_env(monkeypatch):
     monkeypatch.setenv("TOFDEFOG_THREADS", "8")
     assert max_threads() == 8
     monkeypatch.setenv("TOFDEFOG_THREADS", "junk")
+    with pytest.raises(ValueError, match="TOFDEFOG_THREADS"):
+        max_threads()
+    monkeypatch.setenv("TOFDEFOG_THREADS", "")
     assert max_threads() == 2
     monkeypatch.delenv("TOFDEFOG_THREADS")
     assert max_threads() == 2
+
+
+def test_defog_refuses_a_thread_count_below_one():
+    obs = td.PhasorImage(np.ones((16, 16)), np.full((16, 16), 0.1))
+    cfg = small_config(max_outer_iters=2)
+    with pytest.raises(ValueError, match="thread count"):
+        td.defog(obs, td.CameraModel(16e6, 16, 16), cfg, cfg, threads=0)
