@@ -8,7 +8,8 @@ manifest records both solver configs complete, which is the one form
 headers of the capture's foggy amplitude/phase pair, and `defog` and `eval`
 read it from there; `eval` reads the regions from the capture's
 labels.tofgrid.  A grid read for a role it does not fit is an InputError.
-`simrange` sweeps the one default depth grid of `simrange.sweep`.
+`defog` and `replay` run the two domain solves on --threads threads, 2 by
+default.  `simrange` sweeps the one depth grid of `simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -147,9 +148,13 @@ def cmd_replay(args) -> int:
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
         raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
-    unknown = sorted(set(config) - {*DOMAINS, "gaussian_sigma", "amp_input", "phase_input"})
+    required = {*DOMAINS, "amp_input", "phase_input"}
+    unknown = sorted(set(config) - required - {"gaussian_sigma"})
     if unknown:
         raise InputError(f"{args.manifest}: unknown config key(s): {', '.join(unknown)}")
+    missing = sorted(required - set(config))
+    if missing:
+        raise InputError(f"{args.manifest}: missing config key(s): {', '.join(missing)}")
     paths = [config.get("amp_input"), config.get("phase_input")]
     for path in paths:
         if not (isinstance(path, str) and os.path.isabs(path)):
@@ -179,7 +184,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
     cam = CameraModel(freq, *obs.shape)
 
     t0 = time.monotonic()
-    result = defog(obs, cam, *cfgs, threads=args.threads)
+    result = defog(obs, cam, *cfgs, **_given(threads=args.threads))
     solve_s = time.monotonic() - t0
 
     out = args.out
@@ -292,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excluded-rows", type=int, default=None)
     p.add_argument("--gaussian-sigma", type=float,
                    help="smooth the input pair with this Gaussian sigma (px) first")
-    p.add_argument("--threads", type=thread_count, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=thread_count, help="domain solve threads (default 2)")
     common(p)
     p.set_defaults(func=cmd_defog)
 
     p = sub.add_parser("replay", help="rerun a defog run from its manifest")
     p.add_argument("manifest", help="the run's manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=thread_count, help="overrides TOFDEFOG_THREADS")
+    p.add_argument("--threads", type=thread_count, help="domain solve threads (default 2)")
     common(p)
     p.set_defaults(func=cmd_replay)
 

@@ -32,8 +32,10 @@ class InputError(ValueError):
 
 
 def wrap_phase(phase):
-    """Wrap phase values into [0, 2*pi)."""
-    return np.mod(phase, TWO_PI)
+    """Wrap phase values into [0, 2*pi), as an array (0-d for a scalar)."""
+    wrapped = np.mod(phase, TWO_PI, out=np.empty(np.shape(phase)))
+    wrapped[wrapped >= TWO_PI] = 0.0  # np.mod's exact 2*pi for values in about [-4.4e-16, 0)
+    return wrapped
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class CameraModel:
     modulation_frequency_hz: float
     rows: int = 424
     cols: int = 512
-    speed_of_light_mm_per_s: float = SPEED_OF_LIGHT_MM_S
 
     def __post_init__(self):
         if not (0 < self.modulation_frequency_hz < math.inf):
@@ -54,12 +55,12 @@ class CameraModel:
     @property
     def unambiguous_range_mm(self) -> float:
         """Largest depth representable without phase wrapping, c/(2f)."""
-        return self.speed_of_light_mm_per_s / (2.0 * self.modulation_frequency_hz)
+        return SPEED_OF_LIGHT_MM_S / (2.0 * self.modulation_frequency_hz)
 
     @property
     def phase_per_mm(self) -> float:
         """Phase shift accumulated per mm of depth, 4*pi*f/c."""
-        return 4.0 * np.pi * self.modulation_frequency_hz / self.speed_of_light_mm_per_s
+        return 4.0 * np.pi * self.modulation_frequency_hz / SPEED_OF_LIGHT_MM_S
 
 
 @dataclass
@@ -99,7 +100,7 @@ class PhasorImage:
         """
         values = np.asarray(values, dtype=np.complex128)
         amplitude = np.abs(values)
-        phase = wrap_phase(np.angle(values))
+        phase = np.angle(values)
         phase[amplitude < AMPLITUDE_EPSILON] = 0.0
         return cls(amplitude=amplitude, phase=phase)
 
@@ -193,10 +194,9 @@ def json_kwargs(cls, doc, what: str, extra=()) -> dict:
     """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
 
     Raises ValueError naming the type of a non-object, the keys that are
-    neither fields nor `extra`, a float/int field (or an optional one
-    that is not null) holding another JSON type, or the fields without a
-    default that are missing.  `extra` keys are accepted and left out of
-    the result.
+    neither fields nor `extra`, a float/int field holding another JSON
+    type, or the fields without a default that are missing.  `extra` keys
+    are accepted and left out of the result.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -211,9 +211,6 @@ def json_kwargs(cls, doc, what: str, extra=()) -> dict:
     kwargs = {name: value for name, value in doc.items() if name in known}
     for name, value in kwargs.items():
         kind = known[name].type
-        if kind.endswith(" | None") and value is None:
-            continue
-        kind = kind.removesuffix(" | None")
         if kind in ("float", "int") and not json_fits(value, kind):
             raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
     return kwargs

@@ -144,18 +144,17 @@ def estimate_beta(cal: CalibrationSet) -> float:
 class ScatterProfile:
     """Analytic spatial structure of the synthetic scattering field.
 
-    The saturated backscatter phasor sets the field's scale; the spatial
-    modulation mimics the limited illumination beam: a quadratic radial
-    falloff on amplitude and a quadratic vertical profile on phase, both
-    mirror-symmetric about flip_row.  Being globally quadratic, the
-    profiles satisfy the estimator's patchwise-quadratic prior exactly.
+    The medium's saturated backscatter phasor, scattering_phasor at
+    z_saturate, sets the field's scale; the spatial modulation mimics the
+    limited illumination beam: a quadratic radial falloff on amplitude and
+    a quadratic vertical profile on phase, both mirror-symmetric about
+    flip_row.  Being globally quadratic, the profiles satisfy the
+    estimator's patchwise-quadratic prior exactly.
     """
 
     flip_row: int = 200
     amplitude_falloff: float = 0.3   # fraction lost at the profile edge
     phase_falloff: float = 0.1
-    amplitude_peak: float | None = None   # None: use |scattering_phasor(z_sat)|
-    phase_peak: float | None = None       # None: use arg(scattering_phasor(z_sat))
 
     def __post_init__(self):
         if not (0 <= self.amplitude_falloff < 0.5):
@@ -168,13 +167,9 @@ class ScatterProfile:
         rows, cols = shape
         if not (0 <= self.flip_row < rows):
             raise ValueError("profile flip_row outside the image")
-        a_peak, p_peak = self.amplitude_peak, self.phase_peak
-        if a_peak is None or p_peak is None:
-            sat = scattering_phasor(medium.z_saturate, medium, cam)
-            if a_peak is None:
-                a_peak = abs(sat)
-            if p_peak is None:
-                p_peak = float(wrap_phase(np.angle(sat))) if abs(sat) > 0 else 0.0
+        sat = scattering_phasor(medium.z_saturate, medium, cam)
+        a_peak = abs(sat)
+        p_peak = float(wrap_phase(np.angle(sat))) if a_peak > 0 else 0.0
         ru = max(self.flip_row, rows - 1 - self.flip_row, 1)
         rv = max((cols - 1) / 2.0, 1.0)
         u = (np.arange(rows, dtype=np.float64)[:, None] - self.flip_row) / ru

@@ -68,7 +68,7 @@ def write_grid(path, values, domain: str, units: str | None = None,
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
-        raise GridFormatError("grids must be 2-D")
+        raise GridFormatError(f"{path}: grids must be 2-D, got {values.ndim}-D")
     _validate_domain_values(values, domain, str(path))
     payload = np.ascontiguousarray(values, dtype="<f4")
     if domain == "phase":

@@ -26,7 +26,7 @@ unscaled gammas for objective tracking once sigma is known.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -105,11 +105,11 @@ class SolverConfig:
         return PatchGrid(shape[0], shape[1], self.patch_grid[0], self.patch_grid[1])
 
     @classmethod
-    def profile(cls, name: str, **overrides) -> "SolverConfig":
+    def profile(cls, name: str) -> "SolverConfig":
         base = PROFILES.get(name) if isinstance(name, str) else None
         if base is None:
             raise ValueError(f"unknown profile {name!r}; available: {sorted(PROFILES)}")
-        return replace(base, **overrides) if overrides else base
+        return base
 
     @classmethod
     def from_json(cls, doc) -> "SolverConfig":

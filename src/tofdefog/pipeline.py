@@ -17,7 +17,6 @@ from .gridfile import read_grid, write_grid
 from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, estimate_scattering
 from .recon import ObjectMask, fuse_masks, reconstruct_depth, recover_direct
 
-THREADS_ENV = "TOFDEFOG_THREADS"
 DOMAINS = ("amplitude", "phase")
 SCENE_KEYS = {"camera", "medium", "scattering", "depth_map", "reflectance_map", "labels_map"}
 
@@ -31,15 +30,6 @@ def thread_count(value) -> int:
     if count < 1:
         raise ValueError(f"a thread count must be an int of at least 1, got {value!r}")
     return count
-
-
-def max_threads() -> int:
-    """TOFDEFOG_THREADS as a thread count, 2 when it is unset or empty."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return thread_count(raw) if raw else 2
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV}: {exc}") from None
 
 
 @dataclass
@@ -69,16 +59,16 @@ class DefogResult:
 
 def defog(obs: PhasorImage, cam: CameraModel,
           amp_cfg: SolverConfig, phase_cfg: SolverConfig,
-          threads: int | None = None) -> DefogResult:
+          threads: int = 2) -> DefogResult:
     """Estimate scattering in both domains, fuse masks, recover depth.
 
     The amplitude and phase solvers are independent and may run
-    concurrently on up to `threads` threads (a thread_count; by default
-    TOFDEFOG_THREADS's, see max_threads).  Results depend neither on the
-    execution order nor on the BLAS thread count.  The amplitude field is clamped to >= 0
-    after the solve, as an amplitude is; the phase field is not.
+    concurrently on up to `threads` threads (a thread_count).  Results
+    depend neither on the execution order nor on the BLAS thread count.
+    The amplitude field is clamped to >= 0 after the solve, as an
+    amplitude is; the phase field is not.
     """
-    threads = max_threads() if threads is None else thread_count(threads)
+    threads = thread_count(threads)
     cfgs = (amp_cfg, phase_cfg)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
         runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)

@@ -23,6 +23,8 @@ from .core import CameraModel, wrap_phase
 from .forward import MediumParams, direct_phasor, scattering_phasor
 
 DEFAULT_Z_GRID = (10.0, 10000.0, 10.0)  # start, stop, step (mm)
+SAT_TOL = 0.01   # find_range's relative tolerances
+BG_TOL = 0.01
 
 
 @dataclass
@@ -36,27 +38,22 @@ class RangeSweep:
     residual_phase: np.ndarray
 
 
-def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
-          z_grid=None) -> RangeSweep:
+def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0) -> RangeSweep:
     """Evaluate the saturation and residual curves over a depth grid.
 
-    The default grid is DEFAULT_Z_GRID's, started at the medium's z0 when
-    that lies deeper and stopped below the unambiguous range c/(2f).
+    The grid is DEFAULT_Z_GRID's, started at the medium's z0 when that lies
+    deeper and stopped below the unambiguous range c/(2f).
     """
     if not (0 <= reflectance < math.inf):
         raise ValueError(f"reflectance must be finite and non-negative, got {reflectance!r}")
-    if z_grid is None:
-        start, stop, step = DEFAULT_Z_GRID
-        z_grid = np.arange(max(start, medium.z0),
-                           min(stop + 0.5 * step, cam.unambiguous_range_mm), step)
-    z_grid = np.asarray(z_grid, dtype=np.float64)
-    if z_grid.size == 0 or np.any(np.diff(z_grid) <= 0):
-        raise ValueError("z_grid must be non-empty and strictly increasing")
-    if z_grid[0] < medium.z0 or z_grid[-1] >= cam.unambiguous_range_mm:
-        raise ValueError("z_grid must lie within [z0, unambiguous range)")
+    start, stop, step = DEFAULT_Z_GRID
+    end = min(stop + 0.5 * step, cam.unambiguous_range_mm)
+    z_mm = np.arange(max(start, medium.z0), end, step)
+    if z_mm.size == 0:
+        raise ValueError(f"z0={medium.z0!r} leaves no depth below the grid's end, {end:.1f} mm")
 
-    scat = scattering_phasor(z_grid, medium, cam)
-    direct = direct_phasor(z_grid, reflectance, medium, cam)
+    scat = scattering_phasor(z_mm, medium, cam)
+    direct = direct_phasor(z_mm, reflectance, medium, cam)
     total = direct + scat
 
     alpha_s = np.abs(scat)
@@ -66,7 +63,7 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
     residual_phase = wrap_phase(np.angle(total) - np.where(alpha_s > 0, np.angle(scat), 0.0))
 
     return RangeSweep(
-        z_mm=z_grid,
+        z_mm=z_mm,
         alpha_s=alpha_s,
         phi_s=phi_s,
         residual_amp=residual_amp,
@@ -74,25 +71,22 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0,
     )
 
 
-def find_range(sweep_: RangeSweep, sat_tol: float = 0.01,
-               bg_tol: float = 0.01) -> tuple[float, float]:
+def find_range(sweep_: RangeSweep) -> tuple[float, float]:
     """Usable measurement range (z_saturate, z_background) from the curves.
 
-    z_saturate: smallest z whose backscatter amplitude is within sat_tol of
+    z_saturate: smallest z whose backscatter amplitude is within SAT_TOL of
     the far-end value.  z_background: smallest z where the residual direct
-    amplitude has dropped below bg_tol of the saturated backscatter level
+    amplitude has dropped below BG_TOL of the saturated backscatter level
     (the signal it has to be distinguished from); math.inf when the direct
     component never becomes negligible, e.g. beta = 0.
     """
-    if not (0 < sat_tol < 1) or not (0 < bg_tol < 1):
-        raise ValueError("tolerances must lie in (0, 1)")
     alpha_max = float(sweep_.alpha_s[-1])
     if alpha_max <= 0.0:
         z_sat = float(sweep_.z_mm[0])
         return z_sat, math.inf
-    sat_ok = (1.0 - sweep_.alpha_s / alpha_max) < sat_tol
+    sat_ok = (1.0 - sweep_.alpha_s / alpha_max) < SAT_TOL
     z_sat = float(sweep_.z_mm[np.argmax(sat_ok)]) if sat_ok.any() else math.inf
-    bg_ok = np.abs(sweep_.residual_amp) < bg_tol * float(np.max(sweep_.alpha_s))
+    bg_ok = np.abs(sweep_.residual_amp) < BG_TOL * float(np.max(sweep_.alpha_s))
     z_bg = float(sweep_.z_mm[np.argmax(bg_ok)]) if bg_ok.any() else math.inf
     return z_sat, z_bg
 

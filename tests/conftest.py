@@ -1,5 +1,7 @@
 """Shared scene builders and small solver configs for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 import tofdefog as td
@@ -15,7 +17,7 @@ def small_config(profile="amplitude-kinect16", rows=16, **overrides):
         flip=FlipOperator(flip_row=rows // 2, excluded_bottom_rows=max(rows // 8, 1)),
     )
     defaults.update(overrides)
-    return td.SolverConfig.profile(profile, **defaults)
+    return replace(td.SolverConfig.profile(profile), **defaults)
 
 
 def quadratic_symmetric_image(rows, cols, flip_row, scale=10.0, curvature=0.01):

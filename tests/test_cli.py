@@ -307,7 +307,7 @@ def test_replay_rejects_a_run_flag(tmp_path, capsys, flag):
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "junk"])
 @pytest.mark.parametrize("command", ["defog", "replay"])
 def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     argv = {"defog": ["defog", "--amp", "a.tofgrid", "--phase", "p.tofgrid"],
@@ -336,15 +336,6 @@ def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
     write_grid(phase, np.full((16, 16), 0.1), phase_domain, modulation_frequency_hz=16e6)
     return ["--amp", str(amp), "--phase", str(phase),
             "--flip-row", "8", "--excluded-rows", "2", "--out", str(tmp_path / "d")]
-
-
-@pytest.mark.parametrize("threads", ["junk", "0", "-3"])
-def test_a_bad_threads_variable_is_an_input_error(tmp_path, capsys, monkeypatch, threads):
-    monkeypatch.setenv("TOFDEFOG_THREADS", threads)
-    assert main(["defog", *write_flat_pair(tmp_path), "--json"]) == 2
-    err = json.loads(capsys.readouterr().err.strip())
-    assert "TOFDEFOG_THREADS" in err["message"]
-    assert not (tmp_path / "d").exists()
 
 
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -496,6 +487,16 @@ def test_simrange_non_finite_or_negative_value_exit_code(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_simrange_z0_past_the_unambiguous_range_exit_code(tmp_path, capsys):
+    # no depth of the sweep's grid lies in [z0, c/(2f)) at 16 MHz
+    out = tmp_path / "sweep.csv"
+    assert main(["simrange", "--beta", "3.2e-4", "--z0", "12000", "--out", str(out),
+                 "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and "z0" in err["message"]
+    assert not out.exists()
+
+
 def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simrange", "--beta", "0", "--out", str(out)]) == 0
@@ -559,6 +560,25 @@ def test_replay_of_a_removed_setting_exit_code(tmp_path, capsys, section, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("camera", "speed_of_light_mm_per_s", 2.99792458e11),
+    ("scattering", "amplitude_peak", None),
+    ("scattering", "phase_peak", None),
+], ids=["speed-of-light", "amplitude-peak", "phase-peak"])
+def test_scene_with_a_removed_key_exit_code(tmp_path, capsys, section, key, value):
+    # keys an earlier tofdefog wrote into every scene: synth names the key instead of running
+    scene_path = tmp_path / "scene" / "scene.json"
+    save_scene(make_scene(beta=3.2e-4, seed=5, rows=8, cols=8, flip_row=4), scene_path)
+    doc = json.loads(scene_path.read_text())
+    doc[section][key] = value
+    scene_path.write_text(json.dumps(doc))
+    out = tmp_path / "capture"
+    assert main(["synth", str(scene_path), "--out", str(out), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2 and f"key(s): {key}" in err["message"]
+    assert not out.exists()
+
+
 # what the replay's error names, per malformed manifest
 MALFORMED_MANIFESTS = {
     "list": "config and inputs",
@@ -567,6 +587,7 @@ MALFORMED_MANIFESTS = {
     "list-input-name": "amp_input",
     "relative-path": "amp_input",
     "unknown-config-key": "gaussian_sigmaa",
+    "missing-phase-section": "missing config key(s): phase",
     "rewritten-input": "amp.tofgrid",
     "bool-sigma": "Gaussian sigma",
     "string-sigma": "Gaussian sigma",
@@ -590,6 +611,8 @@ def test_defog_replay_of_a_malformed_manifest_exit_code(tmp_path, capsys, case):
         config["amp_input"] = "amp.tofgrid"
     elif case == "unknown-config-key":
         config["gaussian_sigmaa"] = 2.0
+    elif case == "missing-phase-section":
+        del config["phase"]
     elif case == "rewritten-input":
         write_grid(tmp_path / "amp.tofgrid", np.full((8, 8), 2.0), "amplitude")
     elif case == "bool-sigma":
@@ -637,7 +660,7 @@ def write_malformed_input(tmp_path, case):
             "scene-camera-key": {**doc, "camera": {**doc["camera"], "bogus": 1}},
             "scene-string-rows": {**doc, "camera": {**doc["camera"], "rows": "8"}},
             "scene-string-peak": {**doc, "scattering": {**doc["scattering"],
-                                                        "amplitude_peak": "1"}},
+                                                        "amplitude_falloff": "1"}},
             "scene-int-grid": {**doc, "depth_map": 5},
             "scene-int-measured-grid": {**doc, "scattering": {
                 "source": "measured-image", "amplitude": 5, "phase": "labels.tofgrid"}},

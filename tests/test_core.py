@@ -12,6 +12,13 @@ def test_unambiguous_range():
     assert CAM.unambiguous_range_mm == pytest.approx(9368.5143125)
 
 
+@pytest.mark.parametrize("tiny", [-1e-17, -1e-16, -4e-16])
+def test_wrap_phase_of_a_tiny_negative_phase_is_zero(tiny):
+    # np.mod gives exactly 2*pi for these, which no phase grid holds
+    assert td.wrap_phase(tiny) == 0.0
+    assert np.all(td.wrap_phase(np.full(3, tiny)) == 0.0)
+
+
 def test_phase_to_depth_zero():
     assert td.phase_to_depth(0.0, CAM) == 0.0
 

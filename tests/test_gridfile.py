@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from tofdefog.core import wrap_phase
 from tofdefog.gridfile import GridFormatError, read_grid, write_grid
 
 
@@ -83,6 +84,13 @@ def test_phase_float32_rounding_near_two_pi(tmp_path):
     assert np.all(grid.values < 2 * np.pi)
 
 
+def test_wrapped_tiny_negative_phases_write_as_zero(tmp_path):
+    # a solved phase field can dip a hair below 0; wrapped, it is the angle 0
+    path = tmp_path / "p.tofgrid"
+    write_grid(path, wrap_phase(np.full((2, 2), -2e-16)), "phase")
+    assert np.all(read_grid(path).values == 0.0)
+
+
 def test_depth_domain_allows_infinity(tmp_path):
     path = tmp_path / "d.tofgrid"
     values = np.array([[1000.0, np.inf], [2000.0, 3000.0]])
@@ -147,13 +155,14 @@ def test_malformed_header_field_is_a_format_error(tmp_path, change):
     {"modulation_frequency_hz": float("nan")}, {"modulation_frequency_hz": float("inf")},
     {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": True},
     {"modulation_frequency_hz": "16e6"}, {"units": 5}, {"domain": "voltage"},
+    {"values": np.ones(4)},
 ], ids=["nan-frequency", "inf-frequency", "zero-frequency", "bool-frequency",
-        "string-frequency", "int-units", "unknown-domain"])
+        "string-frequency", "int-units", "unknown-domain", "one-d"])
 def test_write_grid_refuses_a_header_read_grid_would_reject(tmp_path, change):
     path = tmp_path / "bad.tofgrid"
-    kwargs = {"domain": "amplitude", **change}
+    kwargs = {"values": np.ones((2, 2)), "domain": "amplitude", **change}
     with pytest.raises(GridFormatError, match=re.escape(str(path))):
-        write_grid(path, np.ones((2, 2)), **kwargs)
+        write_grid(path, **kwargs)
     assert not path.exists()
 
 

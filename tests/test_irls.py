@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -559,7 +560,7 @@ def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
 @pytest.mark.parametrize("cfg", [
     PROFILES["amplitude-kinect16"],
     PROFILES["phase-kinect16"],
-    SolverConfig.profile("phase-kinect16", flip=FlipOperator(flip_row=120, excluded_bottom_rows=7)),
+    replace(PROFILES["phase-kinect16"], flip=FlipOperator(flip_row=120, excluded_bottom_rows=7)),
 ], ids=["amplitude", "phase", "flip-override"])
 def test_config_round_trip(cfg):
     assert SolverConfig.from_json(cfg.to_dict()) == cfg

@@ -11,14 +11,14 @@ from conftest import make_scene, small_config
 import tofdefog as td
 from tofdefog import irls
 from tofdefog.cli import main
-from tofdefog.pipeline import file_sha256, load_scene, max_threads, save_scene
+from tofdefog.pipeline import file_sha256, load_scene, save_scene
 
 
 def test_scene_round_trip(tmp_path):
     scene = make_scene(beta=3.2e-4, seed=1, rows=48, cols=48, flip_row=24,
                        coverage="small")
-    scene.cam = td.CameraModel(16e6, rows=48, cols=48, speed_of_light_mm_per_s=2.99e11)
-    scene.scattering = td.ScatterProfile(flip_row=24, amplitude_peak=0.125)
+    scene.cam = td.CameraModel(20e6, rows=48, cols=48)
+    scene.scattering = td.ScatterProfile(flip_row=24, amplitude_falloff=0.2)
     path = tmp_path / "scene.json"
     save_scene(scene, path)
     back = load_scene(path)
@@ -221,20 +221,6 @@ def test_solver_summary_entries_are_the_level_records():
         state = getattr(getattr(res, domain), level)
         assert state.level == level
         assert entry == {key: getattr(state, key) for key in record}
-
-
-def test_max_threads_env(monkeypatch):
-    monkeypatch.setenv("TOFDEFOG_THREADS", "1")
-    assert max_threads() == 1
-    monkeypatch.setenv("TOFDEFOG_THREADS", "8")
-    assert max_threads() == 8
-    monkeypatch.setenv("TOFDEFOG_THREADS", "junk")
-    with pytest.raises(ValueError, match="TOFDEFOG_THREADS"):
-        max_threads()
-    monkeypatch.setenv("TOFDEFOG_THREADS", "")
-    assert max_threads() == 2
-    monkeypatch.delenv("TOFDEFOG_THREADS")
-    assert max_threads() == 2
 
 
 def test_defog_refuses_a_thread_count_below_one():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 import tofdefog as td
+from tofdefog.forward import direct_phasor, scattering_phasor
 from tofdefog.simrange import RangeSweep, find_range, sweep, write_csv
 
 CAM = td.CameraModel(16e6)
@@ -17,19 +18,11 @@ def reference_sweep():
 
 def test_sweep_without_medium():
     medium = td.MediumParams(beta=0.0)
-    z = np.arange(100.0, 3000.0, 100.0)
-    s = sweep(medium, CAM, reflectance=1.0, z_grid=z)
+    s = sweep(medium, CAM, reflectance=1.0)
     assert np.all(s.alpha_s == 0.0)
-    assert np.allclose(s.residual_phase, td.depth_to_phase(z, CAM), rtol=1e-12)
+    assert np.allclose(s.residual_phase, td.depth_to_phase(s.z_mm, CAM), rtol=1e-12)
     z_sat, z_bg = find_range(s)
     assert math.isinf(z_bg)
-
-
-def test_sweep_validates_grid():
-    with pytest.raises(ValueError):
-        sweep(FOG_MEDIUM, CAM, z_grid=np.array([100.0, 50.0]))
-    with pytest.raises(ValueError):
-        sweep(FOG_MEDIUM, CAM, z_grid=np.array([1.0, 50.0]))
 
 
 @pytest.mark.parametrize("freq, z0, last", [
@@ -74,7 +67,7 @@ def test_sweep_residual_amp_decays():
 
 
 def test_find_range_covers_reference_working_range():
-    z_sat, z_bg = find_range(reference_sweep(), sat_tol=0.01, bg_tol=0.01)
+    z_sat, z_bg = find_range(reference_sweep())
     assert z_sat <= 1000.0
     assert z_bg >= 2500.0
     assert z_sat < z_bg
@@ -86,9 +79,9 @@ def test_find_range_matches_linear_scan_on_monotone_curves():
     resid = np.exp(-z / 250.0)
     s = RangeSweep(z_mm=z, alpha_s=alpha, phi_s=np.zeros_like(z),
                    residual_amp=resid, residual_phase=np.zeros_like(z))
-    z_sat, z_bg = find_range(s, sat_tol=0.02, bg_tol=0.05)
-    scan_sat = next(zz for zz, a in zip(z, alpha) if 1 - a / alpha[-1] < 0.02)
-    scan_bg = next(zz for zz, r in zip(z, resid) if abs(r) < 0.05 * alpha.max())
+    z_sat, z_bg = find_range(s)
+    scan_sat = next(zz for zz, a in zip(z, alpha) if 1 - a / alpha[-1] < 0.01)
+    scan_bg = next(zz for zz, r in zip(z, resid) if abs(r) < 0.01 * alpha.max())
     assert z_sat == scan_sat
     assert z_bg == scan_bg
 
@@ -103,25 +96,23 @@ def test_find_range_shrinks_with_beta():
 
 
 def test_find_range_stable_under_grid_refinement():
-    coarse_grid = np.arange(10.0, 9000.0, 10.0)
-    fine_grid = np.arange(10.0, 9000.0, 5.0)
-    s_coarse = sweep(FOG_MEDIUM, CAM, z_grid=coarse_grid)
-    s_fine = sweep(FOG_MEDIUM, CAM, z_grid=fine_grid)
-    sat_c, bg_c = find_range(s_coarse)
-    sat_f, bg_f = find_range(s_fine)
+    # the default 10 mm grid against a 5 mm one over the same depths
+    s = reference_sweep()
+    z = np.arange(s.z_mm[0], s.z_mm[-1] + 1.0, 5.0)
+    scat = scattering_phasor(z, FOG_MEDIUM, CAM)
+    total = direct_phasor(z, 1.0, FOG_MEDIUM, CAM) + scat
+    fine = RangeSweep(z_mm=z, alpha_s=np.abs(scat), phi_s=np.zeros_like(z),
+                      residual_amp=np.abs(total) - np.abs(scat), residual_phase=np.zeros_like(z))
+    sat_c, bg_c = find_range(s)
+    sat_f, bg_f = find_range(fine)
     assert abs(sat_c - sat_f) <= 10.0
     assert abs(bg_c - bg_f) <= 10.0
 
 
-def test_find_range_validates_tolerances():
-    with pytest.raises(ValueError):
-        find_range(reference_sweep(), sat_tol=0.0)
-
-
 def test_csv_columns(tmp_path):
     path = tmp_path / "sweep.csv"
-    z = np.arange(100.0, 500.0, 100.0)
-    write_csv(sweep(FOG_MEDIUM, CAM, z_grid=z), path)
+    s = reference_sweep()
+    write_csv(s, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "z_mm,alpha_s,phi_s,residual_amp,residual_phase"
-    assert len(lines) == 1 + z.size
+    assert len(lines) == 1 + s.z_mm.size
