@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, phase_to_depth,
-                   wrap_phase)
+                   read_json, wrap_phase)
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
@@ -59,8 +59,11 @@ def _solver_config(profile: str, config_path: str | None, flags: dict) -> Solver
     """A domain's solver config: its profile, then its config file's keys, then the flags'."""
     cfg = SolverConfig.profile(profile)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            cfg = _lay(cfg, json.load(fh))
+        doc = read_json(config_path)
+        try:
+            cfg = _lay(cfg, doc)
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: {exc}") from exc
     return _lay(cfg, flags)
 
 
@@ -142,8 +145,7 @@ def cmd_defog(args) -> int:
 
 def cmd_replay(args) -> int:
     """Rerun a manifest's run on its `config` input paths, whose sha256s must match `inputs`."""
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.manifest)
     doc = doc if isinstance(doc, dict) else {}
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import MISSING, dataclass, fields
 
@@ -179,6 +180,15 @@ def phasor_subtract(a: PhasorImage, b: PhasorImage) -> PhasorImage:
     """Per-pixel complex difference a - b of two phasor images."""
     _check_same_shape(a, b)
     return PhasorImage.from_complex(a.to_complex() - b.to_complex())
+
+
+def read_json(path):
+    """The JSON document in file `path`; a document that does not decode names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from exc
 
 
 def json_fits(value, kind: str) -> bool:

@@ -99,8 +99,9 @@ def scattering_phasor(z, medium: MediumParams, cam: CameraModel,
 def direct_phasor(z, reflectance, medium: MediumParams, cam: CameraModel):
     """Attenuated direct-return phasor (I/z^2) e^{-2 beta z} e^{j kappa z}."""
     z = np.asarray(z, dtype=np.float64)
-    if np.any(z <= 0):
-        raise ValueError("depth must be positive")
+    bad = z[~((0 < z) & (z < np.inf))]  # NaN fails both comparisons
+    if bad.size:
+        raise ValueError(f"depth must be finite and positive, got {bad.flat[0]}")
     kappa = cam.phase_per_mm
     out = (reflectance / (z * z)) * np.exp(-2.0 * medium.beta * z) * np.exp(1j * kappa * z)
     return out if out.ndim else complex(out)
@@ -108,7 +109,7 @@ def direct_phasor(z, reflectance, medium: MediumParams, cam: CameraModel):
 
 @dataclass(frozen=True)
 class CalibrationSet:
-    """Pixelwise (clean amplitude, foggy direct amplitude, distance) triples."""
+    """Pixelwise (clean amplitude, foggy direct amplitude, distance) triples, finite and > 0."""
 
     clean_amplitude: np.ndarray
     foggy_direct_amplitude: np.ndarray
@@ -116,7 +117,11 @@ class CalibrationSet:
 
     def __post_init__(self):
         for name in ("clean_amplitude", "foggy_direct_amplitude", "distance_mm"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), np.float64))
+            values = np.asarray(getattr(self, name), np.float64)
+            bad = values[~((0 < values) & (values < np.inf))]  # NaN fails both comparisons
+            if bad.size:
+                raise ValueError(f"calibration {name} must be finite and > 0, got {bad.flat[0]}")
+            object.__setattr__(self, name, values)
         if not (self.clean_amplitude.shape == self.foggy_direct_amplitude.shape
                 == self.distance_mm.shape):
             raise ValueError("calibration arrays must share one shape")
@@ -130,10 +135,6 @@ def estimate_beta(cal: CalibrationSet) -> float:
     Inverts alpha_d = e^{-2 beta d} alpha_hat per pixel and averages:
     beta = mean( (log alpha_hat - log alpha_d) / (2 d) ).
     """
-    if np.any(cal.clean_amplitude <= 0) or np.any(cal.foggy_direct_amplitude <= 0):
-        raise ValueError("calibration amplitudes must be positive")
-    if np.any(cal.distance_mm <= 0):
-        raise ValueError("calibration distances must be positive")
     per_pixel = (
         np.log(cal.clean_amplitude) - np.log(cal.foggy_direct_amplitude)
     ) / (2.0 * cal.distance_mm)

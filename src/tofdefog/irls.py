@@ -92,14 +92,15 @@ class SolverConfig:
     linear_solver_tol: float = 1e-6
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.gamma3) < 0:
-            raise ValueError("gamma constants must be non-negative")
-        if self.c_coarse <= 0 or self.c_fine <= 0:
-            raise ValueError("Tukey tuning constants must be positive")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be positive")
-        if self.convergence_tol <= 0 or self.linear_solver_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        # written so that NaN and infinity fail each check
+        if not all(0 <= g < math.inf for g in (self.gamma1, self.gamma2, self.gamma3)):
+            raise ValueError("gamma constants must be finite and non-negative")
+        if not all(0 < c < math.inf for c in (self.c_coarse, self.c_fine)):
+            raise ValueError("Tukey tuning constants must be finite and positive")
+        if not (json_fits(self.max_outer_iters, "int") and self.max_outer_iters >= 1):
+            raise ValueError("max_outer_iters must be a positive int")
+        if not all(0 < t < math.inf for t in (self.convergence_tol, self.linear_solver_tol)):
+            raise ValueError("tolerances must be finite and positive")
 
     def grid_for(self, shape) -> PatchGrid:
         return PatchGrid(shape[0], shape[1], self.patch_grid[0], self.patch_grid[1])

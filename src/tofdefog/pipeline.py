@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, json_kwargs
+from .core import CameraModel, DepthImage, PhasorImage, json_fits, json_kwargs, read_json
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, estimate_scattering
@@ -24,10 +24,10 @@ SCENE_KEYS = {"camera", "medium", "scattering", "depth_map", "reflectance_map", 
 def thread_count(value) -> int:
     """`value`, an int or its text, as a thread count; ValueError unless it is an int >= 1."""
     try:
-        count = int(value)
+        count = int(value) if isinstance(value, str) else value
     except ValueError:  # text that is not an int
-        count = 0
-    if count < 1:
+        count = None
+    if not (json_fits(count, "int") and count >= 1):
         raise ValueError(f"a thread count must be an int of at least 1, got {value!r}")
     return count
 
@@ -91,8 +91,7 @@ def load_scene(path) -> SceneSpec:
     in a section, a wrongly typed value and a grid reference that is not a
     string raise ValueError; a grid of another domain than its key's, InputError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a scene must be a JSON object, got {type(doc).__name__}")
     unknown = sorted(set(doc) - SCENE_KEYS)
@@ -139,31 +138,29 @@ def save_scene(scene: SceneSpec, path) -> None:
     """Write a scene JSON plus its referenced grids next to it."""
     base = os.path.dirname(os.path.abspath(str(path)))
     os.makedirs(base, exist_ok=True)
-    write_grid(os.path.join(base, "depth_gt.tofgrid"), scene.depth_map, "depth")
-    write_grid(os.path.join(base, "reflectance.tofgrid"), scene.reflectance_map,
-               "amplitude", units="albedo")
+
+    def grid(name, values, domain, units=None):
+        write_grid(os.path.join(base, name), values, domain, units=units)
+        return name
+
     doc = {
         "camera": asdict(scene.cam),
         "medium": asdict(scene.medium),
-        "depth_map": "depth_gt.tofgrid",
-        "reflectance_map": "reflectance.tofgrid",
+        "depth_map": grid("depth_gt.tofgrid", scene.depth_map, "depth"),
+        "reflectance_map": grid("reflectance.tofgrid", scene.reflectance_map, "amplitude",
+                                units="albedo"),
     }
     if isinstance(scene.scattering, ScatterProfile):
         doc["scattering"] = {"source": "analytic", **asdict(scene.scattering)}
     else:
-        write_grid(os.path.join(base, "scattering_amp_in.tofgrid"),
-                   scene.scattering.amplitude, "amplitude")
-        write_grid(os.path.join(base, "scattering_phase_in.tofgrid"),
-                   scene.scattering.phase, "phase")
         doc["scattering"] = {
             "source": "measured-image",
-            "amplitude": "scattering_amp_in.tofgrid",
-            "phase": "scattering_phase_in.tofgrid",
+            "amplitude": grid("scattering_amp_in.tofgrid", scene.scattering.amplitude,
+                              "amplitude"),
+            "phase": grid("scattering_phase_in.tofgrid", scene.scattering.phase, "phase"),
         }
     if scene.labels is not None:
-        write_grid(os.path.join(base, "labels.tofgrid"),
-                   scene.labels.astype(np.float64), "label")
-        doc["labels_map"] = "labels.tofgrid"
+        doc["labels_map"] = grid("labels.tofgrid", scene.labels.astype(np.float64), "label")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 

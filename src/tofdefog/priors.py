@@ -170,10 +170,9 @@ class PatchGrid:
 
     def expand_patch_values(self, values: np.ndarray) -> np.ndarray:
         """Broadcast one value per patch over its pixels."""
-        out = np.empty((self.rows, self.cols))
-        for k, (rs, cs) in enumerate(self.slices):
-            out[rs, cs] = values[k]
-        return out
+        row_edges, col_edges = self._edges
+        per_patch = np.reshape(np.asarray(values, np.float64), (self.patch_rows, self.patch_cols))
+        return np.repeat(np.repeat(per_patch, np.diff(row_edges), 0), np.diff(col_edges), 1)
 
     def patch_norms(self, residual: np.ndarray) -> np.ndarray:
         """2-norm of a residual image restricted to each patch."""

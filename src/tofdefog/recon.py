@@ -44,16 +44,12 @@ def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
     return PhasorImage.from_complex(obs.to_complex() - scat)
 
 
-def reconstruct_depth(direct: PhasorImage, cam: CameraModel,
-                      mask: ObjectMask | None = None) -> DepthImage:
+def reconstruct_depth(direct: PhasorImage, cam: CameraModel, mask: ObjectMask) -> DepthImage:
     """Depth from the recovered direct phase, defined on mask & valid pixels."""
-    valid = direct.valid()
-    if mask is not None:
-        if mask.shape != direct.shape:
-            raise ValueError("mask shape does not match image")
-        valid = valid & mask.mask
+    if mask.shape != direct.shape:
+        raise ValueError("mask shape does not match image")
     depth = phase_to_depth(direct.phase, cam)
-    return DepthImage(depth=np.where(valid, depth, np.inf))
+    return DepthImage(depth=np.where(direct.valid() & mask.mask, depth, np.inf))
 
 
 def fuse_masks(amp_mask: ObjectMask, phase_mask: ObjectMask) -> ObjectMask:

@@ -13,7 +13,6 @@ radians for phases).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -82,8 +81,7 @@ def find_range(sweep_: RangeSweep) -> tuple[float, float]:
     """
     alpha_max = float(sweep_.alpha_s[-1])
     if alpha_max <= 0.0:
-        z_sat = float(sweep_.z_mm[0])
-        return z_sat, math.inf
+        return float(sweep_.z_mm[0]), math.inf
     sat_ok = (1.0 - sweep_.alpha_s / alpha_max) < SAT_TOL
     z_sat = float(sweep_.z_mm[np.argmax(sat_ok)]) if sat_ok.any() else math.inf
     bg_ok = np.abs(sweep_.residual_amp) < BG_TOL * float(np.max(sweep_.alpha_s))
@@ -92,20 +90,11 @@ def find_range(sweep_: RangeSweep) -> tuple[float, float]:
 
 
 def write_csv(sweep_: RangeSweep, path):
-    """Emit the sweep as CSV: z_mm, alpha_s, phi_s, residual_amp, residual_phase."""
+    """Emit the sweep as CSV: a header row of the field names, then one column per field."""
+    columns = vars(sweep_)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z_mm", "alpha_s", "phi_s", "residual_amp", "residual_phase"])
-        for i in range(sweep_.z_mm.size):
-            writer.writerow(
-                [
-                    f"{sweep_.z_mm[i]:.6g}",
-                    f"{sweep_.alpha_s[i]:.9e}",
-                    f"{sweep_.phi_s[i]:.9e}",
-                    f"{sweep_.residual_amp[i]:.9e}",
-                    f"{sweep_.residual_phase[i]:.9e}",
-                ]
-            )
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt=["%.6g"] + ["%.9e"] * 4,
+                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
 
 
 def write_gnuplot_script(csv_path, script_path):

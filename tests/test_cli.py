@@ -423,6 +423,42 @@ def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
     assert named in err["message"]
 
 
+@pytest.mark.parametrize("command", ["synth", "defog", "replay"])
+def test_a_malformed_json_document_names_its_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    out = ["--out", str(tmp_path / "out"), "--json"]
+    argv = {"synth": ["synth", str(bad)],
+            "defog": ["defog", "--amp", str(tmp_path / "nope.tofgrid"),
+                      "--phase", str(tmp_path / "nope2.tofgrid"), "--amp-config", str(bad)],
+            "replay": ["replay", str(bad)]}[command]
+    assert main(argv + out) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "JSONDecodeError"
+    assert err["message"] == f"{bad}: Expecting property name enclosed in double quotes: " \
+                             f"line 1 column 2 (char 1)"
+
+
+@pytest.mark.parametrize("doc, named", [({"gama1": 0.1}, "gama1"), ([1, 2], "list")],
+                         ids=["unknown-key", "list"])
+def test_a_malformed_config_file_is_named_among_two(tmp_path, capsys, doc, named):
+    good, bad = tmp_path / "p.json", tmp_path / "a.json"
+    good.write_text("{}")
+    bad.write_text(json.dumps(doc))
+    code = main([
+        "defog",
+        "--amp", str(tmp_path / "nope.tofgrid"),
+        "--phase", str(tmp_path / "nope2.tofgrid"),
+        "--amp-config", str(good), "--phase-config", str(bad),
+        "--out", str(tmp_path / "d"), "--json",
+    ])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"{bad}: ") and named in err["message"]
+    assert str(good) not in err["message"]
+
+
 def test_a_partial_flip_object_lays_its_keys_over_the_profile(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"flip": {"flip_row": 100}}))

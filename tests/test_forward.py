@@ -192,6 +192,12 @@ def test_direct_phasor_rejects_nonpositive_depth():
         td.direct_phasor(0.0, 1.0, FOG_MEDIUM, CAM)
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+def test_direct_phasor_rejects_non_finite_depth(z):
+    with pytest.raises(ValueError, match=f"depth must be finite and positive, got {z}"):
+        td.direct_phasor(np.array([1000.0, z]), 1.0, FOG_MEDIUM, CAM)
+
+
 # -- beta calibration -----------------------------------------------------------------
 
 def test_estimate_beta_single_pixel():
@@ -224,6 +230,16 @@ def test_estimate_beta_rejects_bad_inputs():
         td.estimate_beta(td.CalibrationSet([1.0], [0.0], [100.0]))
     with pytest.raises(ValueError):
         td.estimate_beta(td.CalibrationSet([1.0], [0.5], [0.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["clean_amplitude", "foggy_direct_amplitude", "distance_mm"])
+def test_calibration_set_rejects_non_finite_values(name, value):
+    triples = {"clean_amplitude": [1.0, 1.0], "foggy_direct_amplitude": [0.5, 0.5],
+               "distance_mm": [100.0, 100.0]}
+    triples[name][1] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0, got {value}"):
+        td.CalibrationSet(**triples)
 
 
 # -- synthesis ---------------------------------------------------------------------------

@@ -573,3 +573,14 @@ def test_config_validation():
         SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=0, c_fine=7)
     with pytest.raises(ValueError):
         SolverConfig(gamma1=0, gamma2=0, gamma3=0, c_coarse=4, c_fine=7, max_outer_iters=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("gamma1", np.nan), ("gamma2", np.inf), ("gamma3", np.inf), ("c_coarse", np.inf),
+    ("c_fine", np.nan), ("convergence_tol", np.nan), ("linear_solver_tol", np.inf),
+    ("max_outer_iters", np.nan), ("max_outer_iters", 2.5), ("max_outer_iters", True),
+])
+def test_config_rejects_non_finite_and_non_int_values(key, value):
+    # NaN and infinity pass a plain `< 0` or `<= 0` check
+    with pytest.raises(ValueError):
+        replace(PROFILES["amplitude-kinect16"], **{key: value})

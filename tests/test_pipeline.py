@@ -11,7 +11,7 @@ from conftest import make_scene, small_config
 import tofdefog as td
 from tofdefog import irls
 from tofdefog.cli import main
-from tofdefog.pipeline import file_sha256, load_scene, save_scene
+from tofdefog.pipeline import file_sha256, load_scene, save_scene, thread_count
 
 
 def test_scene_round_trip(tmp_path):
@@ -228,3 +228,10 @@ def test_defog_refuses_a_thread_count_below_one():
     cfg = small_config(max_outer_iters=2)
     with pytest.raises(ValueError, match="thread count"):
         td.defog(obs, td.CameraModel(16e6, 16, 16), cfg, cfg, threads=0)
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, None],
+                         ids=["float", "integral-float", "bool", "none"])
+def test_thread_count_requires_an_int(value):
+    with pytest.raises(ValueError, match="thread count"):
+        thread_count(value)

@@ -256,3 +256,16 @@ def test_patch_grid_tiles_exactly():
 def test_patch_grid_rejects_tiny_patches():
     with pytest.raises(ValueError):
         PatchGrid(8, 8, 4, 4)  # 2x2 patches cannot hold a quadratic
+
+
+@pytest.mark.parametrize("rows, cols, grid", [
+    (424, 512, (4, 4)), (240, 320, (4, 4)), (16, 16, (2, 2)), (17, 23, (3, 5)), (10, 9, (3, 3)),
+])
+def test_expand_patch_values_matches_a_per_patch_loop(rows, cols, grid):
+    patches = PatchGrid(rows, cols, *grid)
+    values = np.random.default_rng(0).normal(size=patches.n_patches)
+    expected = np.empty((rows, cols))
+    for k, (rs, cs) in enumerate(patches.slices):
+        expected[rs, cs] = values[k]
+    out = patches.expand_patch_values(values)
+    assert out.dtype == np.float64 and np.array_equal(out, expected)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,3 +117,19 @@ def test_csv_columns(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "z_mm,alpha_s,phi_s,residual_amp,residual_phase"
     assert len(lines) == 1 + s.z_mm.size
+
+
+def test_csv_bytes(tmp_path):
+    # read as bytes: read_text() would fold the \r\n terminators
+    path = tmp_path / "sweep.csv"
+    s = reference_sweep()
+    write_csv(s, path)
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines.pop() == b"" and not any(b"\n" in line or b"\r" in line for line in lines)
+    assert lines[0] == b"z_mm,alpha_s,phi_s,residual_amp,residual_phase"
+    assert lines[1] == b"10,0.000000000e+00,0.000000000e+00,9.936204364e-03,6.706704070e-03"
+    assert lines[2] == b"20,3.495825142e-08,9.294110117e-03,2.468203929e-03,4.119239681e-03"
+    assert len(lines) == 1 + s.z_mm.size
+    curve = rb"-?\d\.\d{9}e[+-]\d{2}"
+    for z, line in zip(s.z_mm, lines[1:]):
+        assert re.fullmatch(rb"%s(,%s){4}" % (b"%.6g" % z, curve), line)
