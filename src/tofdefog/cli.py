@@ -164,7 +164,12 @@ def cmd_replay(args) -> int:
                              f"must be absolute paths, got {path!r}")
         if inputs.get(path) != file_sha256(path):
             raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
-    cfgs = [SolverConfig.from_json(config[domain]) for domain in DOMAINS]
+    cfgs = []
+    for domain in DOMAINS:
+        try:
+            cfgs.append(SolverConfig.from_json(config[domain]))
+        except ValueError as exc:
+            raise ValueError(f"{args.manifest}: config.{domain}: {exc}") from exc
     return _run(args, cfgs, config.get("gaussian_sigma"), *paths)
 
 

@@ -189,6 +189,8 @@ def read_json(path):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from exc
+    except UnicodeDecodeError as exc:  # a document that is not UTF-8
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def json_fits(value, kind: str) -> bool:

@@ -58,14 +58,13 @@ def hg_phase(theta, g: float):
     return out if out.ndim else float(out)
 
 
-def scattering_phasor(z, medium: MediumParams, cam: CameraModel,
-                      points_per_efold: int = QUAD_POINTS_PER_EFOLD) -> complex | np.ndarray:
+def scattering_phasor(z, medium: MediumParams, cam: CameraModel) -> complex | np.ndarray:
     """Backscatter phasor accumulated from z0 to each depth in z (complex).
 
     The integral runs to min(z, quadrature cap); the integrand is
     exponentially damped so the cap is immaterial for any realistic beta.
     It is a trapezoid rule in t = ln z over the nodes z0*exp(k*h),
-    h = 1/points_per_efold.  The node set is nested across depths, so one
+    h = 1/QUAD_POINTS_PER_EFOLD.  The node set is nested across depths, so one
     cumulative sum over the nodes up to the deepest depth serves every
     depth: z_end takes the prefix sum to node k = floor(ln(z_end/z0)/h)
     plus a closing segment from node k to z_end.  When node k rounds onto
@@ -80,7 +79,7 @@ def scattering_phasor(z, medium: MediumParams, cam: CameraModel,
     z_end = np.minimum(z, QUAD_Z_CAP_MM)
     live = z_end > medium.z0
     if medium.beta > 0.0 and live.any():
-        z_end, h = z_end[live], 1.0 / points_per_efold
+        z_end, h = z_end[live], 1.0 / QUAD_POINTS_PER_EFOLD
         k = np.floor(np.log(z_end / medium.z0) / h).astype(np.intp)
         nodes = medium.z0 * np.exp(np.arange(k.max() + 1) * h)
         k -= nodes[k] >= z_end

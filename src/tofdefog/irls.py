@@ -36,7 +36,6 @@ from .priors import (
     PatchGrid,
     dot,
     gradient_penalty,
-    laplacian_diag,
     neighbour_sum,
     symmetry_penalty,
 )
@@ -53,6 +52,12 @@ from .recon import ObjectMask
 FORCING = 0.1
 
 MASK_THRESHOLD = 0.5  # a pixel whose final weight lies below it is an object's
+
+# A level stops once one outer iteration changes its objective by less
+# than CONVERGENCE_TOL * max(|previous objective|, 1e-12).  The test is
+# relative: an objective that decays geometrically toward 0, as a noise-
+# free background's can, never fires it and runs to max_outer_iters.
+CONVERGENCE_TOL = 1e-4
 
 
 class SolverError(RuntimeError):
@@ -77,7 +82,7 @@ class SolverConfig:
     max(||b||, ||r0||), r0 being the warm start's residual: each level's
     first x-step, which sets the frozen sigma, and solve_wls.  Every later
     x-step of a level is inexact: it also stops once the residual is at
-    most FORCING * ||r0||.  convergence_tol stops the outer loop.
+    most FORCING * ||r0||.  The module constant CONVERGENCE_TOL stops the outer loop.
     """
 
     gamma1: float
@@ -88,7 +93,6 @@ class SolverConfig:
     patch_grid: tuple = (4, 4)
     flip: FlipOperator = FlipOperator(flip_row=200, excluded_bottom_rows=24)
     max_outer_iters: int = 50
-    convergence_tol: float = 1e-4
     linear_solver_tol: float = 1e-6
 
     def __post_init__(self):
@@ -99,8 +103,8 @@ class SolverConfig:
             raise ValueError("Tukey tuning constants must be finite and positive")
         if not (json_fits(self.max_outer_iters, "int") and self.max_outer_iters >= 1):
             raise ValueError("max_outer_iters must be a positive int")
-        if not all(0 < t < math.inf for t in (self.convergence_tol, self.linear_solver_tol)):
-            raise ValueError("tolerances must be finite and positive")
+        if not 0 < self.linear_solver_tol < math.inf:
+            raise ValueError("linear_solver_tol must be finite and positive")
 
     def grid_for(self, shape) -> PatchGrid:
         return PatchGrid(shape[0], shape[1], self.patch_grid[0], self.patch_grid[1])
@@ -272,13 +276,11 @@ class _Workspace:
         from scipy.fft import dctn, idctn
 
         self._dctn, self._idctn = dctn, idctn
-        self.shape = shape
         self.cfg = cfg
         self.grid = cfg.grid_for(shape)
-        self.flip = cfg.flip
         rows, cols = shape
-        sym_diag = cfg.flip.normal_diag(shape)
-        self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * laplacian_diag(shape)
+        sym_diag, lap_diag = cfg.flip.normal_diag(shape), neighbour_sum(np.ones(shape))
+        self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * lap_diag
         self.sym_halves = cfg.flip.halves(rows)
         lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(rows) / rows)
         lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(cols) / cols)
@@ -343,20 +345,20 @@ class _Workspace:
         return solve
 
 
-def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
+def _solve_system(ws: _Workspace, w, b, x0, forcing=0.0):
     """Conjugate gradients for the x-step, preconditioned by a DCT solve.
 
     See _Workspace for the fast-Poisson preconditioner.  Stops when the
-    residual (gradient) norm drops to max(tol * max(||b||, ||r0||),
-    forcing * ||r0||) with r0 = b - A x0.  With forcing = 0 (the exact
-    solve) the stop is relative to the right-hand side, as scipy's cg
-    measures it, so a warm start already that close takes no step, and
-    relative to r0 when b = 0.  A forcing term > 0 (the inexact solve)
-    stops once the warm start's residual has shrunk by that factor.  Warm
-    starts from x0 so each outer iteration's solve only ever decreases the
-    surrogate.  Reductions use priors.dot, so the result does not depend
-    on the BLAS thread count.  x, r and p are updated in place, r and p
-    in the workspace's buffers.
+    residual (gradient) norm drops to max(linear_solver_tol * max(||b||,
+    ||r0||), forcing * ||r0||) with r0 = b - A x0, the tolerance from the
+    workspace's config.  With forcing = 0 (the exact solve) the stop is
+    relative to the right-hand side, as scipy's cg measures it, so a warm
+    start already that close takes no step, and relative to r0 when b = 0.
+    A forcing term > 0 (the inexact solve) stops once the warm start's
+    residual has shrunk by that factor.  Warm starts from x0 so each outer
+    iteration's solve only ever decreases the surrogate.  Reductions use
+    priors.dot, so the result does not depend on the BLAS thread count.
+    x, r and p are updated in place, r and p in the workspace's buffers.
 
     Returns (x, iterations, ||r|| / ||b||); the last is ||r|| when b = 0.
     x is a new array.
@@ -367,7 +369,7 @@ def _solve_system(ws: _Workspace, w, b, x0, tol, forcing=0.0):
     np.subtract(b, r, out=r)
     r_norm = r0_norm = math.sqrt(dot(r, r))
     b_norm = math.sqrt(dot(b, b))
-    target = max(tol * max(b_norm, r0_norm), forcing * r0_norm)
+    target = max(ws.cfg.linear_solver_tol * max(b_norm, r0_norm), forcing * r0_norm)
 
     def done(it):
         return x, it, r_norm / b_norm if b_norm > 0 else r_norm
@@ -431,30 +433,27 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
 def _x_step(ws, x_tilde, w_pix, surface, x_prev, forcing=0.0):
     """Solve the surrogate for x given the patch quadratics' surface image."""
     b = w_pix * x_tilde + ws.cfg.gamma1 * surface
-    return _solve_system(ws, w_pix, b, x_prev, ws.cfg.linear_solver_tol, forcing)
+    return _solve_system(ws, w_pix, b, x_prev, forcing)
 
 
 def _objective(ws, x, surface, data_rho_sum, sigma):
     """True robust objective with the unscaled gammas gamma'/(2 sigma^2)."""
+    cfg = ws.cfg
     d = np.subtract(surface, x, out=ws.scratch)
     patch_term = dot(d, d)
-    sym = symmetry_penalty(x, ws.flip)
+    sym = symmetry_penalty(x, cfg.flip)
     grad = gradient_penalty(x)
     scale = 1.0 / (2.0 * sigma * sigma)
-    cfg = ws.cfg
     return data_rho_sum + scale * (
         cfg.gamma1 * patch_term + cfg.gamma2 * sym + cfg.gamma3 * grad
     )
 
 
-def _converged(history, tol):
+def _converged(history):
     if len(history) < 2:
         return False
     prev, cur = history[-2], history[-1]
-    # the absolute floor only matters in the degenerate perfect-fit case
-    # where the objective is numerical dust; any real run sits at O(1)+
-    # because the MAD scale normalizes the residuals against themselves
-    return abs(cur - prev) < tol * max(abs(prev), 1e-12)
+    return abs(cur - prev) < CONVERGENCE_TOL * max(abs(prev), 1e-12)
 
 
 def _identity(v):
@@ -500,7 +499,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         rho_sum = float(np.sum(_rho_from_weight(w, c)))
         w_pix = spread(w)
         state.objective_history.append(_objective(ws, x, surface, rho_sum, state.sigma))
-        state.converged = _converged(state.objective_history, cfg.convergence_tol)
+        state.converged = _converged(state.objective_history)
         if state.converged:
             break
 

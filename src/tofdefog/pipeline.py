@@ -87,51 +87,55 @@ def load_scene(path) -> SceneSpec:
     """Read a scene JSON; grid references resolve relative to the file.
 
     The scene's `sources` lists the JSON and every grid file read.  A
-    document that is not a JSON object, an unknown key at the top level or
-    in a section, a wrongly typed value and a grid reference that is not a
-    string raise ValueError; a grid of another domain than its key's, InputError.
+    document that is not a JSON object, an unknown key, a wrongly typed
+    value, a grid reference that is not a string and a failed SceneSpec
+    check raise ValueError; a grid of another domain than its key's,
+    InputError.  Each error starts with the scene's path.
     """
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a scene must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - SCENE_KEYS)
-    if unknown:
-        raise ValueError(f"{path}: unknown scene key(s): {', '.join(unknown)}")
     base = os.path.dirname(os.path.abspath(str(path)))
     sources = [str(path)]
 
     def grid(section, key, domain):
         name = section.get(key)
         if not isinstance(name, str):
-            raise ValueError(f"{path}: scene {key} must name a grid file, got {name!r}")
+            raise ValueError(f"scene {key} must name a grid file, got {name!r}")
         sources.append(os.path.join(base, name))
         return read_grid(sources[-1], domain).values
 
-    cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
-    medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))
-    scat_doc = doc.get("scattering", {})
-    source = scat_doc.get("source", "analytic") if isinstance(scat_doc, dict) else "analytic"
-    if source == "analytic":
-        scattering = ScatterProfile(**json_kwargs(ScatterProfile, scat_doc, "scattering",
-                                                  extra={"source"}))
-    elif source == "measured-image":
-        refs = json_kwargs(MeasuredScattering, scat_doc, "scattering", extra={"source"})
-        scattering = MeasuredScattering(amplitude=grid(refs, "amplitude", "amplitude"),
-                                        phase=grid(refs, "phase", "phase"))
-    else:
-        raise ValueError(f"unknown scattering source {source!r}")
-    labels = None
-    if "labels_map" in doc:
-        labels = np.rint(grid(doc, "labels_map", "label")).astype(np.int64)
-    return SceneSpec(
-        depth_map=grid(doc, "depth_map", "depth"),
-        reflectance_map=grid(doc, "reflectance_map", "amplitude"),
-        cam=cam,
-        medium=medium,
-        scattering=scattering,
-        labels=labels,
-        sources=sources,
-    )
+    try:
+        if not isinstance(doc, dict):
+            raise ValueError(f"a scene must be a JSON object, got {type(doc).__name__}")
+        unknown = sorted(set(doc) - SCENE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown scene key(s): {', '.join(unknown)}")
+        cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
+        medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))
+        scat_doc = doc.get("scattering", {})
+        source = scat_doc.get("source", "analytic") if isinstance(scat_doc, dict) else "analytic"
+        if source == "analytic":
+            scattering = ScatterProfile(**json_kwargs(ScatterProfile, scat_doc, "scattering",
+                                                      extra={"source"}))
+        elif source == "measured-image":
+            refs = json_kwargs(MeasuredScattering, scat_doc, "scattering", extra={"source"})
+            scattering = MeasuredScattering(amplitude=grid(refs, "amplitude", "amplitude"),
+                                            phase=grid(refs, "phase", "phase"))
+        else:
+            raise ValueError(f"unknown scattering source {source!r}")
+        labels = None
+        if "labels_map" in doc:
+            labels = np.rint(grid(doc, "labels_map", "label")).astype(np.int64)
+        return SceneSpec(
+            depth_map=grid(doc, "depth_map", "depth"),
+            reflectance_map=grid(doc, "reflectance_map", "amplitude"),
+            cam=cam,
+            medium=medium,
+            scattering=scattering,
+            labels=labels,
+            sources=sources,
+        )
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_scene(scene: SceneSpec, path) -> None:

@@ -269,14 +269,3 @@ def neighbour_sum(image: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     out[:-1, :] += image[1:, :]
     out[1:, :] += image[:-1, :]
     return out
-
-
-def laplacian_diag(shape) -> np.ndarray:
-    """Diagonal of the gradient normal operator."""
-    rows, cols = shape
-    d = np.zeros((rows, cols))
-    d[:, :-1] += 1.0
-    d[:, 1:] += 1.0
-    d[:-1, :] += 1.0
-    d[1:, :] += 1.0
-    return d

@@ -403,8 +403,10 @@ def test_defog_format_error_exit_code(tmp_path, scene_dir, capsys):
     ({"profile": "amplitude-kinect16"}, "profile"),
     ({"mask_threshold": 0.4}, "mask_threshold"),
     ({"flip": [5, 2]}, "flip"),
+    ({"convergence_tol": 1e-3}, "convergence_tol"),
 ], ids=["unknown-key", "unknown-flip-key", "scalar-patch-grid", "list",
-        "string-gamma", "non-int-patch-grid", "profile-key", "mask-threshold-key", "list-flip"])
+        "string-gamma", "non-int-patch-grid", "profile-key", "mask-threshold-key", "list-flip",
+        "convergence-tol-key"])
 def test_malformed_config_exit_code(tmp_path, capsys, doc, named):
     # the config is rejected before the (absent) grids are opened; a file
     # lays its keys over its domain's profile, so none names a profile
@@ -437,6 +439,20 @@ def test_a_malformed_json_document_names_its_file(tmp_path, capsys, command):
     assert err["error"] == "JSONDecodeError"
     assert err["message"] == f"{bad}: Expecting property name enclosed in double quotes: " \
                              f"line 1 column 2 (char 1)"
+
+
+@pytest.mark.parametrize("command", ["synth", "defog", "replay"])
+def test_a_json_document_that_is_not_utf8_names_its_file(tmp_path, capsys, command):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte order mark
+    argv = {"synth": ["synth", str(bad)],
+            "defog": ["defog", "--amp", str(tmp_path / "nope.tofgrid"),
+                      "--phase", str(tmp_path / "nope2.tofgrid"), "--amp-config", str(bad)],
+            "replay": ["replay", str(bad)]}[command]
+    assert main(argv + ["--out", str(tmp_path / "out"), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2
+    assert err["message"].startswith(f"{bad}: ") and "utf-8" in err["message"]
 
 
 @pytest.mark.parametrize("doc, named", [({"gama1": 0.1}, "gama1"), ([1, 2], "list")],
@@ -581,8 +597,9 @@ def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
     ("amplitude", "profile", "amplitude-kinect16"),
     (None, "modulation_frequency_hz", 16e6),
     ("phase", "mask_threshold", 0.5),
+    ("amplitude", "convergence_tol", 1e-4),
 ], ids=["preprocess", "preprocess-sigma", "clamp-nonnegative", "plain-patch-fit", "profile",
-        "modulation-frequency", "mask-threshold"])
+        "modulation-frequency", "mask-threshold", "convergence-tol"])
 def test_replay_of_a_removed_setting_exit_code(tmp_path, capsys, section, key, value):
     # settings an earlier tofdefog recorded or read: a replay names the key instead of running
     manifest = write_replay_manifest(tmp_path)
@@ -613,6 +630,17 @@ def test_scene_with_a_removed_key_exit_code(tmp_path, capsys, section, key, valu
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and f"key(s): {key}" in err["message"]
     assert not out.exists()
+
+
+def test_replay_of_a_bad_solver_section_names_the_manifest_and_domain(tmp_path, capsys):
+    manifest = write_replay_manifest(tmp_path)
+    doc = json.loads(manifest.read_text())
+    doc["config"]["phase"]["gama1"] = 0.1
+    manifest.write_text(json.dumps(doc))
+    assert main(["replay", str(manifest), "--out", str(tmp_path / "out"), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == f"{manifest}: config.phase: unknown solver config key(s): gama1"
 
 
 # what the replay's error names, per malformed manifest
@@ -694,6 +722,8 @@ def write_malformed_input(tmp_path, case):
             "scene-list": [],
             "scene-top-level-key": {**doc, "labels_mpa": "labels.tofgrid"},
             "scene-camera-key": {**doc, "camera": {**doc["camera"], "bogus": 1}},
+            "scene-negative-beta": {**doc, "medium": {**doc["medium"], "beta": -1}},
+            "scene-scattering-source": {**doc, "scattering": {"source": "bogus"}},
             "scene-string-rows": {**doc, "camera": {**doc["camera"], "rows": "8"}},
             "scene-string-peak": {**doc, "scattering": {**doc["scattering"],
                                                         "amplitude_falloff": "1"}},
@@ -752,6 +782,8 @@ ROLE_CASES = {"scene-depth-as-labels": "depth_gt.tofgrid",
     ("scene-list", 2),
     ("scene-top-level-key", 2),
     ("scene-camera-key", 2),
+    ("scene-negative-beta", 2),
+    ("scene-scattering-source", 2),
     ("scene-string-rows", 2),
     ("scene-string-peak", 2),
     ("scene-int-grid", 2),
@@ -779,6 +811,8 @@ def test_malformed_input_is_one_json_error(tmp_path, capsys, case, code):
     err = json.loads(lines[0])
     assert err["exit_code"] == code
     assert not (tmp_path / "est" / "report.json").exists()
+    if case.startswith("scene-"):
+        assert err["message"].startswith(f"{argv[1]}: ")
     if case in ROLE_CASES:  # a grid read for a role it does not fit, named by its path
         assert err["error"] == "InputError"
         name = re.escape(ROLE_CASES[case])

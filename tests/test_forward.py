@@ -110,7 +110,7 @@ def test_scattering_cauchy_bound():
 def test_scattering_quadrature_refinement():
     for z in (1000.0, 8000.0):
         base = scattering_phasor(z, FOG_MEDIUM, CAM)
-        fine = scattering_phasor(z, FOG_MEDIUM, CAM, points_per_efold=2000)
+        fine = per_depth_oracle(z, FOG_MEDIUM, CAM, points_per_efold=2000)
         assert abs(abs(fine) - abs(base)) / abs(base) < 1e-6
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import make_scene, quadratic_symmetric_image, small_config
 
 import tofdefog as td
+from tofdefog import irls
 from tofdefog.irls import (
     FORCING,
     PROFILES,
@@ -168,8 +169,7 @@ def test_dct_preconditioner_exact_for_constant_weights():
     rng = np.random.default_rng(12)
     ws = _Workspace((16, 20), cfg)
     w = np.full((16, 20), 0.3)
-    x, n_cg, _ = _solve_system(ws, w, rng.normal(size=(16, 20)), np.zeros((16, 20)),
-                               cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, rng.normal(size=(16, 20)), np.zeros((16, 20)))
     assert n_cg == 1
     assert np.all(np.isfinite(x))
 
@@ -183,8 +183,7 @@ def test_solve_system_singular_constant_mode():
     x0 = rng.normal(size=(16, 16))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, _, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0,
-                                cfg.linear_solver_tol)
+        x, _, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0)
     assert np.all(np.isfinite(x))
     assert np.ptp(x) < 1e-5 * np.ptp(x0)  # L x = 0 only for constant x
 
@@ -210,13 +209,13 @@ def test_solve_system_stops_within_tol_of_rhs_or_start_residual(start):
         "near": x_exact * (1 + 1e-4 * rng.uniform(-1, 1, b.shape)),
     }["far" if start == "forcing" else start]
     forcing = FORCING if start == "forcing" else 0.0
-    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol, forcing)
+    x, n_cg, _ = _solve_system(ws, w, b, x0, forcing)
     r0_norm = np.linalg.norm(b - ws.apply_system(w, x0))
     bound = max(cfg.linear_solver_tol * max(np.linalg.norm(b), r0_norm),
                 0.1 * r0_norm if forcing else 0.0)
     assert np.linalg.norm(b - ws.apply_system(w, x)) <= bound
     if forcing:
-        _, exact_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+        _, exact_cg, _ = _solve_system(ws, w, b, x0)
         assert n_cg < exact_cg
 
 
@@ -225,7 +224,7 @@ def test_solve_system_zero_rhs_stops_relative_to_start_residual():
     # ask for a zero residual and run CG down to rounding noise
     cfg, ws, w, _, b, rng = warm_start_system(14)
     x0 = rng.normal(size=b.shape)
-    x, n_cg, _ = _solve_system(ws, w, np.zeros_like(b), x0, cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, np.zeros_like(b), x0)
     r0_norm = np.linalg.norm(ws.apply_system(w, x0))
     assert np.linalg.norm(ws.apply_system(w, x)) <= cfg.linear_solver_tol * r0_norm
     assert n_cg <= 10
@@ -237,7 +236,7 @@ def test_solve_system_warm_start_near_solution_stops_early():
     # would take several more iterations
     cfg, ws, w, x_exact, b, rng = warm_start_system(0)
     x0 = x_exact * (1 + 1e-6 * rng.uniform(-1, 1, b.shape))
-    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol)
+    x, n_cg, _ = _solve_system(ws, w, b, x0)
     assert n_cg <= 1
     assert np.linalg.norm(x - x_exact) <= 1e-6 * np.linalg.norm(x_exact)
 
@@ -286,7 +285,7 @@ def test_solve_system_matches_a_textbook_pcg(forcing):
         return idctn(dctn(r.reshape(shape), norm="ortho") / eig, norm="ortho").ravel()
 
     x0 = np.zeros(shape)
-    x, n_cg, _ = _solve_system(ws, w, b, x0, cfg.linear_solver_tol, forcing)
+    x, n_cg, _ = _solve_system(ws, w, b, x0, forcing)
     x_ref, n_ref = reference_pcg(a, precondition, b.ravel(), x0.ravel(),
                                  cfg.linear_solver_tol, forcing)
     assert n_cg == n_ref >= 2
@@ -306,15 +305,16 @@ def test_defog_cg_iteration_budget():
     assert total <= 120
 
 
-def test_defog_defaults_agree_with_a_fully_converged_run():
-    # the outer loop's convergence_tol limits accuracy, not the inexact
+def test_defog_defaults_agree_with_a_fully_converged_run(monkeypatch):
+    # the outer loop's CONVERGENCE_TOL limits accuracy, not the inexact
     # x-steps: both fields stay within 1e-3 of a run solved to 1e-10
     scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
                        coverage="small")
     syn = td.synthesize(scene)
     runs = []
-    for tight in ({}, dict(convergence_tol=1e-10, linear_solver_tol=1e-10,
-                           max_outer_iters=1000)):
+    for tight in ({}, dict(linear_solver_tol=1e-10, max_outer_iters=1000)):
+        if tight:
+            monkeypatch.setattr(irls, "CONVERGENCE_TOL", 1e-10)
         amp_cfg = small_config("amplitude-kinect16", rows=48, patch_grid=(2, 2), **tight)
         phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2), **tight)
         runs.append(td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1))
@@ -542,7 +542,7 @@ def test_config_from_json():
 
 @pytest.mark.parametrize("doc, named", [
     ({**PHASE_DOC, "gamma1": True}, "gamma1"),
-    ({**PHASE_DOC, "convergence_tol": None}, "convergence_tol"),
+    ({**PHASE_DOC, "linear_solver_tol": None}, "linear_solver_tol"),
     ({**PHASE_DOC, "gamma2": float("nan")}, "gamma2"),
     ({**PHASE_DOC, "c_fine": float("inf")}, "c_fine"),
     ({**PHASE_DOC, "max_outer_iters": 5.0}, "max_outer_iters"),
@@ -577,7 +577,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key, value", [
     ("gamma1", np.nan), ("gamma2", np.inf), ("gamma3", np.inf), ("c_coarse", np.inf),
-    ("c_fine", np.nan), ("convergence_tol", np.nan), ("linear_solver_tol", np.inf),
+    ("c_fine", np.nan), ("linear_solver_tol", np.nan), ("linear_solver_tol", np.inf),
     ("max_outer_iters", np.nan), ("max_outer_iters", 2.5), ("max_outer_iters", True),
 ])
 def test_config_rejects_non_finite_and_non_int_values(key, value):

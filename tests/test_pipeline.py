@@ -137,11 +137,12 @@ def test_defog_result_summary_and_masks(tmp_path, monkeypatch):
     steps = []
     solve = irls._solve_system
 
-    def recording_solve(ws, w, b, x0, tol, forcing=0.0):
-        out = solve(ws, w, b, x0, tol, forcing)
+    def recording_solve(ws, w, b, x0, forcing=0.0):
+        out = solve(ws, w, b, x0, forcing)
         b_norm = np.linalg.norm(b)
         steps.append((np.linalg.norm(b - ws.apply_system(w, x0)) / b_norm,
-                      np.linalg.norm(b - ws.apply_system(w, out[0])) / b_norm, tol))
+                      np.linalg.norm(b - ws.apply_system(w, out[0])) / b_norm,
+                      ws.cfg.linear_solver_tol))
         return out
 
     monkeypatch.setattr(irls, "_solve_system", recording_solve)
