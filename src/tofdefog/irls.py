@@ -16,7 +16,11 @@ object region, which is what makes the weight field double as a segmenter.
 
 Two levels run in sequence: a coarse level whose data term and weights
 live on whole patches (robust against large objects), then a fine level
-with per-pixel residuals initialized from the coarse solution.
+with per-pixel residuals initialized from the coarse solution.  The
+coarse level only places the fine level's start, so estimate_scattering
+solves it on the 2x2 block means of x~ (half_grid_config scales the
+constants to that grid) and prolongs its result to full resolution; the
+paper solves it at full resolution.
 
 The gamma constants configured here are the surrogate-scaled ones (the
 "primed" constants, gamma' = 2*sigma^2*gamma); the solver derives the
@@ -26,7 +30,7 @@ unscaled gammas for objective tracking once sigma is known.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -192,10 +196,12 @@ class IrlsState:
         return len(self.objective_history)
 
     def summary(self) -> dict:
-        """JSON-ready record: every field but the arrays and the level name."""
+        """JSON-ready record: every field but the arrays and the level name,
+        plus the outer iteration count and the shape of the level's grid."""
         out = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("x", "a", "w", "level")}
         out["outer_iterations"] = self.outer_iterations
+        out["shape"] = list(self.x.shape)
         return out
 
 
@@ -241,6 +247,15 @@ def mad_scale(residuals, floor: float = 0.0) -> float:
     if residuals.size == 0:
         raise ValueError("residual vector must be non-empty")
     return max(float(np.median(np.abs(residuals)) / 0.6745), floor)
+
+
+def _finite_image(x_tilde) -> np.ndarray:
+    """x~ as a float64 array; ValueError if a pixel is NaN or infinite."""
+    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    bad = np.count_nonzero(~np.isfinite(x_tilde))
+    if bad:
+        raise ValueError(f"x_tilde holds {bad} non-finite pixel(s)")
+    return x_tilde
 
 
 def _scale_floor(x_tilde: np.ndarray) -> float:
@@ -412,19 +427,23 @@ def solve_wls(x_tilde, w, a, cfg: SolverConfig, x0=None):
     `w` is a weight grid in [0, 1] with the image's shape, as IrlsState.w
     holds it; `a` holds the (K, 6) per-patch coefficients over the scaled
     patch basis (see priors), as PatchGrid.fit_all returns them and
-    IrlsState.a holds them.  Returns the solution grid.
+    IrlsState.a holds them.  Returns the solution grid.  A non-finite x~,
+    weight or coefficient raises ValueError before any CG iteration.
     """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    x_tilde = _finite_image(x_tilde)
     weights = np.asarray(w, dtype=np.float64)
     if weights.shape != x_tilde.shape:
         raise ValueError("weight grid shape does not match image")
-    if np.any(weights < 0) or np.any(weights > 1):
+    # written so that NaN fails it
+    if not np.all((weights >= 0) & (weights <= 1)):
         raise ValueError("weights must lie in [0, 1]")
     ws = _Workspace(x_tilde.shape, cfg)
     coeffs = np.asarray(a, dtype=np.float64)
     if coeffs.shape != (ws.grid.n_patches, 6):
         raise ValueError(f"patch coefficients must have shape ({ws.grid.n_patches}, 6), "
                          f"got {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("patch coefficients must be finite")
     x0 = x_tilde if x0 is None else np.asarray(x0, dtype=np.float64)
     x, _, _ = _x_step(ws, x_tilde, weights, ws.grid.surface_image(coeffs), x0)
     return x
@@ -513,7 +532,7 @@ def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:
     Data term and Tukey weights live on whole patches; the level starts
     from x~ with unit weights and unweighted patch fits.
     """
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    x_tilde = _finite_image(x_tilde)
     ws = _Workspace(x_tilde.shape, cfg)
     return _run_level(ws, x_tilde, "coarse", x_tilde, np.ones_like(x_tilde),
                       ws.grid.fit_all(x_tilde))
@@ -521,14 +540,74 @@ def run_coarse(x_tilde, cfg: SolverConfig) -> IrlsState:
 
 def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
     """Pixel-level robust estimation, initialized from the coarse output."""
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    x_tilde = _finite_image(x_tilde)
     if init.x.shape != x_tilde.shape:
         raise ValueError("coarse state does not belong to this image")
     ws = _Workspace(x_tilde.shape, cfg)
     return _run_level(ws, x_tilde, "fine", init.x, init.w, init.a)
 
 
+def half_grid_config(cfg: SolverConfig, rows: int) -> SolverConfig:
+    """`cfg` scaled to the grid of 2x2 block means, `rows` high, that the coarse level runs on.
+
+    gamma3 is divided by 4: the smoothness sum keeps its size when the
+    grid is halved, while the data, patch and symmetry sums scale with the
+    pixel count.  The flip row is halved, rounding down, and the excluded
+    bottom rows rounding up.  Every other field, the patch grid included,
+    is cfg's.  A flip row on an odd frame's last row, which mirrors
+    nothing, halves to just below the grid; it is kept on the grid's last
+    row, which mirrors nothing either.
+    """
+    flip = cfg.flip
+    return replace(cfg, gamma3=cfg.gamma3 / 4, flip=FlipOperator(
+        flip_row=min(flip.flip_row // 2, rows - 1),
+        excluded_bottom_rows=-(-flip.excluded_bottom_rows // 2)))
+
+
+def _prolong(coarse: IrlsState, shape, cfg: SolverConfig) -> IrlsState:
+    """The fine level's start at full resolution from a half-grid coarse state.
+
+    x is interpolated bilinearly, cell-centred: full-resolution index r
+    sits at half-grid coordinate (r - 0.5)/2, clamped to the grid.  Each
+    patch's coarse weight is spread over the full-resolution patch of the
+    same index, and the patch quadratics are refit to x under those
+    weights, as the coarse level fits them.
+    """
+    x = coarse.x
+    for axis, n in enumerate(shape):
+        n_half = x.shape[axis]
+        t = np.clip((np.arange(n) - 0.5) / 2.0, 0.0, n_half - 1.0)
+        lo = t.astype(np.intp)
+        f = t - lo if axis else (t - lo)[:, None]
+        x = (np.take(x, lo, axis) * (1.0 - f)
+             + np.take(x, np.minimum(lo + 1, n_half - 1), axis) * f)
+    # the coarse weights are constant on each patch: read them at its corner
+    patch_w = [coarse.w[rs.start, cs.start] for rs, cs in cfg.grid_for(coarse.x.shape).slices]
+    grid = cfg.grid_for(shape)
+    w = grid.expand_patch_values(patch_w)
+    return IrlsState(x=x, a=grid.fit_all(x, weights=w + 1e-9), w=w)
+
+
 def estimate_scattering(x_tilde, cfg: SolverConfig):
-    """Full coarse-to-fine run for one domain: (coarse_state, fine_state), x the estimate."""
-    coarse = run_coarse(x_tilde, cfg)
-    return coarse, run_fine(x_tilde, coarse, cfg)
+    """Full coarse-to-fine run for one domain: (coarse_state, fine_state), x the estimate.
+
+    The coarse level runs on the 2x2 block means of x~ (an odd trailing
+    row or column is dropped) under half_grid_config; its state is
+    returned as it ran, on that half grid.  The fine level starts from its
+    prolongation to full resolution.  The half grid must hold cfg's patch
+    grid with 3x3 pixels per patch, so a frame needs at least 6x6 pixels
+    per patch; a smaller one, a non-finite x~ or a flip row outside the
+    frame raises ValueError.
+    """
+    x_tilde = _finite_image(x_tilde)
+    rows, cols = x_tilde.shape
+    patch_rows, patch_cols = cfg.patch_grid
+    if rows < 6 * patch_rows or cols < 6 * patch_cols:
+        raise ValueError(
+            f"a {rows}x{cols} frame is too small for the {patch_rows}x{patch_cols} patch "
+            f"grid: the coarse level's half-resolution grid needs a frame of at least "
+            f"{6 * patch_rows}x{6 * patch_cols} pixels")
+    cfg.flip.halves(rows)  # a flip row outside the frame fails here, not after a level
+    half = x_tilde[:rows // 2 * 2, :cols // 2 * 2].reshape(rows // 2, 2, cols // 2, 2)
+    coarse = run_coarse(half.mean(axis=(1, 3)), half_grid_config(cfg, rows // 2))
+    return coarse, run_fine(x_tilde, _prolong(coarse, x_tilde.shape, cfg), cfg)

@@ -116,7 +116,7 @@ def test_defog_and_eval_take_the_frequency_from_the_capture(tmp_path):
     by_label = {r["label"]: r for r in json.loads((defog_out / "report.json").read_text())}
     # a defog at the 16 MHz that was the default gave 424.11 mm, and its
     # eval 208.79 mm for the raw baseline
-    assert by_label["proposed"]["overall_mean_mm"] == pytest.approx(21.72, abs=0.005)
+    assert by_label["proposed"]["overall_mean_mm"] == pytest.approx(21.71, abs=0.005)
     assert by_label["w/o method"]["overall_mean_mm"] == pytest.approx(528.04, abs=0.005)
 
 
@@ -332,10 +332,41 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
-    write_grid(amp, np.ones((16, 16)), amp_domain, modulation_frequency_hz=16e6)
-    write_grid(phase, np.full((16, 16), 0.1), phase_domain, modulation_frequency_hz=16e6)
+    write_grid(amp, np.ones((24, 24)), amp_domain, modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((24, 24), 0.1), phase_domain, modulation_frequency_hz=16e6)
     return ["--amp", str(amp), "--phase", str(phase),
-            "--flip-row", "8", "--excluded-rows", "2", "--out", str(tmp_path / "d")]
+            "--flip-row", "12", "--excluded-rows", "3", "--out", str(tmp_path / "d")]
+
+
+def test_a_frame_too_small_for_the_half_grid_exit_code(tmp_path, capsys):
+    # the default 4x4 patch grid: the coarse level's 8x8 half grid cannot
+    # hold it, and the error says which frame size it needs
+    amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
+    write_grid(amp, np.ones((16, 16)), "amplitude", modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((16, 16), 0.1), "phase", modulation_frequency_hz=16e6)
+    code = main(["defog", "--amp", str(amp), "--phase", str(phase), "--flip-row", "8",
+                 "--excluded-rows", "2", "--out", str(tmp_path / "d"), "--json"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("a 16x16 frame is too small for the 4x4 patch grid")
+    assert "at least 24x24 pixels" in err["message"]
+    assert "3x3" not in err["message"]
+
+
+def test_the_manifest_states_each_levels_grid(tmp_path):
+    # the coarse levels run on the 2x2 block means, the fine levels on the frame
+    scene = make_scene(beta=3.2e-4, seed=5, rows=72, cols=96, flip_row=34)
+    save_scene(scene, tmp_path / "scene" / "scene.json")
+    synth_out, out = tmp_path / "synth", tmp_path / "d"
+    run_synth(tmp_path / "scene" / "scene.json", synth_out)
+    assert main(["defog", "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
+                 "--phase", str(synth_out / "foggy_phase.tofgrid"), "--out", str(out),
+                 "--flip-row", "34", "--excluded-rows", "4"]) == 0
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert {name: level["shape"] for name, level in solver.items()} == {
+        "amplitude_coarse": [36, 48], "phase_coarse": [36, 48],
+        "amplitude_fine": [72, 96], "phase_fine": [72, 96]}
 
 
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -484,8 +515,8 @@ def test_a_partial_flip_object_lays_its_keys_over_the_profile(tmp_path):
 
 def test_flags_lay_over_a_config_file(tmp_path):
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
-    write_grid(amp, np.ones((112, 16)), "amplitude", modulation_frequency_hz=16e6)
-    write_grid(phase, np.full((112, 16), 0.1), "phase", modulation_frequency_hz=16e6)
+    write_grid(amp, np.ones((112, 24)), "amplitude", modulation_frequency_hz=16e6)
+    write_grid(phase, np.full((112, 24), 0.1), "phase", modulation_frequency_hz=16e6)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"flip": {"flip_row": 100}, "max_outer_iters": 9}))
     out = tmp_path / "d"

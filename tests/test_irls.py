@@ -10,12 +10,16 @@ from tofdefog import irls
 from tofdefog.irls import (
     FORCING,
     PROFILES,
+    IrlsState,
     SolverConfig,
     _scale_floor,
     _solve_system,
     _Workspace,
+    _prolong,
     _x_step,
     binarize_weights,
+    estimate_scattering,
+    half_grid_config,
     mad_scale,
     run_coarse,
     run_fine,
@@ -584,3 +588,121 @@ def test_config_rejects_non_finite_and_non_int_values(key, value):
     # NaN and infinity pass a plain `< 0` or `<= 0` check
     with pytest.raises(ValueError):
         replace(PROFILES["amplitude-kinect16"], **{key: value})
+
+
+# -- non-finite input ----------------------------------------------------------
+
+def no_cg(*args, **kwargs):
+    raise AssertionError("a conjugate gradient solve started")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", ["run_coarse", "run_fine", "estimate_scattering",
+                                   "solve_wls"])
+def test_a_non_finite_image_fails_before_any_cg_iteration(monkeypatch, solve, bad):
+    # one bad pixel, in the trailing row that the half grid drops: without a
+    # check it runs every x-step to its CG cap and fails on a NaN residual
+    cfg = small_config(rows=25)
+    x_tilde = quadratic_symmetric_image(25, 24, 12)
+    x_tilde[24, 5] = bad
+    monkeypatch.setattr(irls, "_solve_system", no_cg)
+    calls = {
+        "run_coarse": lambda: run_coarse(x_tilde, cfg),
+        "run_fine": lambda: run_fine(x_tilde, IrlsState(
+            x=np.zeros(x_tilde.shape), a=np.zeros((4, 6)), w=np.ones(x_tilde.shape)), cfg),
+        "estimate_scattering": lambda: estimate_scattering(x_tilde, cfg),
+        "solve_wls": lambda: solve_wls(x_tilde, np.ones(x_tilde.shape), np.zeros((4, 6)), cfg),
+    }
+    with pytest.raises(ValueError, match="1 non-finite pixel"):
+        calls[solve]()
+
+
+@pytest.mark.parametrize("where", ["weights", "coefficients"])
+def test_solve_wls_rejects_non_finite_weights_and_coefficients(monkeypatch, where):
+    cfg = small_config(rows=48)
+    x_tilde = quadratic_symmetric_image(48, 48, 24)
+    w, a = np.ones(x_tilde.shape), patch_coeffs(x_tilde, cfg)
+    if where == "weights":
+        w[7, 9] = np.nan
+    else:
+        a[2, 3] = np.nan
+    monkeypatch.setattr(irls, "_solve_system", no_cg)
+    with pytest.raises(ValueError, match=where):
+        solve_wls(x_tilde, w, a, cfg)
+
+
+# -- the coarse level's half-resolution grid ------------------------------------
+
+@pytest.mark.parametrize("flip, rows, half", [
+    ((200, 24), 212, (100, 12)), ((113, 14), 120, (56, 7)), ((34, 4), 36, (17, 2)),
+    # row 48 of 49 halves to row 24, just below the 24-row half grid
+    ((48, 0), 24, (23, 0)),
+])
+def test_half_grid_config_halves_the_mirror_and_quarters_gamma3(flip, rows, half):
+    cfg = replace(PROFILES["phase-kinect16"],
+                  flip=FlipOperator(flip_row=flip[0], excluded_bottom_rows=flip[1]))
+    scaled = half_grid_config(cfg, rows)
+    assert (scaled.flip.flip_row, scaled.flip.excluded_bottom_rows) == half
+    assert scaled.gamma3 == cfg.gamma3 / 4
+    assert replace(scaled, gamma3=cfg.gamma3, flip=cfg.flip) == cfg
+
+
+def test_prolonging_the_block_means_of_a_ramp_gives_the_ramp():
+    # block means of a linear field sit at the blocks' centres, so the
+    # cell-centred bilinear prolongation is exact wherever it is not clamped
+    cfg = small_config(rows=24)
+    rows, cols = np.mgrid[0:24, 0:36].astype(np.float64)
+    ramp = 0.3 * rows - 0.7 * cols + 2.0
+    half = ramp.reshape(12, 2, 18, 2).mean(axis=(1, 3))
+    start = _prolong(IrlsState(x=half, a=np.zeros((4, 6)), w=np.ones(half.shape)),
+                     ramp.shape, cfg)
+    assert start.x.shape == ramp.shape
+    np.testing.assert_allclose(start.x[1:-1, 1:-1], ramp[1:-1, 1:-1], rtol=0, atol=1e-12)
+    assert np.array_equal(start.w, np.ones(ramp.shape))
+    assert start.a.shape == (4, 6)
+
+
+def test_prolonging_spreads_each_coarse_patch_weight_over_its_full_patch():
+    cfg = small_config(rows=50)
+    half_grid = cfg.grid_for((25, 33))
+    patch_w = np.array([1.0, 0.25, 0.0, 0.5])
+    coarse = IrlsState(x=np.ones((25, 33)), a=np.zeros((4, 6)),
+                       w=half_grid.expand_patch_values(patch_w))
+    start = _prolong(coarse, (50, 67), cfg)
+    assert np.array_equal(start.w, cfg.grid_for((50, 67)).expand_patch_values(patch_w))
+
+
+@pytest.mark.parametrize("shape", [(23, 40), (40, 23)])
+def test_a_frame_too_small_for_the_half_grid_names_its_size(shape):
+    cfg = replace(small_config(rows=shape[0]), patch_grid=(4, 4))
+    with pytest.raises(ValueError, match=rf"a {shape[0]}x{shape[1]} frame is too small "
+                                         r".* at least 24x24 pixels"):
+        estimate_scattering(np.ones(shape), cfg)
+
+
+def test_estimate_scattering_solves_the_coarse_level_on_the_half_grid():
+    scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=50, flip_row=24,
+                       coverage="small")
+    x_tilde = td.synthesize(scene).foggy.amplitude
+    cfg = small_config(rows=48)
+    coarse, fine = estimate_scattering(x_tilde, cfg)
+    assert coarse.x.shape == coarse.w.shape == (24, 25)
+    assert fine.x.shape == fine.w.shape == (48, 50)
+    # the coarse state is run_coarse's on the block means, unchanged
+    half = x_tilde.reshape(24, 2, 25, 2).mean(axis=(1, 3))
+    again = run_coarse(half, half_grid_config(cfg, 24))
+    assert np.array_equal(coarse.x, again.x) and np.array_equal(coarse.w, again.w)
+    assert coarse.summary() == again.summary()
+
+
+def test_a_flip_row_on_an_odd_frames_last_row_mirrors_nothing_on_either_grid():
+    cfg = small_config(rows=49, flip=FlipOperator(flip_row=48, excluded_bottom_rows=0))
+    coarse, fine = estimate_scattering(quadratic_symmetric_image(49, 30, 24), cfg)
+    assert coarse.x.shape == (24, 15) and fine.x.shape == (49, 30)
+
+
+def test_a_flip_row_outside_the_frame_fails_before_any_cg_iteration(monkeypatch):
+    cfg = small_config(rows=49, flip=FlipOperator(flip_row=49, excluded_bottom_rows=0))
+    monkeypatch.setattr(irls, "_solve_system", no_cg)
+    with pytest.raises(ValueError, match="flip_row lies outside the image"):
+        estimate_scattering(quadratic_symmetric_image(49, 30, 24), cfg)

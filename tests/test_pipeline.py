@@ -86,6 +86,27 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
 
 
+def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():
+    # the half grid drops the trailing row and column; the fine level and
+    # the outputs keep the frame's size
+    scene = make_scene(beta=3.2e-4, seed=2, rows=49, cols=67, flip_row=24,
+                       coverage="small")
+    syn = td.synthesize(scene)
+    amp_cfg = small_config("amplitude-kinect16", rows=49, patch_grid=(2, 2))
+    phase_cfg = small_config("phase-kinect16", rows=49, patch_grid=(2, 2))
+    serial = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
+    threaded = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=2)
+    assert serial.amplitude.coarse.x.shape == (24, 33)
+    for name in ("amplitude", "phase"):
+        one, two = getattr(serial, name), getattr(threaded, name)
+        assert one.field.values.shape == (49, 67)
+        assert np.array_equal(one.field.values, two.field.values)
+        assert np.array_equal(one.fine.w, two.fine.w)
+    assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
+    assert np.array_equal(serial.depth.depth, threaded.depth.depth, equal_nan=True)
+    assert serial.solver_summary() == threaded.solver_summary()
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a threaded BLAS needs two cores")
 def test_defog_blas_thread_count_does_not_change_results(tmp_path):
     # 128x192 with a (1, 2) patch grid: both the image (24,576 px) and each
@@ -204,7 +225,7 @@ def test_solver_summary_flags_levels_stopped_by_the_cap():
 
 def test_solver_summary_entries_are_the_level_records():
     # each entry is its IrlsState minus the arrays and the level name, plus
-    # outer_iterations: a field added to IrlsState reaches the manifest
+    # outer_iterations and shape: a field added to IrlsState reaches the manifest
     record = ({f.name for f in dataclasses.fields(irls.IrlsState)}
               - {"x", "a", "w", "level"} | {"outer_iterations"})
     assert record == {"objective_history", "cg_iterations", "cg_residuals", "sigma",
@@ -221,7 +242,8 @@ def test_solver_summary_entries_are_the_level_records():
         domain, level = name.split("_")
         state = getattr(getattr(res, domain), level)
         assert state.level == level
-        assert entry == {key: getattr(state, key) for key in record}
+        assert entry == {**{key: getattr(state, key) for key in record},
+                         "shape": list(state.x.shape)}
 
 
 def test_defog_refuses_a_thread_count_below_one():
