@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, wrap_phase
+from .core import CameraModel, DepthImage, PhasorImage, json_fits, wrap_phase
 from .irls import ScatteringField
 from .recon import ObjectMask
 
@@ -249,11 +249,14 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
 
     Surface pixels get direct + scattering; background pixels carry the
     scattering component only.  Optional sensor noise is additive Gaussian
-    on the rectangular components, seeded for reproducibility.
+    on the rectangular components, seeded for reproducibility.  The seed
+    must be an int >= 0 whether or not there is noise to draw.
     """
     # NaN fails every comparison: without isfinite it would pass as no noise
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+    if not (json_fits(noise_seed, "int") and noise_seed >= 0):
+        raise ValueError(f"noise_seed must be an int >= 0, got {noise_seed!r}")
     valid = scene.valid_depth()
     direct = np.zeros(scene.depth_map.shape, dtype=np.complex128)
     if valid.any():

@@ -19,8 +19,9 @@ live on whole patches (robust against large objects), then a fine level
 with per-pixel residuals initialized from the coarse solution.  The
 coarse level only places the fine level's start, so estimate_scattering
 solves it on the 2x2 block means of x~ (half_grid_config scales the
-constants to that grid) and prolongs its result to full resolution; the
-paper solves it at full resolution.
+constants to that grid) and copies its result over each 2x2 block to
+start the fine level at full resolution; the paper solves it at full
+resolution.
 
 The gamma constants configured here are the surrogate-scaled ones (the
 "primed" constants, gamma' = 2*sigma^2*gamma); the solver derives the
@@ -567,25 +568,15 @@ def half_grid_config(cfg: SolverConfig, rows: int) -> SolverConfig:
 def _prolong(coarse: IrlsState, shape, cfg: SolverConfig) -> IrlsState:
     """The fine level's start at full resolution from a half-grid coarse state.
 
-    x is interpolated bilinearly, cell-centred: full-resolution index r
-    sits at half-grid coordinate (r - 0.5)/2, clamped to the grid.  Each
-    patch's coarse weight is spread over the full-resolution patch of the
-    same index, and the patch quadratics are refit to x under those
-    weights, as the coarse level fits them.
+    Each half-grid value of x and w is copied over its 2x2 block, the
+    adjoint of the block means the coarse level ran on; an odd frame's
+    trailing row or column repeats its neighbour.  The patch quadratics
+    are refit to x under those weights, as the coarse level fits them.
     """
-    x = coarse.x
-    for axis, n in enumerate(shape):
-        n_half = x.shape[axis]
-        t = np.clip((np.arange(n) - 0.5) / 2.0, 0.0, n_half - 1.0)
-        lo = t.astype(np.intp)
-        f = t - lo if axis else (t - lo)[:, None]
-        x = (np.take(x, lo, axis) * (1.0 - f)
-             + np.take(x, np.minimum(lo + 1, n_half - 1), axis) * f)
-    # the coarse weights are constant on each patch: read them at its corner
-    patch_w = [coarse.w[rs.start, cs.start] for rs, cs in cfg.grid_for(coarse.x.shape).slices]
-    grid = cfg.grid_for(shape)
-    w = grid.expand_patch_values(patch_w)
-    return IrlsState(x=x, a=grid.fit_all(x, weights=w + 1e-9), w=w)
+    pad = [(0, n - 2 * m) for n, m in zip(shape, coarse.x.shape)]
+    x, w = (np.pad(v.repeat(2, axis=0).repeat(2, axis=1), pad, mode="edge")
+            for v in (coarse.x, coarse.w))
+    return IrlsState(x=x, a=cfg.grid_for(shape).fit_all(x, weights=w + 1e-9), w=w)
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):

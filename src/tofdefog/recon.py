@@ -96,8 +96,12 @@ def evaluate(depth_est: DepthImage, depth_gt: DepthImage,
     masks.
     """
     regions = np.asarray(regions)
-    if regions.shape != depth_est.shape or depth_gt.shape != depth_est.shape:
-        raise ValueError("evaluation grids must share one shape")
+    shapes = {"estimated depth": depth_est.shape, "estimated mask": mask_est.mask.shape,
+              "ground-truth depth": depth_gt.shape, "ground-truth mask": mask_gt.mask.shape,
+              "regions": regions.shape}
+    if len(set(shapes.values())) > 1:
+        raise ValueError("evaluation grids must share one shape, got " + ", ".join(
+            f"{name} {'x'.join(map(str, shape))}" for name, shape in shapes.items()))
     both = depth_est.valid & depth_gt.valid
     diff = np.zeros(depth_est.shape)
     diff[both] = np.abs(depth_est.depth[both] - depth_gt.depth[both])

@@ -136,6 +136,23 @@ def test_eval_without_a_run_frequency_exit_code(tmp_path, capsys, freq, code):
     assert not (tmp_path / "est" / "report.json").exists()
 
 
+@pytest.mark.parametrize("depth_rows, mask_rows", [(6, 6), (8, 6)])
+def test_eval_of_grids_of_another_shape_names_each_shape(tmp_path, capsys, depth_rows,
+                                                         mask_rows):
+    argv = write_malformed_input(tmp_path, "valid")
+    est = tmp_path / "est"
+    write_grid(est / "depth_masked.tofgrid", np.full((depth_rows, 8), 1000.0), "depth")
+    write_grid(est / "mask_fused.tofgrid", np.zeros((mask_rows, 8)), "label")
+    capsys.readouterr()
+    assert main(argv + ["--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == (
+        f"evaluation grids must share one shape, got estimated depth {depth_rows}x8, "
+        f"estimated mask {mask_rows}x8, ground-truth depth 8x8, ground-truth mask 8x8, "
+        "regions 8x8")
+    assert not (est / "report.json").exists()
+
+
 @pytest.mark.parametrize("amp_freq, phase_freq, named", [
     (..., 16e6, "amp"), (16e6, ..., "phase"), (16e6, 20e6, "amp"), (16e6, 20e6, "phase"),
 ], ids=["amplitude-without", "phase-without", "differ-names-amplitude", "differ-names-phase"])
@@ -213,6 +230,19 @@ def test_synth_non_finite_or_negative_noise_exit_code(tmp_path, capsys, scene_di
     assert main(["synth", str(scene_dir), "--out", str(out), f"--noise={noise}", "--json"]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["exit_code"] == 2 and "noise_sigma" in err["message"]
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("noise", [[], ["--noise", "1e-9"]])
+def test_synth_negative_noise_seed_exit_code(tmp_path, capsys, scene_dir, noise):
+    # with noise numpy's bare "expected non-negative integer" came out; without
+    # it the seed ran and was written into manifest.json
+    out = tmp_path / "capture"
+    argv = ["synth", str(scene_dir), "--out", str(out), *noise, "--noise-seed", "-1", "--json"]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["exit_code"] == 2
+    assert err["message"] == "noise_seed must be an int >= 0, got -1"
     assert not (out / "manifest.json").exists()
 
 

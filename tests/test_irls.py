@@ -647,29 +647,29 @@ def test_half_grid_config_halves_the_mirror_and_quarters_gamma3(flip, rows, half
     assert replace(scaled, gamma3=cfg.gamma3, flip=cfg.flip) == cfg
 
 
-def test_prolonging_the_block_means_of_a_ramp_gives_the_ramp():
-    # block means of a linear field sit at the blocks' centres, so the
-    # cell-centred bilinear prolongation is exact wherever it is not clamped
-    cfg = small_config(rows=24)
-    rows, cols = np.mgrid[0:24, 0:36].astype(np.float64)
-    ramp = 0.3 * rows - 0.7 * cols + 2.0
-    half = ramp.reshape(12, 2, 18, 2).mean(axis=(1, 3))
-    start = _prolong(IrlsState(x=half, a=np.zeros((4, 6)), w=np.ones(half.shape)),
-                     ramp.shape, cfg)
-    assert start.x.shape == ramp.shape
-    np.testing.assert_allclose(start.x[1:-1, 1:-1], ramp[1:-1, 1:-1], rtol=0, atol=1e-12)
-    assert np.array_equal(start.w, np.ones(ramp.shape))
-    assert start.a.shape == (4, 6)
-
-
-def test_prolonging_spreads_each_coarse_patch_weight_over_its_full_patch():
-    cfg = small_config(rows=50)
-    half_grid = cfg.grid_for((25, 33))
+def test_prolonging_copies_each_half_grid_value_over_its_2x2_block():
+    cfg = small_config(rows=51)
+    rng = np.random.default_rng(4)
+    coarse = IrlsState(x=rng.normal(size=(25, 33)), a=np.zeros((4, 6)),
+                       w=rng.uniform(size=(25, 33)))
+    start = _prolong(coarse, (51, 67), cfg)
+    for full, half in ((start.x, coarse.x), (start.w, coarse.w)):
+        assert full.shape == (51, 67)
+        for dr in (0, 1):
+            for dc in (0, 1):
+                assert np.array_equal(full[dr:50:2, dc:66:2], half)
+        # the odd frame's trailing row and column repeat their neighbours
+        assert np.array_equal(full[-1], full[-2])
+        assert np.array_equal(full[:, -1], full[:, -2])
+    grid = cfg.grid_for((51, 67))
+    assert np.array_equal(start.a, grid.fit_all(start.x, weights=start.w + 1e-9))
+    # where the patch edges halve evenly, each coarse patch weight covers
+    # the full-resolution patch of the same index
     patch_w = np.array([1.0, 0.25, 0.0, 0.5])
-    coarse = IrlsState(x=np.ones((25, 33)), a=np.zeros((4, 6)),
-                       w=half_grid.expand_patch_values(patch_w))
-    start = _prolong(coarse, (50, 67), cfg)
-    assert np.array_equal(start.w, cfg.grid_for((50, 67)).expand_patch_values(patch_w))
+    coarse = IrlsState(x=np.ones((24, 36)), a=np.zeros((4, 6)),
+                       w=cfg.grid_for((24, 36)).expand_patch_values(patch_w))
+    start = _prolong(coarse, (48, 72), cfg)
+    assert np.array_equal(start.w, cfg.grid_for((48, 72)).expand_patch_values(patch_w))
 
 
 @pytest.mark.parametrize("shape", [(23, 40), (40, 23)])
