@@ -663,13 +663,37 @@ def test_prolonging_copies_each_half_grid_value_over_its_2x2_block():
         assert np.array_equal(full[:, -1], full[:, -2])
     grid = cfg.grid_for((51, 67))
     assert np.array_equal(start.a, grid.fit_all(start.x, weights=start.w + 1e-9))
-    # where the patch edges halve evenly, each coarse patch weight covers
-    # the full-resolution patch of the same index
+
+
+def test_prolonging_the_block_means_of_a_ramp_gives_the_ramp():
+    # block means of a linear field are the field at the blocks' centres; the
+    # block copy puts each back over its block, so the start is the ramp at
+    # its block centres, half a pixel step from the ramp at most
+    cfg = small_config(rows=24)
+    rows, cols = np.mgrid[0:24, 0:36].astype(np.float64)
+    ramp = 0.3 * rows - 0.7 * cols + 2.0
+    half = ramp.reshape(12, 2, 18, 2).mean(axis=(1, 3))
+    start = _prolong(IrlsState(x=half, a=np.zeros((4, 6)), w=np.ones(half.shape)),
+                     ramp.shape, cfg)
+    assert start.x.shape == ramp.shape
+    centres = 0.3 * (rows // 2 * 2 + 0.5) - 0.7 * (cols // 2 * 2 + 0.5) + 2.0
+    np.testing.assert_allclose(start.x, centres, rtol=0, atol=1e-12)
+    assert np.abs(start.x - ramp).max() <= (0.3 + 0.7) / 2 + 1e-12
+    # the block means of the start are the coarse level's x again
+    assert np.array_equal(start.x.reshape(12, 2, 18, 2).mean(axis=(1, 3)), half)
+    assert np.array_equal(start.w, np.ones(ramp.shape))
+    assert start.a.shape == (4, 6)
+
+
+def test_prolonging_spreads_each_coarse_patch_weight_over_its_full_patch():
+    # the patch edges of the 24x36 half grid halve those of both frames evenly
+    cfg = small_config(rows=48)
     patch_w = np.array([1.0, 0.25, 0.0, 0.5])
     coarse = IrlsState(x=np.ones((24, 36)), a=np.zeros((4, 6)),
                        w=cfg.grid_for((24, 36)).expand_patch_values(patch_w))
-    start = _prolong(coarse, (48, 72), cfg)
-    assert np.array_equal(start.w, cfg.grid_for((48, 72)).expand_patch_values(patch_w))
+    for shape in ((48, 72), (49, 73)):
+        start = _prolong(coarse, shape, cfg)
+        assert np.array_equal(start.w, cfg.grid_for(shape).expand_patch_values(patch_w))
 
 
 @pytest.mark.parametrize("shape", [(23, 40), (40, 23)])
