@@ -58,6 +58,10 @@ FORCING = 0.1
 
 MASK_THRESHOLD = 0.5  # a pixel whose final weight lies below it is an object's
 
+# Added to the weights of every patch fit inside the solver: it keeps the
+# weighted fit defined when a whole patch is outlier (all its weights 0).
+FIT_WEIGHT_FLOOR = 1e-9
+
 # A level stops once one outer iteration changes its objective by less
 # than CONVERGENCE_TOL * max(|previous objective|, 1e-12).  The test is
 # relative: an objective that decays geometrically toward 0, as a noise-
@@ -295,9 +299,13 @@ class _Workspace:
         self.cfg = cfg
         self.grid = cfg.grid_for(shape)
         rows, cols = shape
-        sym_diag, lap_diag = cfg.flip.normal_diag(shape), neighbour_sum(np.ones(shape))
-        self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * lap_diag
         self.sym_halves = cfg.flip.halves(rows)
+        # the symmetry normal operator's diagonal: 2 on both halves, else 0
+        sym_diag = np.zeros(shape)
+        for half in self.sym_halves:
+            sym_diag[half] = 2.0
+        self.fixed_diag = (cfg.gamma1 + cfg.gamma2 * sym_diag
+                           + cfg.gamma3 * neighbour_sum(np.ones(shape)))
         lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(rows) / rows)
         lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(cols) / cols)
         self.fixed_eig = (
@@ -509,8 +517,7 @@ def _run_level(ws: _Workspace, x_tilde, level: str, x, w_pix, coeffs) -> IrlsSta
         x, n_cg, cg_res = _x_step(ws, x_tilde, w_pix, surface, x, forcing)
         state.cg_iterations.append(n_cg)
         state.cg_residuals.append(cg_res)
-        # floor keeps the weighted fit defined when a whole patch is outlier
-        coeffs = ws.grid.fit_all(x, weights=w_pix + 1e-9)
+        coeffs = ws.grid.fit_all(x, weights=w_pix + FIT_WEIGHT_FLOOR)
         surface = ws.grid.surface_image(coeffs)
         r = residual(x - x_tilde)
         if state.sigma is None:
@@ -576,7 +583,7 @@ def _prolong(coarse: IrlsState, shape, cfg: SolverConfig) -> IrlsState:
     pad = [(0, n - 2 * m) for n, m in zip(shape, coarse.x.shape)]
     x, w = (np.pad(v.repeat(2, axis=0).repeat(2, axis=1), pad, mode="edge")
             for v in (coarse.x, coarse.w))
-    return IrlsState(x=x, a=cfg.grid_for(shape).fit_all(x, weights=w + 1e-9), w=w)
+    return IrlsState(x=x, a=cfg.grid_for(shape).fit_all(x, weights=w + FIT_WEIGHT_FLOOR), w=w)
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):

@@ -38,15 +38,15 @@ def _centred_unit(t: np.ndarray) -> np.ndarray:
     return c / max(np.abs(c).max(), 1.0)
 
 
-def _band_powers(edges: list[int]) -> np.ndarray:
-    """(n, bands, 5): on each band between consecutive edges, the powers 0..4
-    of its centred unit coordinate; zero outside the band."""
-    out = np.zeros((edges[-1], len(edges) - 1, 5))
-    for band, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        t = _centred_unit(np.arange(hi - lo, dtype=np.float64))
-        out[lo:hi, band, 0] = 1.0
+def _band_powers(bands: list[slice]) -> np.ndarray:
+    """(n, bands, 5): on each band of an axis that `bands` tile, the powers
+    0..4 of its centred unit coordinate; zero outside the band."""
+    out = np.zeros((bands[-1].stop, len(bands), 5))
+    for band, s in enumerate(bands):
+        t = _centred_unit(np.arange(s.stop - s.start, dtype=np.float64))
+        out[s, band, 0] = 1.0
         for i in range(1, 5):
-            out[lo:hi, band, i] = out[lo:hi, band, i - 1] * t
+            out[s, band, i] = out[s, band, i - 1] * t
     return out
 
 
@@ -88,48 +88,30 @@ class PatchGrid:
         return self.patch_rows * self.patch_cols
 
     @cached_property
-    def _edges(self) -> tuple[list[int], list[int]]:
-        """Row band and column band edges."""
-        return tuple(
-            [n // bands * i for i in range(bands)] + [n]
-            for n, bands in ((self.rows, self.patch_rows), (self.cols, self.patch_cols))
-        )
+    def _bands(self) -> tuple[list[slice], list[slice]]:
+        """Row band and column band slices."""
+        def axis(n, bands):
+            edges = [n // bands * i for i in range(bands)] + [n]
+            return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        return axis(self.rows, self.patch_rows), axis(self.cols, self.patch_cols)
 
     @cached_property
     def slices(self) -> list[tuple[slice, slice]]:
         """Row/col slice per patch, row-major over the patch grid."""
-        row_edges, col_edges = self._edges
-        return [(slice(r0, r1), slice(c0, c1))
-                for r0, r1 in zip(row_edges[:-1], row_edges[1:])
-                for c0, c1 in zip(col_edges[:-1], col_edges[1:])]
+        row_bands, col_bands = self._bands
+        return [(rs, cs) for rs in row_bands for cs in col_bands]
 
     @cached_property
-    def _moment_powers(self):
-        """P_u^T over all row bands, (patch_rows*5, rows), and each column
-        band's slice with its P_v, (band cols, 5)."""
-        row_edges, col_edges = self._edges
-        pu, pv = _band_powers(row_edges), _band_powers(col_edges)
-        return (np.ascontiguousarray(pu.reshape(self.rows, -1).T),
-                [(slice(c0, c1), pv[c0:c1, band])
-                 for band, (c0, c1) in enumerate(zip(col_edges[:-1], col_edges[1:]))])
-
-    @cached_property
-    def _surface_powers(self):
-        """Each row band's slice with its powers 0..2, (band rows, 3), and
-        the column powers 0..2 over all column bands, transposed,
-        (patch_cols*3, cols)."""
-        row_edges, col_edges = self._edges
-        pu = _band_powers(row_edges)
-        pv = _band_powers(col_edges)[:, :, :3]
-        return ([(slice(r0, r1), pu[r0:r1, band, :3].copy())
-                 for band, (r0, r1) in enumerate(zip(row_edges[:-1], row_edges[1:]))],
-                np.ascontiguousarray(pv.reshape(self.cols, -1).T))
+    def _powers(self) -> tuple[np.ndarray, np.ndarray]:
+        """P_u (rows, patch_rows, 5) and P_v (cols, patch_cols, 5), from _band_powers."""
+        return tuple(_band_powers(bands) for bands in self._bands)
 
     def _moments(self, image: np.ndarray) -> np.ndarray:
         """(K, 5, 5) per-patch moments sum(image * uu^i * vv^j), i, j <= 4."""
-        pu_t, col_bands = self._moment_powers
-        t = np.concatenate([image[:, cs] @ pv for cs, pv in col_bands], axis=1)
-        m = (pu_t @ t).reshape(self.patch_rows, 5, self.patch_cols, 5)
+        pu, pv = self._powers
+        t = np.concatenate([image[:, cs] @ pv[cs, band] for band, cs in enumerate(self._bands[1])],
+                           axis=1)
+        m = (pu.reshape(self.rows, -1).T @ t).reshape(self.patch_rows, 5, self.patch_cols, 5)
         return m.transpose(0, 2, 1, 3).reshape(self.n_patches, 5, 5)
 
     def fit_all(self, image: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -158,21 +140,23 @@ class PatchGrid:
         """Assemble the per-patch quadratic surfaces into a full image."""
         c = np.zeros((self.n_patches, 3, 3))
         c[:, _U_POW, _V_POW] = coeffs
-        c = c.reshape(self.patch_rows, self.patch_cols, 3, 3).transpose(0, 2, 1, 3)
-        row_bands, pv_t = self._surface_powers
+        c = c.reshape(self.patch_rows, self.patch_cols, 3, 3).transpose(0, 2, 1, 3).reshape(
+            self.patch_rows, 3, -1)
+        pu, pv = self._powers
+        pv_t = pv[:, :, :3].reshape(self.cols, -1).T
         out = np.empty((self.rows, self.cols))
         # one product per row band: one over the whole image is large enough
         # for OpenBLAS to start worker threads, whose spinning takes a core
         # from the other domain's solver
-        for (rs, pu), c_band in zip(row_bands, c.reshape(self.patch_rows, 3, -1)):
-            np.matmul(pu @ c_band, pv_t, out=out[rs])
+        for band, rs in enumerate(self._bands[0]):
+            np.matmul(pu[rs, band, :3] @ c[band], pv_t, out=out[rs])
         return out
 
     def expand_patch_values(self, values: np.ndarray) -> np.ndarray:
         """Broadcast one value per patch over its pixels."""
-        row_edges, col_edges = self._edges
+        row_sizes, col_sizes = ([s.stop - s.start for s in bands] for bands in self._bands)
         per_patch = np.reshape(np.asarray(values, np.float64), (self.patch_rows, self.patch_cols))
-        return np.repeat(np.repeat(per_patch, np.diff(row_edges), 0), np.diff(col_edges), 1)
+        return np.repeat(np.repeat(per_patch, row_sizes, 0), col_sizes, 1)
 
     def patch_norms(self, residual: np.ndarray) -> np.ndarray:
         """2-norm of a residual image restricted to each patch."""
@@ -185,10 +169,9 @@ class FlipOperator:
 
     The mirror pairs row flip_row - j with row flip_row + j for j = 1..k,
     k as large as keeps both rows inside the image and above the excluded
-    bottom band (those rows carry no symmetry information).  The flip row
-    is its own mirror and every other row passes through, so the flip is
-    an involution and the penalty's normal operator is expressible through
-    the flip itself.
+    bottom band (those rows carry no symmetry information).  The mirror is
+    its two row halves (halves): the penalty and the x-step operator both
+    pair them, and every other row, the flip row included, takes no part.
     """
 
     flip_row: int
@@ -211,21 +194,6 @@ class FlipOperator:
             raise ValueError("flip_row lies outside the image")
         k = max(min(f, rows - self.excluded_bottom_rows - 1 - f), 0)
         return slice(f - k, f), slice(f + 1, f + 1 + k)
-
-    def apply(self, image: np.ndarray) -> np.ndarray:
-        """Swap the two mirrored halves; every other row passes through."""
-        lower, upper = self.halves(image.shape[0])
-        out = image.copy()
-        out[lower] = image[upper][::-1]
-        out[upper] = image[lower][::-1]
-        return out
-
-    def normal_diag(self, shape) -> np.ndarray:
-        """Diagonal of the symmetry normal operator: 2 on the halves, else 0."""
-        d = np.zeros(shape)
-        for half in self.halves(shape[0]):
-            d[half] = 2.0
-        return d
 
 
 def symmetry_penalty(image: np.ndarray, op: FlipOperator) -> float:
