@@ -83,15 +83,17 @@ class SolverConfig:
 
     gamma1..gamma3 are the surrogate-scaled penalty weights; c_coarse and
     c_fine are Tukey tuning constants for the patch-level and pixel-level
-    data terms.  flip_row / excluded rows describe the mirror geometry of
-    the camera-illuminator pair and are camera-specific.
+    data terms.  patch_grid is the (rows, cols) patch count, each at least
+    1.  flip describes the mirror geometry of the camera-illuminator pair
+    and is camera-specific.
 
-    linear_solver_tol stops the exact x-steps, whose conjugate gradients
-    run until the residual norm ||b - A x|| is at most linear_solver_tol *
-    max(||b||, ||r0||), r0 being the warm start's residual: each level's
-    first x-step, which sets the frozen sigma, and solve_wls.  Every later
-    x-step of a level is inexact: it also stops once the residual is at
-    most FORCING * ||r0||.  The module constant CONVERGENCE_TOL stops the outer loop.
+    linear_solver_tol, in (0, 1), stops the exact x-steps, whose conjugate
+    gradients run until the residual norm ||b - A x|| is at most
+    linear_solver_tol * max(||b||, ||r0||), r0 being the warm start's
+    residual: each level's first x-step, which sets the frozen sigma, and
+    solve_wls.  Every later x-step of a level is inexact: it also stops once
+    the residual is at most FORCING * ||r0||.  The module constant
+    CONVERGENCE_TOL stops the outer loop.
     """
 
     gamma1: float
@@ -112,8 +114,16 @@ class SolverConfig:
             raise ValueError("Tukey tuning constants must be finite and positive")
         if not (json_fits(self.max_outer_iters, "int") and self.max_outer_iters >= 1):
             raise ValueError("max_outer_iters must be a positive int")
-        if not 0 < self.linear_solver_tol < math.inf:
-            raise ValueError("linear_solver_tol must be finite and positive")
+        # a relative tolerance of 1 or more accepts every warm start
+        if not 0 < self.linear_solver_tol < 1:
+            raise ValueError(
+                f"linear_solver_tol must lie in (0, 1), got {self.linear_solver_tol!r}")
+        grid = self.patch_grid
+        if not (isinstance(grid, tuple) and len(grid) == 2
+                and all(json_fits(n, "int") and n >= 1 for n in grid)):
+            raise ValueError(f"patch_grid must be two ints, each at least 1, got {grid!r}")
+        if not isinstance(self.flip, FlipOperator):
+            raise ValueError(f"flip must be a FlipOperator, got {type(self.flip).__name__}")
 
     def grid_for(self, shape) -> PatchGrid:
         return PatchGrid(shape[0], shape[1], self.patch_grid[0], self.patch_grid[1])
@@ -137,12 +147,8 @@ class SolverConfig:
         doc = json_kwargs(cls, doc, "solver config")
         if "flip" in doc:
             doc["flip"] = FlipOperator(**json_kwargs(FlipOperator, doc["flip"], "flip"))
-        if "patch_grid" in doc:
-            grid = doc["patch_grid"]
-            if not (isinstance(grid, (list, tuple)) and len(grid) == 2
-                    and all(json_fits(n, "int") for n in grid)):
-                raise ValueError(f"patch_grid must be a list of two ints, got {grid!r}")
-            doc["patch_grid"] = tuple(grid)
+        if isinstance(doc.get("patch_grid"), list):
+            doc["patch_grid"] = tuple(doc["patch_grid"])
         return cls(**doc)
 
     def to_dict(self) -> dict:

@@ -554,8 +554,12 @@ def test_config_from_json():
     ({**PHASE_DOC, "flip": {}}, "flip_row"),
     ({**PHASE_DOC, "profile": ["phase-kinect16"]}, r"key\(s\): profile"),
     ({"gamma1": 0.1, "gamma2": 0.1, "gamma3": 1.0}, "c_coarse, c_fine"),
+    ({**PHASE_DOC, "linear_solver_tol": 1.0}, "linear_solver_tol"),
+    ({**PHASE_DOC, "patch_grid": [0, 4]}, "patch_grid"),
+    ({**PHASE_DOC, "patch_grid": {"rows": 4}}, "patch_grid"),
 ], ids=["bool-gamma", "null-tolerance", "nan-gamma", "inf-tukey", "float-iters",
-        "string-flip-row", "empty-flip", "list-profile", "missing-tukey"])
+        "string-flip-row", "empty-flip", "list-profile", "missing-tukey", "unit-tolerance",
+        "zero-patch-grid", "object-patch-grid"])
 def test_config_from_json_rejects_wrong_types_and_missing_fields(doc, named):
     with pytest.raises(ValueError, match=named):
         SolverConfig.from_json(doc)
@@ -587,6 +591,22 @@ def test_config_validation():
 def test_config_rejects_non_finite_and_non_int_values(key, value):
     # NaN and infinity pass a plain `< 0` or `<= 0` check
     with pytest.raises(ValueError):
+        replace(PROFILES["amplitude-kinect16"], **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    # a relative tolerance of 1 accepts every warm start: no x-step would
+    # take a CG iteration
+    ("linear_solver_tol", 1.0), ("linear_solver_tol", 2.5),
+    ("patch_grid", (0, 4)), ("patch_grid", (4, -1)), ("patch_grid", (True, 4)),
+    ("patch_grid", (4.0, 4)), ("patch_grid", (4, 4, 4)), ("patch_grid", [4, 4]),
+    ("patch_grid", 4), ("patch_grid", None),
+    ("flip", None), ("flip", {"flip_row": 200}), ("flip", 200),
+], ids=["unit-tolerance", "tolerance-above-1", "zero-patch-rows", "negative-patch-cols",
+        "bool-patch-rows", "float-patch-rows", "three-patch-dims", "list-patch-grid",
+        "scalar-patch-grid", "no-patch-grid", "no-flip", "dict-flip", "int-flip"])
+def test_config_rejects_out_of_range_values_naming_the_field(key, value):
+    with pytest.raises(ValueError, match=key):
         replace(PROFILES["amplitude-kinect16"], **{key: value})
 
 
