@@ -160,3 +160,19 @@ def test_depth_image_stores_no_depth_as_inf_only():
     assert [f.name for f in dataclasses.fields(d)] == ["depth"]
     assert np.all(np.isposinf(d.depth[0, :2]))
     assert d.valid.tolist() == [[False, False, True]]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: td.CameraModel(16e6, rows=0), "sensor dimensions"),
+    (lambda: td.CameraModel(16e6, cols=-1), "sensor dimensions"),
+    (lambda: td.PhasorImage(np.ones((2, 2)), np.full((2, 2), np.nan)), "finite"),
+    (lambda: td.PhasorImage(np.full((2, 2), np.inf), np.zeros((2, 2))), "finite"),
+    (lambda: td.phase_to_depth(-0.1, CAM), r"lie in \[0, 2\*pi\)"),
+    (lambda: td.phase_to_depth(2 * np.pi, CAM), r"lie in \[0, 2\*pi\)"),
+    (lambda: td.depth_to_phase(np.nan, CAM), "depth must be finite"),
+    (lambda: td.depth_to_phase([1000.0, np.inf], CAM), "depth must be finite"),
+], ids=["zero-rows", "negative-cols", "nan-phase", "inf-amplitude", "negative-phase",
+        "two-pi-phase", "nan-depth", "inf-depth"])
+def test_a_value_outside_its_domain_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -351,3 +351,33 @@ def test_medium_validation():
         td.MediumParams(beta=1e-4, z0=0.0)
     with pytest.raises(ValueError):
         td.MediumParams(beta=1e-4, z0=2000.0, z_saturate=1000.0)
+
+
+def negative_scattering_scene():
+    scene = small_scene()
+    scene.scattering = td.MeasuredScattering(np.full((32, 40), -1.0), np.zeros((32, 40)))
+    return scene
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: td.CalibrationSet([1.0, 1.0], [0.5], [100.0]), "share one shape"),
+    (lambda: td.CalibrationSet([], [], []), "calibration set is empty"),
+    (lambda: td.ScatterProfile(amplitude_falloff=0.5), "amplitude_falloff"),
+    (lambda: td.ScatterProfile(phase_falloff=-0.1), "phase_falloff"),
+    (lambda: td.ScatterProfile(flip_row=8).fields((8, 8), FOG_MEDIUM, CAM),
+     "flip_row outside the image"),
+    (lambda: td.MeasuredScattering(np.ones((4, 4)), np.zeros((4, 5))).fields(
+        (4, 4), FOG_MEDIUM, CAM), "shape mismatch"),
+    (lambda: td.SceneSpec(np.full((8, 8), 1000.0), np.ones((8, 7)),
+                          td.CameraModel(16e6, rows=8, cols=8), FOG_MEDIUM), "shapes differ"),
+    (lambda: td.SceneSpec(np.full((8, 8), 1000.0), np.full((8, 8), -0.5),
+                          td.CameraModel(16e6, rows=8, cols=8), FOG_MEDIUM),
+     "reflectance must be non-negative"),
+    (lambda: td.synthesize(negative_scattering_scene()),
+     "scattering amplitude field must be non-negative"),
+], ids=["calibration-shapes", "empty-calibration", "amplitude-falloff", "phase-falloff",
+        "profile-flip-row", "measured-shape", "scene-shapes", "negative-reflectance",
+        "negative-scattering"])
+def test_an_input_that_describes_no_scene_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -137,10 +137,10 @@ def test_malformed_header_json(tmp_path):
     {"units": None}, {"units": 1}, {"rows": True}, {"cols": True},
     {"modulation_frequency_hz": True}, {"modulation_frequency_hz": "16e6"},
     {"modulation_frequency_hz": float("nan")}, {"modulation_frequency_hz": float("inf")},
-    {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": -16e6},
+    {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": -16e6}, {"dtype": "f64"},
 ], ids=["no-units", "int-units", "bool-rows", "bool-cols", "bool-frequency",
         "string-frequency", "nan-frequency", "inf-frequency", "zero-frequency",
-        "negative-frequency"])
+        "negative-frequency", "f64-dtype"])
 def test_malformed_header_field_is_a_format_error(tmp_path, change):
     header = {"magic": "TOFGRID", "version": 1, "rows": 1, "cols": 1,
               "dtype": "f32", "units": "1", "domain": "weight", **change}
@@ -155,9 +155,10 @@ def test_malformed_header_field_is_a_format_error(tmp_path, change):
     {"modulation_frequency_hz": float("nan")}, {"modulation_frequency_hz": float("inf")},
     {"modulation_frequency_hz": 0}, {"modulation_frequency_hz": True},
     {"modulation_frequency_hz": "16e6"}, {"units": 5}, {"domain": "voltage"},
-    {"values": np.ones(4)},
+    {"values": np.ones(4)}, {"values": -np.ones((2, 2))}, {"values": np.full((2, 2), np.nan)},
 ], ids=["nan-frequency", "inf-frequency", "zero-frequency", "bool-frequency",
-        "string-frequency", "int-units", "unknown-domain", "one-d"])
+        "string-frequency", "int-units", "unknown-domain", "one-d", "negative-amplitude",
+        "nan-amplitude"])
 def test_write_grid_refuses_a_header_read_grid_would_reject(tmp_path, change):
     path = tmp_path / "bad.tofgrid"
     kwargs = {"values": np.ones((2, 2)), "domain": "amplitude", **change}

@@ -376,6 +376,50 @@ def test_solver_error_carries_residual_norm():
     assert err.residual_norm == 0.25
 
 
+def test_solve_system_stops_on_a_direction_without_curvature():
+    # with every gamma and weight 0 the operator is 0: the first direction
+    # has p'Ap = 0, and the solve returns its start after that iteration
+    cfg = small_config(rows=16, gamma1=0.0, gamma2=0.0, gamma3=0.0)
+    ws = _Workspace((16, 16), cfg)
+    rng = np.random.default_rng(16)
+    x0 = rng.normal(size=(16, 16))
+    x, n_cg, res = _solve_system(ws, np.zeros((16, 16)), rng.normal(size=(16, 16)), x0)
+    assert n_cg == 1 and res == 1.0
+    assert np.array_equal(x, x0)
+
+
+def test_solve_system_at_its_iteration_cap_raises_with_the_residual_norm():
+    cfg = small_config(rows=32, linear_solver_tol=1e-12)
+    ws = _Workspace((32, 40), cfg)
+    ws.max_cg_iters = 1
+    rng = np.random.default_rng(17)
+    w, b = rng.uniform(0, 1, (32, 40)), rng.normal(size=(32, 40))
+    with pytest.raises(td.SolverError, match="did not converge in 1 iterations") as exc:
+        _solve_system(ws, w, b, np.zeros_like(b))
+    # one preconditioned CG step from 0: x1 = alpha z, z = M^-1 b
+    z = ws.preconditioner(w)(b).copy()
+    x1 = (np.sum(b * z) / np.sum(z * ws.apply_system(w, z))) * z
+    r1_norm = np.linalg.norm(b - ws.apply_system(w, x1))
+    assert exc.value.residual_norm == pytest.approx(r1_norm, rel=1e-9)
+    assert r1_norm > 1e-12 * np.linalg.norm(b)
+    assert f"residual norm {exc.value.residual_norm:.3e}" in str(exc.value)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: SolverConfig.profile("amplitude-kinect20"), "unknown profile"),
+    (lambda: td.ScatteringField(np.array([[1.0, np.nan]])), "must be finite"),
+    (lambda: tukey_weight(1.0, 0.0), "tuning constant must be positive"),
+    (lambda: tukey_weight(np.ones(3), -2.0), "tuning constant must be positive"),
+    (lambda: run_fine(np.ones((16, 16)), IrlsState(
+        x=np.ones((8, 16)), a=np.zeros((4, 6)), w=np.ones((8, 16))), small_config()),
+     "coarse state does not belong"),
+], ids=["unknown-profile", "non-finite-field", "zero-tukey-c", "negative-tukey-c",
+        "state-of-another-shape"])
+def test_an_input_the_solver_cannot_use_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- coarse level ----------------------------------------------------------------
 
 def test_run_coarse_clean_input():

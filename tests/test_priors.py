@@ -253,3 +253,15 @@ def test_expand_patch_values_matches_a_per_patch_loop(rows, cols, grid):
         expected[rs, cs] = values[k]
     out = patches.expand_patch_values(values)
     assert out.dtype == np.float64 and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: PatchGrid(12, 12, 0, 2), "at least 1x1"),
+    (lambda: PatchGrid(12, 12, 2, -1), "at least 1x1"),
+    (lambda: FlipOperator(flip_row=-1), "flip_row must be non-negative"),
+    (lambda: FlipOperator(flip_row=4, excluded_bottom_rows=-2),
+     "excluded_bottom_rows must be non-negative"),
+], ids=["zero-patch-rows", "negative-patch-cols", "negative-flip-row", "negative-band"])
+def test_a_negative_or_empty_operator_size_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -175,3 +175,14 @@ def test_report_table_mirrors_per_object_layout():
     assert lines[2].startswith("proposed,20.67,60.27")
     doc = prop.to_dict()
     assert doc["region_errors_mm"]["1"] == 20.67
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: reconstruct_depth(td.PhasorImage(np.ones((6, 8)), np.zeros((6, 8))), CAM,
+                               ObjectMask(np.ones((6, 7), dtype=bool))), "mask shape"),
+    (lambda: fuse_masks(ObjectMask(np.ones((4, 4), dtype=bool)),
+                        ObjectMask(np.ones((4, 5), dtype=bool))), "mask shapes differ"),
+], ids=["reconstruct-depth", "fuse-masks"])
+def test_masks_of_another_shape_are_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
