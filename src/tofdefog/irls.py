@@ -58,8 +58,8 @@ FORCING = 0.1
 
 MASK_THRESHOLD = 0.5  # a pixel whose final weight lies below it is an object's
 
-# Added to the weights of every patch fit inside the solver: it keeps the
-# weighted fit defined when a whole patch is outlier (all its weights 0).
+# Added to the weights of every solver patch fit: it keeps the weighted fit
+# defined when a whole patch is outlier (all its weights 0).
 FIT_WEIGHT_FLOOR = 1e-9
 
 # A level stops once one outer iteration changes its objective by less
@@ -305,13 +305,11 @@ class _Workspace:
         self.cfg = cfg
         self.grid = cfg.grid_for(shape)
         rows, cols = shape
-        self.sym_halves = cfg.flip.halves(rows)
-        # the symmetry normal operator's diagonal: 2 on both halves, else 0
-        sym_diag = np.zeros(shape)
-        for half in self.sym_halves:
-            sym_diag[half] = 2.0
-        self.fixed_diag = (cfg.gamma1 + cfg.gamma2 * sym_diag
-                           + cfg.gamma3 * neighbour_sum(np.ones(shape)))
+        lower, upper = self.sym_halves = cfg.flip.halves(rows)
+        sym_diag = np.zeros(shape)  # the symmetry normal operator's: 2 on both halves, else 0
+        sym_diag[lower] = sym_diag[upper] = 2.0
+        lap_diag = neighbour_sum(np.ones(shape))
+        self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * lap_diag
         lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(rows) / rows)
         lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(cols) / cols)
         self.fixed_eig = (

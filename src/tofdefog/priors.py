@@ -89,11 +89,10 @@ class PatchGrid:
 
     @cached_property
     def _bands(self) -> tuple[list[slice], list[slice]]:
-        """Row band and column band slices."""
-        def axis(n, bands):
-            edges = [n // bands * i for i in range(bands)] + [n]
-            return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        return axis(self.rows, self.patch_rows), axis(self.cols, self.patch_cols)
+        """Row band and column band slices; an axis's last band takes its remainder."""
+        return tuple([slice(n // bands * i, n if i == bands - 1 else n // bands * (i + 1))
+                      for i in range(bands)]
+                     for n, bands in ((self.rows, self.patch_rows), (self.cols, self.patch_cols)))
 
     @cached_property
     def slices(self) -> list[tuple[slice, slice]]:
@@ -111,7 +110,9 @@ class PatchGrid:
         pu, pv = self._powers
         t = np.concatenate([image[:, cs] @ pv[cs, band] for band, cs in enumerate(self._bands[1])],
                            axis=1)
-        m = (pu.reshape(self.rows, -1).T @ t).reshape(self.patch_rows, 5, self.patch_cols, 5)
+        # P_u^T as a C-order copy: with a transposed view BLAS sums to other bits
+        pu_t = np.ascontiguousarray(pu.transpose(1, 2, 0)).reshape(-1, self.rows)
+        m = (pu_t @ t).reshape(self.patch_rows, 5, self.patch_cols, 5)
         return m.transpose(0, 2, 1, 3).reshape(self.n_patches, 5, 5)
 
     def fit_all(self, image: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -140,16 +141,16 @@ class PatchGrid:
         """Assemble the per-patch quadratic surfaces into a full image."""
         c = np.zeros((self.n_patches, 3, 3))
         c[:, _U_POW, _V_POW] = coeffs
-        c = c.reshape(self.patch_rows, self.patch_cols, 3, 3).transpose(0, 2, 1, 3).reshape(
-            self.patch_rows, 3, -1)
+        c = c.reshape(self.patch_rows, self.patch_cols, 3, 3).transpose(0, 2, 1, 3)
         pu, pv = self._powers
-        pv_t = pv[:, :, :3].reshape(self.cols, -1).T
+        # P_v^T over powers 0..2, a C-order copy: BLAS multiplies a transposed view slower
+        pv_t = np.ascontiguousarray(pv[:, :, :3].transpose(1, 2, 0)).reshape(-1, self.cols)
         out = np.empty((self.rows, self.cols))
         # one product per row band: one over the whole image is large enough
         # for OpenBLAS to start worker threads, whose spinning takes a core
         # from the other domain's solver
         for band, rs in enumerate(self._bands[0]):
-            np.matmul(pu[rs, band, :3] @ c[band], pv_t, out=out[rs])
+            np.matmul(pu[rs, band, :3] @ c[band].reshape(3, -1), pv_t, out=out[rs])
         return out
 
     def expand_patch_values(self, values: np.ndarray) -> np.ndarray:
