@@ -206,7 +206,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
         # a phase grid holds phases in [0, 2*pi)
         field = wrap_phase(record.field.values) if domain == "phase" else record.field.values
         outputs.append(_write_grid(out, f"scattering_{domain}.tofgrid", field, domain))
-        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.fine.w,
+        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.weights,
                                    "weight"))
 
     manifest = build_manifest(

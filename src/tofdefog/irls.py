@@ -16,12 +16,12 @@ object region, which is what makes the weight field double as a segmenter.
 
 Two levels run in sequence: a coarse level whose data term and weights
 live on whole patches (robust against large objects), then a fine level
-with per-pixel residuals initialized from the coarse solution.  The
-coarse level only places the fine level's start, so estimate_scattering
-solves it on the 2x2 block means of x~ (half_grid_config scales the
-constants to that grid) and copies its result over each 2x2 block to
-start the fine level at full resolution; the paper solves it at full
-resolution.
+with per-pixel residuals initialized from the coarse solution.
+estimate_scattering solves both on the 2x2 block means of x~
+(half_grid_config scales the constants to that grid); full resolution
+enters once, when the fine x is copied over each 2x2 block and reweighted
+against x~ with the fine level's sigma.  The paper solves both levels at
+full resolution.
 
 The gamma constants configured here are the surrogate-scaled ones (the
 "primed" constants, gamma' = 2*sigma^2*gamma); the solver derives the
@@ -560,7 +560,7 @@ def run_fine(x_tilde, init: IrlsState, cfg: SolverConfig) -> IrlsState:
 
 
 def half_grid_config(cfg: SolverConfig, rows: int) -> SolverConfig:
-    """`cfg` scaled to the grid of 2x2 block means, `rows` high, that the coarse level runs on.
+    """`cfg` scaled to the grid of 2x2 block means, `rows` high, that both levels run on.
 
     gamma3 is divided by 4: the smoothness sum keeps its size when the
     grid is halved, while the data, patch and symmetry sums scale with the
@@ -576,30 +576,22 @@ def half_grid_config(cfg: SolverConfig, rows: int) -> SolverConfig:
         excluded_bottom_rows=-(-flip.excluded_bottom_rows // 2)))
 
 
-def _prolong(coarse: IrlsState, shape, cfg: SolverConfig) -> IrlsState:
-    """The fine level's start at full resolution from a half-grid coarse state.
-
-    Each half-grid value of x and w is copied over its 2x2 block, the
-    adjoint of the block means the coarse level ran on; an odd frame's
-    trailing row or column repeats its neighbour.  The patch quadratics
-    are refit to x under those weights, as the coarse level fits them.
-    """
-    pad = [(0, n - 2 * m) for n, m in zip(shape, coarse.x.shape)]
-    x, w = (np.pad(v.repeat(2, axis=0).repeat(2, axis=1), pad, mode="edge")
-            for v in (coarse.x, coarse.w))
-    return IrlsState(x=x, a=cfg.grid_for(shape).fit_all(x, weights=w + FIT_WEIGHT_FLOOR), w=w)
+def _block_copy(v: np.ndarray, shape) -> np.ndarray:
+    """Half-grid `v` copied over each 2x2 block of a `shape` frame, the adjoint of
+    the block means; an odd frame's trailing row or column repeats its neighbour."""
+    pad = [(0, n - 2 * m) for n, m in zip(shape, v.shape)]
+    return np.pad(v.repeat(2, axis=0).repeat(2, axis=1), pad, mode="edge")
 
 
 def estimate_scattering(x_tilde, cfg: SolverConfig):
-    """Full coarse-to-fine run for one domain: (coarse_state, fine_state), x the estimate.
+    """Full coarse-to-fine run for one domain: (coarse, fine, x, w).
 
-    The coarse level runs on the 2x2 block means of x~ (an odd trailing
-    row or column is dropped) under half_grid_config; its state is
-    returned as it ran, on that half grid.  The fine level starts from its
-    prolongation to full resolution.  The half grid must hold cfg's patch
-    grid with 3x3 pixels per patch, so a frame needs at least 6x6 pixels
-    per patch; a smaller one, a non-finite x~ or a flip row outside the
-    frame raises ValueError.
+    Both levels run, and their states are returned, on the 2x2 block means
+    of x~ (an odd trailing row or column dropped) under half_grid_config.
+    x is the fine x block-copied to full resolution, and w its Tukey
+    weights against x~ at the fine level's sigma.  The half grid needs 3x3
+    pixels per patch, so a frame under 6x6 pixels per patch, a non-finite
+    x~ or a flip row outside the frame raises ValueError.
     """
     x_tilde = _finite_image(x_tilde)
     rows, cols = x_tilde.shape
@@ -607,9 +599,13 @@ def estimate_scattering(x_tilde, cfg: SolverConfig):
     if rows < 6 * patch_rows or cols < 6 * patch_cols:
         raise ValueError(
             f"a {rows}x{cols} frame is too small for the {patch_rows}x{patch_cols} patch "
-            f"grid: the coarse level's half-resolution grid needs a frame of at least "
+            f"grid: the solver's half-resolution grid needs a frame of at least "
             f"{6 * patch_rows}x{6 * patch_cols} pixels")
     cfg.flip.halves(rows)  # a flip row outside the frame fails here, not after a level
     half = x_tilde[:rows // 2 * 2, :cols // 2 * 2].reshape(rows // 2, 2, cols // 2, 2)
-    coarse = run_coarse(half.mean(axis=(1, 3)), half_grid_config(cfg, rows // 2))
-    return coarse, run_fine(x_tilde, _prolong(coarse, x_tilde.shape, cfg), cfg)
+    half = half.mean(axis=(1, 3))
+    half_cfg = half_grid_config(cfg, rows // 2)
+    coarse = run_coarse(half, half_cfg)
+    fine = run_fine(half, coarse, half_cfg)
+    x = _block_copy(fine.x, x_tilde.shape)
+    return coarse, fine, x, tukey_weight((x - x_tilde) / fine.sigma, cfg.c_fine)

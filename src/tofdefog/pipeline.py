@@ -34,11 +34,12 @@ def thread_count(value) -> int:
 
 @dataclass
 class DomainResult:
-    """One domain's solver levels, scattering field and object mask."""
+    """One domain's solver levels, and its full-resolution field, weights and object mask."""
 
     coarse: IrlsState
     fine: IrlsState
     field: ScatteringField
+    weights: np.ndarray
     mask: ObjectMask
 
 
@@ -73,9 +74,9 @@ def defog(obs: PhasorImage, cam: CameraModel,
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
         runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
     amplitude, phase = (
-        DomainResult(coarse, fine, ScatteringField(np.maximum(fine.x, 0.0) if clamp else fine.x),
-                     binarize_weights(fine.w))
-        for (coarse, fine), clamp in zip(runs, (True, False)))
+        DomainResult(coarse, fine, ScatteringField(np.maximum(x, 0.0) if clamp else x),
+                     w, binarize_weights(w))
+        for (coarse, fine, x, w), clamp in zip(runs, (True, False)))
     fused = fuse_masks(amplitude.mask, phase.mask)
     direct = recover_direct(obs, amplitude.field.values, phase.field.values)
     return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))

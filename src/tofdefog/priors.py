@@ -22,6 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import json_fits
+
 
 class SingularFitError(RuntimeError):
     """Raised when a patch fit's normal equations are rank deficient."""
@@ -179,10 +181,10 @@ class FlipOperator:
     excluded_bottom_rows: int = 0
 
     def __post_init__(self):
-        if self.flip_row < 0:
-            raise ValueError("flip_row must be non-negative")
-        if self.excluded_bottom_rows < 0:
-            raise ValueError("excluded_bottom_rows must be non-negative")
+        for name in ("flip_row", "excluded_bottom_rows"):
+            value = getattr(self, name)
+            if not (json_fits(value, "int") and value >= 0):
+                raise ValueError(f"{name} must be non-negative and an int, got {value!r}")
 
     def halves(self, rows: int) -> tuple[slice, slice]:
         """Row slices (lower, upper) = flip_row-k..flip_row-1, flip_row+1..flip_row+k.

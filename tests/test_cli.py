@@ -116,7 +116,7 @@ def test_defog_and_eval_take_the_frequency_from_the_capture(tmp_path):
     by_label = {r["label"]: r for r in json.loads((defog_out / "report.json").read_text())}
     # a defog at the 16 MHz that was the default gave 424.11 mm, and its
     # eval 208.79 mm for the raw baseline
-    assert by_label["proposed"]["overall_mean_mm"] == pytest.approx(21.71, abs=0.005)
+    assert by_label["proposed"]["overall_mean_mm"] == pytest.approx(24.15, abs=0.005)
     assert by_label["w/o method"]["overall_mean_mm"] == pytest.approx(528.04, abs=0.005)
 
 
@@ -385,7 +385,7 @@ def test_a_frame_too_small_for_the_half_grid_exit_code(tmp_path, capsys):
 
 
 def test_the_manifest_states_each_levels_grid(tmp_path):
-    # the coarse levels run on the 2x2 block means, the fine levels on the frame
+    # both levels run on the 2x2 block means, not on the frame
     scene = make_scene(beta=3.2e-4, seed=5, rows=72, cols=96, flip_row=34)
     save_scene(scene, tmp_path / "scene" / "scene.json")
     synth_out, out = tmp_path / "synth", tmp_path / "d"
@@ -396,7 +396,7 @@ def test_the_manifest_states_each_levels_grid(tmp_path):
     solver = json.loads((out / "manifest.json").read_text())["solver"]
     assert {name: level["shape"] for name, level in solver.items()} == {
         "amplitude_coarse": [36, 48], "phase_coarse": [36, 48],
-        "amplitude_fine": [72, 96], "phase_fine": [72, 96]}
+        "amplitude_fine": [36, 48], "phase_fine": [36, 48]}
 
 
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

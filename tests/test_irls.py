@@ -15,7 +15,7 @@ from tofdefog.irls import (
     _scale_floor,
     _solve_system,
     _Workspace,
-    _prolong,
+    _block_copy,
     _x_step,
     binarize_weights,
     estimate_scattering,
@@ -711,53 +711,33 @@ def test_half_grid_config_halves_the_mirror_and_quarters_gamma3(flip, rows, half
     assert replace(scaled, gamma3=cfg.gamma3, flip=cfg.flip) == cfg
 
 
-def test_prolonging_copies_each_half_grid_value_over_its_2x2_block():
-    cfg = small_config(rows=51)
+def test_the_block_copy_puts_each_half_grid_value_over_its_2x2_block():
     rng = np.random.default_rng(4)
-    coarse = IrlsState(x=rng.normal(size=(25, 33)), a=np.zeros((4, 6)),
-                       w=rng.uniform(size=(25, 33)))
-    start = _prolong(coarse, (51, 67), cfg)
-    for full, half in ((start.x, coarse.x), (start.w, coarse.w)):
-        assert full.shape == (51, 67)
-        for dr in (0, 1):
-            for dc in (0, 1):
-                assert np.array_equal(full[dr:50:2, dc:66:2], half)
-        # the odd frame's trailing row and column repeat their neighbours
-        assert np.array_equal(full[-1], full[-2])
-        assert np.array_equal(full[:, -1], full[:, -2])
-    grid = cfg.grid_for((51, 67))
-    assert np.array_equal(start.a, grid.fit_all(start.x, weights=start.w + 1e-9))
+    half = rng.normal(size=(25, 33))
+    full = _block_copy(half, (51, 67))
+    assert full.shape == (51, 67)
+    for dr in (0, 1):
+        for dc in (0, 1):
+            assert np.array_equal(full[dr:50:2, dc:66:2], half)
+    # the odd frame's trailing row and column repeat their neighbours
+    assert np.array_equal(full[-1], full[-2])
+    assert np.array_equal(full[:, -1], full[:, -2])
 
 
-def test_prolonging_the_block_means_of_a_ramp_gives_the_ramp():
+def test_the_block_copy_of_the_block_means_of_a_ramp_gives_the_ramp():
     # block means of a linear field are the field at the blocks' centres; the
-    # block copy puts each back over its block, so the start is the ramp at
+    # block copy puts each back over its block, so the copy is the ramp at
     # its block centres, half a pixel step from the ramp at most
-    cfg = small_config(rows=24)
     rows, cols = np.mgrid[0:24, 0:36].astype(np.float64)
     ramp = 0.3 * rows - 0.7 * cols + 2.0
     half = ramp.reshape(12, 2, 18, 2).mean(axis=(1, 3))
-    start = _prolong(IrlsState(x=half, a=np.zeros((4, 6)), w=np.ones(half.shape)),
-                     ramp.shape, cfg)
-    assert start.x.shape == ramp.shape
+    full = _block_copy(half, ramp.shape)
+    assert full.shape == ramp.shape
     centres = 0.3 * (rows // 2 * 2 + 0.5) - 0.7 * (cols // 2 * 2 + 0.5) + 2.0
-    np.testing.assert_allclose(start.x, centres, rtol=0, atol=1e-12)
-    assert np.abs(start.x - ramp).max() <= (0.3 + 0.7) / 2 + 1e-12
-    # the block means of the start are the coarse level's x again
-    assert np.array_equal(start.x.reshape(12, 2, 18, 2).mean(axis=(1, 3)), half)
-    assert np.array_equal(start.w, np.ones(ramp.shape))
-    assert start.a.shape == (4, 6)
-
-
-def test_prolonging_spreads_each_coarse_patch_weight_over_its_full_patch():
-    # the patch edges of the 24x36 half grid halve those of both frames evenly
-    cfg = small_config(rows=48)
-    patch_w = np.array([1.0, 0.25, 0.0, 0.5])
-    coarse = IrlsState(x=np.ones((24, 36)), a=np.zeros((4, 6)),
-                       w=cfg.grid_for((24, 36)).expand_patch_values(patch_w))
-    for shape in ((48, 72), (49, 73)):
-        start = _prolong(coarse, shape, cfg)
-        assert np.array_equal(start.w, cfg.grid_for(shape).expand_patch_values(patch_w))
+    np.testing.assert_allclose(full, centres, rtol=0, atol=1e-12)
+    assert np.abs(full - ramp).max() <= (0.3 + 0.7) / 2 + 1e-12
+    # the block means of the copy are the half-grid values again
+    assert np.array_equal(full.reshape(12, 2, 18, 2).mean(axis=(1, 3)), half)
 
 
 @pytest.mark.parametrize("shape", [(23, 40), (40, 23)])
@@ -773,20 +753,29 @@ def test_estimate_scattering_solves_the_coarse_level_on_the_half_grid():
                        coverage="small")
     x_tilde = td.synthesize(scene).foggy.amplitude
     cfg = small_config(rows=48)
-    coarse, fine = estimate_scattering(x_tilde, cfg)
+    coarse, fine, x, w = estimate_scattering(x_tilde, cfg)
     assert coarse.x.shape == coarse.w.shape == (24, 25)
-    assert fine.x.shape == fine.w.shape == (48, 50)
-    # the coarse state is run_coarse's on the block means, unchanged
+    assert fine.x.shape == fine.w.shape == (24, 25)
+    assert x.shape == w.shape == (48, 50)
+    # both states are run_coarse's and run_fine's on the block means, unchanged
     half = x_tilde.reshape(24, 2, 25, 2).mean(axis=(1, 3))
-    again = run_coarse(half, half_grid_config(cfg, 24))
+    half_cfg = half_grid_config(cfg, 24)
+    again = run_coarse(half, half_cfg)
     assert np.array_equal(coarse.x, again.x) and np.array_equal(coarse.w, again.w)
     assert coarse.summary() == again.summary()
+    again = run_fine(half, again, half_cfg)
+    assert np.array_equal(fine.x, again.x) and np.array_equal(fine.w, again.w)
+    assert fine.summary() == again.summary() and fine.summary()["shape"] == [24, 25]
+    # full resolution enters once: the block copy of the fine x, reweighted
+    # against x~ with the fine level's frozen sigma
+    assert np.array_equal(x, _block_copy(fine.x, x_tilde.shape))
+    assert np.array_equal(w, tukey_weight((x - x_tilde) / fine.sigma, cfg.c_fine))
 
 
 def test_a_flip_row_on_an_odd_frames_last_row_mirrors_nothing_on_either_grid():
     cfg = small_config(rows=49, flip=FlipOperator(flip_row=48, excluded_bottom_rows=0))
-    coarse, fine = estimate_scattering(quadratic_symmetric_image(49, 30, 24), cfg)
-    assert coarse.x.shape == (24, 15) and fine.x.shape == (49, 30)
+    coarse, fine, x, w = estimate_scattering(quadratic_symmetric_image(49, 30, 24), cfg)
+    assert coarse.x.shape == fine.x.shape == (24, 15) and x.shape == w.shape == (49, 30)
 
 
 def test_a_flip_row_outside_the_frame_fails_before_any_cg_iteration(monkeypatch):

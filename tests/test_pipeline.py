@@ -87,8 +87,8 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
 
 
 def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():
-    # the half grid drops the trailing row and column; the fine level and
-    # the outputs keep the frame's size
+    # the half grid drops the trailing row and column; the outputs keep
+    # the frame's size
     scene = make_scene(beta=3.2e-4, seed=2, rows=49, cols=67, flip_row=24,
                        coverage="small")
     syn = td.synthesize(scene)
@@ -101,7 +101,8 @@ def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():
         one, two = getattr(serial, name), getattr(threaded, name)
         assert one.field.values.shape == (49, 67)
         assert np.array_equal(one.field.values, two.field.values)
-        assert np.array_equal(one.fine.w, two.fine.w)
+        assert one.weights.shape == (49, 67)
+        assert np.array_equal(one.weights, two.weights)
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
     assert np.array_equal(serial.depth.depth, threaded.depth.depth, equal_nan=True)
     assert serial.solver_summary() == threaded.solver_summary()
@@ -203,10 +204,11 @@ def test_defog_clamps_the_amplitude_field_and_not_the_phase(monkeypatch):
     monkeypatch.setattr(irls, "run_fine", shifted_run_fine)
     res = td.defog(syn.foggy, scene.cam, small_config("amplitude-kinect16", rows=48),
                    small_config("phase-kinect16", rows=48), threads=1)
-    amp, phase = res.amplitude, res.phase
-    assert amp.fine.x.min() < 0 and phase.fine.x.min() < 0
-    assert np.array_equal(amp.field.values, np.maximum(amp.fine.x, 0.0))
-    assert np.array_equal(phase.field.values, phase.fine.x)
+    # each field is the half-grid fine x copied over its 2x2 blocks
+    amp, phase = (irls._block_copy(d.fine.x, (48, 48)) for d in (res.amplitude, res.phase))
+    assert amp.min() < 0 and phase.min() < 0
+    assert np.array_equal(res.amplitude.field.values, np.maximum(amp, 0.0))
+    assert np.array_equal(res.phase.field.values, phase)
 
 
 def test_solver_summary_flags_levels_stopped_by_the_cap():

@@ -265,3 +265,17 @@ def test_expand_patch_values_matches_a_per_patch_loop(rows, cols, grid):
 def test_a_negative_or_empty_operator_size_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    # a bool is an int to Python: True used to mirror about row 1
+    ({"flip_row": True}, r"flip_row must be non-negative and an int, got True"),
+    ({"flip_row": 20.5}, r"flip_row must be non-negative and an int, got 20\.5"),
+    ({"flip_row": 8, "excluded_bottom_rows": 2.0},
+     r"excluded_bottom_rows must be non-negative and an int, got 2\.0"),
+    ({"flip_row": 8, "excluded_bottom_rows": False},
+     r"excluded_bottom_rows must be non-negative and an int, got False"),
+], ids=["bool-row", "float-row", "float-band", "bool-band"])
+def test_a_flip_geometry_that_is_not_an_int_is_rejected_naming_the_field(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        FlipOperator(**kwargs)
