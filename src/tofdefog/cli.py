@@ -247,7 +247,8 @@ def cmd_eval(args) -> int:
     os.makedirs(out, exist_ok=True)
     json_path = os.path.join(out, "report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True,
+                  allow_nan=False)
     csv_path = os.path.join(out, "report.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(report_table_csv(reports))

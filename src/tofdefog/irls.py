@@ -278,6 +278,93 @@ def binarize_weights(w: np.ndarray) -> ObjectMask:
     return ObjectMask(mask=w < MASK_THRESHOLD)
 
 
+def _makhoul_order(n: int):
+    """Makhoul's reordering of a length-n axis as (source, destination) slices:
+    the even indices ascending, then the odd ones descending."""
+    evens = (n + 1) // 2
+    return ((slice(0, n, 2), slice(0, evens)),
+            (slice(n - 1 - n % 2, 0, -2), slice(evens, n)))
+
+
+class _DctSolve:
+    """out = D^-1 (scale * D r) for the 2-D DCT-II D, in numpy alone, into `out`.
+
+    The DCT-II of each axis is one real FFT of the axis in Makhoul's order
+    and a twiddle exp(-i pi k / 2n): the real part and the negated imaginary
+    part of the k-th twiddled coefficient are the DCT coefficients k and
+    n - k (Makhoul, "A fast cosine transform in one and two dimensions",
+    IEEE TASSP 1980).  Over the rows the DCT is formed; over the columns
+    the DCT, the scaling and the inverse DCT fold into the twiddle, a
+    scaling of each coefficient's real and imaginary part, and the
+    conjugate twiddle.  So `scale` comes in the layout of pairs(), and the
+    transforms are unnormalized: `scale` carries the pair's 1 / (rows * cols).
+
+    Every view of `out`, `scratch` (which each call overwrites) and the one
+    spectrum buffer is taken once, here: taking them per call cost about 8%
+    of a call at 120x160.
+    """
+
+    def __init__(self, out: np.ndarray, scratch: np.ndarray):
+        rows, cols = out.shape
+        self._out, self._scratch, self._rows, self._cols = out, scratch, rows, cols
+        order = [(np.s_[rs, cs], np.s_[rd, cd]) for rs, rd in _makhoul_order(rows)
+                 for cs, cd in _makhoul_order(cols)]
+        self._into = [(scratch[dst], src) for src, dst in order]
+        self._back = [(out[src], scratch[dst]) for src, dst in order]
+        row_twiddle = np.exp(-0.5j * np.pi * np.arange(rows // 2 + 1) / rows)[:, None]
+        col_twiddle = np.exp(-0.5j * np.pi * np.arange(cols // 2 + 1) / cols)
+        self._twiddles = row_twiddle, row_twiddle.conj(), col_twiddle, col_twiddle.conj()
+        # one buffer holds the real FFT over the rows, then the one over the columns
+        spectrum = np.empty(max((rows // 2 + 1) * cols, rows * (cols // 2 + 1)), dtype=complex)
+        row_spec = self._row_spectrum = spectrum[:(rows // 2 + 1) * cols].reshape(rows // 2 + 1, cols)
+        col_spec = self._col_spectrum = spectrum[:rows * (cols // 2 + 1)].reshape(rows, cols // 2 + 1)
+        self._col_pairs = col_spec.view(np.float64).reshape(rows, cols // 2 + 1, 2)
+        # the row DCT in `out` as (rows of out, spectrum parts): rows
+        # 0..rows//2 are real parts, the rest negated imaginary parts in
+        # reverse; back in the spectrum, the DC imaginary part is 0, and an
+        # even count's middle row gives both parts of its coefficient
+        head = rows // 2 + 1
+        self._real_rows = out[:head], row_spec.real
+        self._imag_rows = out[head:], row_spec.imag[1:(rows + 1) // 2][::-1]
+        self._imag_back = out[::-1][:rows // 2], row_spec.imag[1:]
+        self._imag_dc = row_spec.imag[0]
+
+    @staticmethod
+    def pairs(table: np.ndarray) -> np.ndarray:
+        """A rows x cols table over the DCT frequencies as __call__ takes it:
+        [k, m] holds the values at (k, m) and (k, cols - m), m = 0..cols//2
+        (both at (k, 0) for m = 0)."""
+        m = np.arange(table.shape[1] // 2 + 1)
+        return np.ascontiguousarray(np.stack([table[:, m], table[:, -m]], axis=-1))
+
+    def __call__(self, r, scale):
+        """D^-1 (scale * D r) in `out`; r, neither `out` nor `scratch`, is untouched."""
+        out, scratch = self._out, self._scratch
+        row_spec, col_spec = self._row_spectrum, self._col_spectrum
+        row_twiddle, row_back, col_twiddle, col_back = self._twiddles
+        (real_out, real_spec), (imag_out, imag_spec) = self._real_rows, self._imag_rows
+        imag_out_back, imag_spec_back = self._imag_back
+        for dst, src in self._into:
+            np.copyto(dst, r[src])
+        np.fft.rfft(scratch, axis=0, out=row_spec)
+        row_spec *= row_twiddle
+        np.copyto(real_out, real_spec)
+        np.negative(imag_spec, out=imag_out)
+        np.fft.rfft(out, axis=1, out=col_spec)
+        col_spec *= col_twiddle
+        self._col_pairs *= scale
+        col_spec *= col_back
+        np.fft.irfft(col_spec, self._cols, axis=1, out=out, norm="forward")
+        np.copyto(real_spec, real_out)
+        self._imag_dc[...] = 0.0
+        np.negative(imag_out_back, out=imag_spec_back)
+        row_spec *= row_back
+        np.fft.irfft(row_spec, self._rows, axis=0, out=scratch, norm="forward")
+        for dst, src in self._back:
+            np.copyto(dst, src)
+        return out
+
+
 class _Workspace:
     """Per-level operators and buffers shared by every solve: patch bases, flip, stencil.
 
@@ -292,16 +379,14 @@ class _Workspace:
     gamma3*L with the Neumann Laplacian L, is diagonalized by the DCT-II and
     inverted exactly in O(n log n) (Krishnan & Szeliski, "Multigrid and
     Multilevel Preconditioners for Computational Photography", SIGGRAPH
-    Asia 2011).  Its eigenvalues are built here once.
+    Asia 2011).  Its eigenvalues are built here once, and _DctSolve does
+    the DCT pair with numpy's real FFT.
 
     The operator, the preconditioner and _solve_system work in image-sized
     buffers that live as long as the workspace, one level.
     """
 
     def __init__(self, shape, cfg: SolverConfig):
-        from scipy.fft import dctn, idctn
-
-        self._dctn, self._idctn = dctn, idctn
         self.cfg = cfg
         self.grid = cfg.grid_for(shape)
         rows, cols = shape
@@ -312,16 +397,17 @@ class _Workspace:
         self.fixed_diag = cfg.gamma1 + cfg.gamma2 * sym_diag + cfg.gamma3 * lap_diag
         lam_r = 2.0 - 2.0 * np.cos(np.pi * np.arange(rows) / rows)
         lam_c = 2.0 - 2.0 * np.cos(np.pi * np.arange(cols) / cols)
-        self.fixed_eig = (
+        self.fixed_eig = _DctSolve.pairs(
             cfg.gamma3 * (lam_r[:, None] + lam_c[None, :])
             + cfg.gamma1
             + cfg.gamma2 * float(np.mean(sym_diag))
         )
         self.max_cg_iters = int(math.ceil(10.0 * math.sqrt(rows * cols)))
-        # diag(w) + fixed diagonal, inverse eigenvalues, CG residual,
-        # direction, A p, and a scratch that each apply overwrites
-        (self._diag, self._inv_eig, self.r, self.p, self.ap,
-         self.scratch) = (np.empty(shape) for _ in range(6))
+        # diag(w) + fixed diagonal, CG residual, direction, A p, and a
+        # scratch that each apply overwrites
+        self._diag, self.r, self.p, self.ap, self.scratch = (np.empty(shape) for _ in range(5))
+        self._inv_eig = np.empty_like(self.fixed_eig)
+        self._dct = _DctSolve(self.ap, self.scratch)
 
     def operator(self, w: np.ndarray):
         """The x-step operator for weights w, as apply(x, out) -> out = A x."""
@@ -351,7 +437,8 @@ class _Workspace:
 
         The returned solve(r) writes its result z into the A p buffer:
         conjugate gradients is done with z, folded into the direction,
-        before it computes the next A p.
+        before it computes the next A p.  It also overwrites the scratch
+        buffer.
         """
         mean_w = float(np.mean(w))
         inv = np.add(self.fixed_eig, mean_w, out=self._inv_eig)
@@ -360,15 +447,11 @@ class _Workspace:
             # the constant mode of a singular system (gamma1 = gamma2 = 0)
             # passes through unscaled instead of dividing by zero
             inv[inv <= 0] = 1.0
-        np.reciprocal(inv, out=inv)
-        z = self.ap
+        np.divide(1.0 / self.r.size, inv, out=inv)  # the unnormalized pair's scaling
+        dct = self._dct
 
         def solve(r):
-            np.copyto(z, r)
-            self._dctn(z, type=2, norm="ortho", overwrite_x=True)
-            np.multiply(z, inv, out=z)
-            self._idctn(z, type=2, norm="ortho", overwrite_x=True)
-            return z
+            return dct(r, inv)
 
         return solve
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,12 +78,16 @@ class DepthErrorReport:
     mask_iou: float = float("nan")
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a missing value (NaN) is None, JSON's null."""
+        def value(v):
+            return None if math.isnan(v) else v
+
         return {
             "label": self.label,
-            "region_errors_mm": {str(k): v for k, v in self.region_errors.items()},
+            "region_errors_mm": {str(k): value(v) for k, v in self.region_errors.items()},
             "region_pixel_counts": {str(k): v for k, v in self.region_counts.items()},
-            "overall_mean_mm": self.overall_mean,
-            "mask_iou": self.mask_iou,
+            "overall_mean_mm": value(self.overall_mean),
+            "mask_iou": value(self.mask_iou),
         }
 
 

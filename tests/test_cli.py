@@ -63,6 +63,14 @@ def run_defog(tmp_path, synth_out, defog_out, extra=()):
     assert main(args + list(extra)) == 0
 
 
+def strict_json(text):
+    """json.loads without the NaN and Infinity that RFC 8259 leaves out."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_synth_defog_eval_round_trip(tmp_path, scene_dir):
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)
@@ -74,9 +82,10 @@ def test_synth_defog_eval_round_trip(tmp_path, scene_dir):
         assert (defog_out / f"{name}.tofgrid").exists()
 
     assert main(["eval", "--est", str(defog_out), "--gt", str(synth_out)]) == 0
-    report = json.loads((defog_out / "report.json").read_text())
+    report = strict_json((defog_out / "report.json").read_text())
     by_label = {r["label"]: r for r in report}
     assert set(by_label) == {"w/o method", "proposed"}
+    assert by_label["w/o method"]["mask_iou"] is None  # the raw pipeline has no mask
     raw_err = by_label["w/o method"]["region_errors_mm"]["1"]
     prop_err = by_label["proposed"]["region_errors_mm"]["1"]
     assert prop_err < 0.2 * raw_err
@@ -349,15 +358,22 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     assert not (tmp_path / "out").exists()
 
 
-def test_importing_the_cli_leaves_scipy_ndimage_unloaded():
-    # only a --gaussian-sigma run needs it, and importing it costs most of a start-up
+def test_importing_the_cli_leaves_scipy_ndimage_unloaded(tmp_path):
+    # only a --gaussian-sigma run needs scipy, and importing it costs most of
+    # a start-up: neither the import nor a defog without it loads any scipy
+    # module
     src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, tofdefog.cli; print('scipy.ndimage' in sys.modules)"
+    code = ("import json, sys, tofdefog.cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "imported = scipy_modules()\n"
+            "code = tofdefog.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([imported, code, scipy_modules()]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", code, "defog", *write_flat_pair(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert json.loads(done.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):

@@ -12,6 +12,7 @@ from tofdefog.irls import (
     PROFILES,
     IrlsState,
     SolverConfig,
+    _DctSolve,
     _scale_floor,
     _solve_system,
     _Workspace,
@@ -190,6 +191,23 @@ def test_solve_system_singular_constant_mode():
         x, _, _ = _solve_system(ws, np.zeros((16, 16)), np.zeros((16, 16)), x0)
     assert np.all(np.isfinite(x))
     assert np.ptp(x) < 1e-5 * np.ptp(x0)  # L x = 0 only for constant x
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 3), (5, 7), (15, 15), (36, 48), (37, 49),
+                                   (120, 160), (121, 161)], ids="{0[0]}x{0[1]}".format)
+def test_the_dct_solve_matches_scipys_dct_pair(shape):
+    # odd lengths split Makhoul's order unevenly, and one row or column
+    # has no odd index at all
+    from scipy.fft import dctn, idctn
+
+    rng = np.random.default_rng(18)
+    r = rng.normal(size=shape)
+    scale = rng.uniform(0.1, 1.0, shape)
+    given = r.copy()
+    z = _DctSolve(np.empty(shape), np.empty(shape))(r, _DctSolve.pairs(scale) / r.size)
+    ref = idctn(dctn(r, norm="ortho") * scale, norm="ortho")
+    assert np.linalg.norm(z - ref) <= 1e-14 * np.linalg.norm(ref)
+    assert np.array_equal(r, given)
 
 
 def warm_start_system(seed):

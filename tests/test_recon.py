@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,23 @@ def test_evaluate_skips_invalid_pixels():
     report = evaluate(_depths(est_vals), _depths(gt_vals), mask, mask, regions)
     assert report.region_counts[1] == 7
     assert report.region_errors[1] == pytest.approx(10.0)
+
+
+def test_a_report_without_a_value_writes_null():
+    # region 2 has no pixel with both depths, and the raw pipeline's report
+    # has no mask: strict JSON has no NaN, so both are null
+    gt_vals = np.full((2, 4), 1000.0)
+    gt_vals[1] = np.inf
+    regions = np.ones((2, 4), dtype=int)
+    regions[1] = 2
+    mask = ObjectMask(np.ones((2, 4), dtype=bool))
+    report = evaluate(_depths(gt_vals + 5.0), _depths(gt_vals), mask, mask, regions)
+    report.mask_iou = float("nan")
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["region_errors_mm"] == {"1": 5.0, "2": None}
+    assert doc["region_pixel_counts"] == {"1": 4, "2": 0}
+    assert doc["overall_mean_mm"] == 5.0
+    assert doc["mask_iou"] is None
 
 
 def test_report_table_mirrors_per_object_layout():
