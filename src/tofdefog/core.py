@@ -32,11 +32,46 @@ class InputError(ValueError):
     """An input that is well formed but does not fit its role, such as a grid of another domain."""
 
 
+def bounds(values) -> tuple[float, float]:
+    """The least and greatest of `values` and 0, as floats; both NaN when a value is NaN.
+
+    One read each, where a check through boolean grids reads a grid per
+    comparison.  Every value check in this package accepts 0, so taking it
+    in changes no outcome and lets an empty grid pass.
+    """
+    values = np.asarray(values)
+    return float(values.min(initial=0.0)), float(values.max(initial=0.0))
+
+
 def wrap_phase(phase):
-    """Wrap phase values into [0, 2*pi), as an array (0-d for a scalar)."""
-    wrapped = np.mod(phase, TWO_PI, out=np.empty(np.shape(phase)))
-    wrapped[wrapped >= TWO_PI] = 0.0  # np.mod's exact 2*pi for values in about [-4.4e-16, 0)
+    """Wrap phase values into [0, 2*pi), as a float64 array (0-d for a scalar).
+
+    The bits are np.mod(phase, 2*pi)'s, but np.mod's exact 2*pi (for values
+    in about [-4.4e-16, 0)) is 0.  Within (-2*pi, 2*pi), np.mod's remainder
+    is the value plus 2*pi below 0 and plus 0.0 elsewhere (-0.0 becomes
+    +0.0), which one addition gives without np.mod's division.
+    """
+    phase = np.asarray(phase, dtype=np.float64)
+    wrapped = np.empty(phase.shape)
+    lo, hi = bounds(phase)
+    if -TWO_PI < lo and hi < TWO_PI:
+        np.less(phase, 0.0, out=wrapped)
+        wrapped *= TWO_PI
+        wrapped += phase
+    else:  # beyond one turn, and NaN or inf
+        np.mod(phase, TWO_PI, out=wrapped)
+    wrapped[wrapped >= TWO_PI] = 0.0
     return wrapped
+
+
+def rectangular(amplitude, phase) -> np.ndarray:
+    """amplitude * exp(j*phase), bit for bit, built in one complex grid."""
+    out = np.empty(np.broadcast_shapes(np.shape(amplitude), np.shape(phase)),
+                   dtype=np.complex128)
+    np.multiply(phase, 1j, out=out)
+    np.exp(out, out=out)
+    out *= amplitude
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,9 +113,11 @@ class PhasorImage:
             raise ValueError(
                 f"amplitude shape {self.amplitude.shape} != phase shape {self.phase.shape}"
             )
-        if np.any(self.amplitude < 0):
-            raise ValueError("amplitude must be non-negative")
-        if not np.all(np.isfinite(self.amplitude)) or not np.all(np.isfinite(self.phase)):
+        a_lo, a_hi = bounds(self.amplitude)
+        p_lo, p_hi = bounds(self.phase)
+        if not (0 <= a_lo and a_hi < math.inf and -math.inf < p_lo and p_hi < math.inf):
+            if np.any(self.amplitude < 0):  # a NaN hides a negative value from bounds()
+                raise ValueError("amplitude must be non-negative")
             raise ValueError("phasor grids must be finite")
         self.phase = wrap_phase(self.phase)
 
@@ -90,7 +127,7 @@ class PhasorImage:
 
     def to_complex(self) -> np.ndarray:
         """Rectangular form, amplitude * exp(j*phase)."""
-        return self.amplitude * np.exp(1j * self.phase)
+        return rectangular(self.amplitude, self.phase)
 
     @classmethod
     def from_complex(cls, values: np.ndarray) -> "PhasorImage":
@@ -140,9 +177,10 @@ def phase_to_depth(phase, cam: CameraModel):
     Accepts scalars or arrays; phase must be finite and in [0, 2*pi).
     """
     phase = np.asarray(phase, dtype=np.float64)
-    if not np.all(np.isfinite(phase)):
-        raise ValueError("phase must be finite")
-    if np.any(phase < 0) or np.any(phase >= TWO_PI):
+    lo, hi = bounds(phase)
+    if not (0 <= lo and hi < TWO_PI):
+        if not np.all(np.isfinite(phase)):
+            raise ValueError("phase must be finite")
         raise ValueError("phase must lie in [0, 2*pi)")
     depth = phase / cam.phase_per_mm
     return depth if depth.ndim else float(depth)

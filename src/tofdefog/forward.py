@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, json_fits, wrap_phase
+from .core import (CameraModel, DepthImage, PhasorImage, bounds, json_fits, rectangular,
+                   wrap_phase)
 from .irls import ScatteringField
 from .recon import ObjectMask
 
@@ -101,8 +102,8 @@ def direct_phasor(z, reflectance, medium: MediumParams, cam: CameraModel):
     bad = z[~((0 < z) & (z < np.inf))]  # NaN fails both comparisons
     if bad.size:
         raise ValueError(f"depth must be finite and positive, got {bad.flat[0]}")
-    kappa = cam.phase_per_mm
-    out = (reflectance / (z * z)) * np.exp(-2.0 * medium.beta * z) * np.exp(1j * kappa * z)
+    out = rectangular((reflectance / (z * z)) * np.exp(-2.0 * medium.beta * z),
+                      cam.phase_per_mm * z)
     return out if out.ndim else complex(out)
 
 
@@ -220,12 +221,11 @@ class SceneSpec:
             raise ValueError("scene grids do not match the camera size")
         if self.labels is not None and np.shape(self.labels) != self.depth_map.shape:
             raise ValueError(f"labels shape {np.shape(self.labels)} differs from the scene's")
-        if np.any(self.reflectance_map < 0):
-            raise ValueError("reflectance must be non-negative")
-        valid = self.valid_depth()
-        z = self.depth_map[valid]
-        if z.size and (np.any(z <= self.medium.z0)
-                       or np.any(z >= self.cam.unambiguous_range_mm)):
+        lo, hi = bounds(self.reflectance_map)
+        if not (0 <= lo and hi < np.inf):  # NaN fails both comparisons
+            raise ValueError("reflectance must be non-negative and finite")
+        z = self.depth_map[self.valid_depth()]
+        if z.size and not (self.medium.z0 < z.min() and z.max() < self.cam.unambiguous_range_mm):
             raise ValueError(
                 "valid depths must lie within (z0, unambiguous range)"
             )
@@ -257,24 +257,22 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if not (json_fits(noise_seed, "int") and noise_seed >= 0):
         raise ValueError(f"noise_seed must be an int >= 0, got {noise_seed!r}")
-    valid = scene.valid_depth()
-    direct = np.zeros(scene.depth_map.shape, dtype=np.complex128)
-    if valid.any():
-        direct[valid] = direct_phasor(
-            scene.depth_map[valid], scene.reflectance_map[valid],
-            scene.medium, scene.cam,
-        )
     amp_s, phase_s = scene.scattering.fields(
         scene.depth_map.shape, scene.medium, scene.cam
     )
     if np.any(amp_s < 0):
         raise ValueError("scattering amplitude field must be non-negative")
-    scat = amp_s * np.exp(1j * phase_s)
-    total = direct + scat
+    total = rectangular(amp_s, phase_s)
+    valid = scene.valid_depth()
+    if valid.any():
+        total[valid] += direct_phasor(
+            scene.depth_map[valid], scene.reflectance_map[valid],
+            scene.medium, scene.cam,
+        )
     if noise_sigma > 0:
         rng = np.random.default_rng(noise_seed)
-        total = total + rng.normal(0.0, noise_sigma, total.shape) \
-            + 1j * rng.normal(0.0, noise_sigma, total.shape)
+        total += rng.normal(0.0, noise_sigma, total.shape)
+        total += 1j * rng.normal(0.0, noise_sigma, total.shape)
 
     return SynthesisResult(
         foggy=PhasorImage.from_complex(total),

@@ -11,11 +11,12 @@ A capture's amplitude and phase grids carry its modulation_frequency_hz.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TWO_PI, InputError, json_fits
+from .core import TWO_PI, InputError, bounds, json_fits
 
 MAGIC = "TOFGRID"
 VERSION = 1
@@ -43,20 +44,21 @@ class GridFile:
 
 
 def _validate_domain_values(values: np.ndarray, domain: str, where: str):
+    lo, hi = bounds(values)   # NaN in both when a value is NaN, so every check below fails
     if domain == "phase":
-        if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values >= TWO_PI):
+        if not (0 <= lo and hi < TWO_PI):
             raise GridFormatError(f"{where}: phase values must lie in [0, 2*pi)")
     elif domain == "depth":
-        if np.any(np.isnan(values)) or np.any(values < 0):
+        if not 0 <= lo:
             raise GridFormatError(f"{where}: depth values must be non-negative (inf = background)")
     elif domain == "amplitude":
-        if np.any(~np.isfinite(values)) or np.any(values < 0):
+        if not (0 <= lo and hi < math.inf):
             raise GridFormatError(f"{where}: amplitude values must be finite and non-negative")
     elif domain == "weight":
-        if np.any(~np.isfinite(values)) or np.any(values < 0) or np.any(values > 1):
+        if not (0 <= lo and hi <= 1):
             raise GridFormatError(f"{where}: weights must lie in [0, 1]")
     elif domain == "label":
-        if np.any(~np.isfinite(values)):
+        if not (-math.inf < lo and hi < math.inf):
             raise GridFormatError(f"{where}: labels must be finite")
 
 
@@ -64,17 +66,21 @@ def write_grid(path, values, domain: str, units: str | None = None,
                modulation_frequency_hz: float | None = None) -> None:
     """Write a grid; float64 input is cast to the stored float32, a frequency to the header.
 
-    A header that read_grid would reject raises GridFormatError before any byte is written.
+    Values that read_grid would reject, as given or as stored (a finite
+    value can round to float32's inf), and a header that it would reject
+    raise GridFormatError before any byte is written.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise GridFormatError(f"{path}: grids must be 2-D, got {values.ndim}-D")
     _validate_domain_values(values, domain, str(path))
-    payload = np.ascontiguousarray(values, dtype="<f4")
+    with np.errstate(over="ignore"):  # an overflow is the stored check's to report
+        payload = np.ascontiguousarray(values, dtype="<f4")
     if domain == "phase":
         # float32 rounding can push valid values just past 2*pi; those are
         # the angle 0 up to storage precision
-        payload = np.where(payload.astype(np.float64) >= TWO_PI, np.float32(0.0), payload)
+        payload[payload >= np.float32(TWO_PI)] = 0.0
+    _validate_domain_values(payload, domain, str(path))
     header = {
         "magic": MAGIC,
         "version": VERSION,
@@ -91,7 +97,7 @@ def write_grid(path, values, domain: str, units: str | None = None,
     with open(path, "wb") as fh:
         fh.write(raw)
         fh.write(b"\x00")
-        fh.write(payload.tobytes())
+        fh.write(payload.data)
 
 
 def _parse_header(raw: bytes, where: str) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import json_fits, json_kwargs
+from .core import bounds, json_fits, json_kwargs
 from .priors import (
     FlipOperator,
     PatchGrid,
@@ -176,7 +176,8 @@ class ScatteringField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
+        lo, hi = bounds(self.values)
+        if not (-math.inf < lo and hi < math.inf):
             raise ValueError("scattering field must be finite")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth
+from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth, rectangular
 
 
 @dataclass
@@ -41,8 +41,9 @@ def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
     phi_s = np.asarray(scat_phase, dtype=np.float64)
     if amp_s.shape != obs.shape or phi_s.shape != obs.shape:
         raise ValueError("scattering field shape does not match observation")
-    scat = amp_s * np.exp(1j * phi_s)
-    return PhasorImage.from_complex(obs.to_complex() - scat)
+    direct = obs.to_complex()
+    direct -= rectangular(amp_s, phi_s)
+    return PhasorImage.from_complex(direct)
 
 
 def reconstruct_depth(direct: PhasorImage, cam: CameraModel, mask: ObjectMask) -> DepthImage:

@@ -90,11 +90,18 @@ def find_range(sweep_: RangeSweep) -> tuple[float, float]:
 
 
 def write_csv(sweep_: RangeSweep, path):
-    """Emit the sweep as CSV: a header row of the field names, then one column per field."""
+    """Emit the sweep as CSV: a header row of the field names, then one column per field.
+
+    Depths are written %.6g and curves %.9e, comma-separated, each line
+    ended by CRLF: np.savetxt's bytes for those settings, formatted as one
+    string.
+    """
     columns = vars(sweep_)
+    row = ",".join(["%.6g"] + ["%.9e"] * 4) + "\r\n"
+    values = np.column_stack(list(columns.values()))
+    body = (row * len(values)) % tuple(values.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack(list(columns.values())), fmt=["%.6g"] + ["%.9e"] * 4,
-                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
+        fh.write(",".join(columns) + "\r\n" + body)
 
 
 def write_gnuplot_script(csv_path, script_path):

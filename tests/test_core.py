@@ -1,9 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import tofdefog as td
+from tofdefog.core import rectangular
 
 CAM = td.CameraModel(16e6)
 
@@ -17,6 +19,110 @@ def test_wrap_phase_of_a_tiny_negative_phase_is_zero(tiny):
     # np.mod gives exactly 2*pi for these, which no phase grid holds
     assert td.wrap_phase(tiny) == 0.0
     assert np.all(td.wrap_phase(np.full(3, tiny)) == 0.0)
+
+
+TWO_PI = 2 * np.pi
+ULP = np.spacing(TWO_PI)
+
+
+def np_mod_wrap(phase):
+    """wrap_phase's definition: np.mod, with its exact 2*pi for tiny negatives taken as 0."""
+    wrapped = np.mod(phase, TWO_PI, out=np.empty(np.shape(phase)))
+    wrapped[wrapped >= TWO_PI] = 0.0
+    return wrapped
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+WRAP_CASES = [-0.0, -4.4e-16, -4.5e-16, -2e-16, -TWO_PI + ULP, TWO_PI - ULP, np.pi, -np.pi,
+              0.0, 1e-300, -1e-300, 3.0, -3.0]
+
+
+@pytest.mark.parametrize("value", WRAP_CASES)
+def test_wrap_phase_is_np_mod_bit_for_bit_within_one_turn(value):
+    assert same_bits(td.wrap_phase(value), np_mod_wrap(value))   # 0-d
+    assert same_bits(td.wrap_phase(np.full((2, 3), value)), np_mod_wrap(np.full((2, 3), value)))
+
+
+@pytest.mark.parametrize("values", [
+    WRAP_CASES,
+    WRAP_CASES + [TWO_PI],                    # at 2*pi: np.mod's path
+    WRAP_CASES + [-TWO_PI],
+    [7.0, -7.0, 100.0, -1e6, 13 * np.pi],
+    WRAP_CASES + [np.nan],
+    [np.nan],
+], ids=["within", "two-pi", "minus-two-pi", "beyond", "with-nan", "nan"])
+def test_wrap_phase_is_np_mod_bit_for_bit_on_any_grid(values):
+    values = np.array(values)
+    assert same_bits(td.wrap_phase(values), np_mod_wrap(values))
+    assert same_bits(td.wrap_phase(values[:0]), np_mod_wrap(values[:0]))
+
+
+def test_wrap_phase_of_random_angles_is_np_mod_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for values in (rng.uniform(-np.pi, np.pi, (64, 80)), rng.uniform(-TWO_PI, TWO_PI, 5000),
+                   np.angle(rng.normal(size=4000) + 1j * rng.normal(size=4000))):
+        assert same_bits(td.wrap_phase(values), np_mod_wrap(values))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-300, 0.7, 3.5e4])
+@pytest.mark.parametrize("phase", [0.0, np.pi, TWO_PI - 1e-15, TWO_PI - ULP, 1.0, -np.pi])
+def test_rectangular_is_the_polar_product_bit_for_bit(amplitude, phase):
+    a, p = np.full((2, 2), amplitude), np.full((2, 2), phase)
+    assert same_bits(rectangular(a, p), a * np.exp(1j * p))
+    assert same_bits(rectangular(amplitude, phase), amplitude * np.exp(1j * np.asarray(phase)))
+
+
+def test_rectangular_of_random_grids_is_the_polar_product_bit_for_bit():
+    rng = np.random.default_rng(5)
+    a, p = rng.uniform(0, 2, (48, 64)), rng.uniform(0, TWO_PI, (48, 64))
+    assert same_bits(rectangular(a, p), a * np.exp(1j * p))
+    assert same_bits(td.PhasorImage(a, p).to_complex(), a * np.exp(1j * p))
+
+
+# the messages the element-wise checks gave; min() propagates NaN, so each
+# check has a grid holding a NaN beside a negative value
+@pytest.mark.parametrize("amplitude, phase, message", [
+    ([1.0, np.nan], [0.0, 0.0], "phasor grids must be finite"),
+    ([1.0, np.inf], [0.0, 0.0], "phasor grids must be finite"),
+    ([1.0, -np.inf], [0.0, 0.0], "amplitude must be non-negative"),
+    ([1.0, -1.0], [0.0, 0.0], "amplitude must be non-negative"),
+    ([np.nan, -1.0], [0.0, 0.0], "amplitude must be non-negative"),
+    ([-1.0, 1.0], [np.nan, 0.0], "amplitude must be non-negative"),
+    ([1.0, 1.0], [np.nan, 0.0], "phasor grids must be finite"),
+    ([1.0, 1.0], [np.inf, 0.0], "phasor grids must be finite"),
+    ([1.0, 1.0], [-np.inf, 0.0], "phasor grids must be finite"),
+    ([1.0, 1.0], [np.nan, -1.0], "phasor grids must be finite"),
+], ids=["nan-amplitude", "inf-amplitude", "minus-inf-amplitude", "negative-amplitude",
+        "nan-and-negative-amplitude", "negative-amplitude-nan-phase", "nan-phase",
+        "inf-phase", "minus-inf-phase", "nan-and-negative-phase"])
+def test_phasor_image_errors_are_unchanged(amplitude, phase, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        td.PhasorImage(np.array(amplitude), np.array(phase))
+
+
+def test_phasor_image_accepts_empty_and_out_of_turn_phases():
+    assert td.PhasorImage(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3)
+    image = td.PhasorImage(np.ones(3), np.array([-7.0, 7.0, -0.0]))
+    assert same_bits(image.phase, np_mod_wrap(np.array([-7.0, 7.0, -0.0])))
+
+
+@pytest.mark.parametrize("phase, message", [
+    (np.nan, "phase must be finite"),
+    (np.inf, "phase must be finite"),
+    (-np.inf, "phase must be finite"),
+    ([np.nan, -1.0], "phase must be finite"),
+    ([-1.0, 7.0], "phase must lie in [0, 2*pi)"),
+    ([0.5, -1e-300], "phase must lie in [0, 2*pi)"),
+    (TWO_PI, "phase must lie in [0, 2*pi)"),
+], ids=["nan", "inf", "minus-inf", "nan-and-negative", "negative-and-beyond", "tiny-negative",
+        "two-pi"])
+def test_phase_to_depth_errors_are_unchanged(phase, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        td.phase_to_depth(phase, CAM)
 
 
 def test_phase_to_depth_zero():

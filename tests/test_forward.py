@@ -381,3 +381,12 @@ def negative_scattering_scene():
 def test_an_input_that_describes_no_scene_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_reflectance_that_is_not_finite_is_rejected(bad):
+    refl = np.ones((8, 8))
+    refl[2, 3] = bad
+    with pytest.raises(ValueError, match="reflectance must be non-negative and finite"):
+        td.SceneSpec(np.full((8, 8), 1000.0), refl, td.CameraModel(16e6, rows=8, cols=8),
+                     FOG_MEDIUM)

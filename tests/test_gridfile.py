@@ -171,3 +171,68 @@ def test_label_grid_must_be_finite(tmp_path):
     # rounding an infinite label to an integer region id gives garbage
     with pytest.raises(GridFormatError):
         write_grid(tmp_path / "l.tofgrid", np.array([[0.0, np.inf]]), "label")
+
+
+NAN, INF = np.nan, np.inf
+DOMAIN_MESSAGES = {
+    "phase": "phase values must lie in [0, 2*pi)",
+    "depth": "depth values must be non-negative (inf = background)",
+    "amplitude": "amplitude values must be finite and non-negative",
+    "weight": "weights must lie in [0, 1]",
+    "label": "labels must be finite",
+}
+
+
+# min() propagates NaN, so each domain has a grid holding a NaN beside a
+# negative value
+@pytest.mark.parametrize("domain, bad", [
+    ("phase", NAN), ("phase", INF), ("phase", -INF), ("phase", -0.1), ("phase", 2 * np.pi),
+    ("depth", NAN), ("depth", -INF), ("depth", -1.0), ("amplitude", NAN),
+    ("amplitude", INF), ("amplitude", -INF), ("amplitude", -1.0), ("weight", NAN),
+    ("weight", INF), ("weight", -INF), ("weight", -0.1), ("weight", 1.5), ("label", NAN),
+    ("label", INF), ("label", -INF),
+])
+@pytest.mark.parametrize("beside", [0.5, NAN])
+def test_a_value_outside_its_domain_is_rejected_on_write_and_on_read(tmp_path, domain, bad,
+                                                                      beside):
+    values = np.array([[0.5, beside], [bad, 0.25]])
+    if np.isnan(beside):
+        values[0, 0] = -1.0 if domain != "label" else 0.5
+
+    def message(path):
+        return f"^{re.escape(f'{path}: {DOMAIN_MESSAGES[domain]}')}$"
+
+    written = tmp_path / "w.tofgrid"
+    with pytest.raises(GridFormatError, match=message(written)):
+        write_grid(written, values, domain)
+    assert not written.exists()
+    # the same payload, stored by hand, is rejected on read
+    header = {"magic": "TOFGRID", "version": 1, "rows": 2, "cols": 2, "dtype": "f32",
+              "units": "1", "domain": domain}
+    stored = tmp_path / "r.tofgrid"
+    stored.write_bytes(json.dumps(header).encode() + b"\x00" + values.astype("<f4").tobytes())
+    with pytest.raises(GridFormatError, match=message(stored)):
+        read_grid(stored)
+
+
+@pytest.mark.parametrize("domain, values", [
+    ("phase", [[0.0, 6.28], [np.nextafter(2 * np.pi, 0.0), 1e-300]]),
+    ("depth", [[0.0, INF], [1e39, 1500.0]]),       # 1e39 is stored as inf: background
+    ("amplitude", [[0.0, 3.0e38], [1e-300, 1.0]]),
+    ("weight", [[0.0, 1.0], [0.5, 1e-300]]),
+    ("label", [[-3.0, 0.0], [3.0e38, 7.0]]),
+])
+def test_a_value_inside_its_domain_round_trips(tmp_path, domain, values):
+    path = tmp_path / "g.tofgrid"
+    write_grid(path, values, domain)
+    assert read_grid(path).domain == domain
+
+
+@pytest.mark.parametrize("domain", ["amplitude", "label"])
+def test_a_finite_value_that_float32_stores_as_inf_is_refused_before_writing(tmp_path, domain):
+    path = tmp_path / "big.tofgrid"
+    values = np.full((4, 4), 0.5)
+    values[1, 2] = 1e39
+    with pytest.raises(GridFormatError, match=re.escape(DOMAIN_MESSAGES[domain])):
+        write_grid(path, values, domain)
+    assert not path.exists()

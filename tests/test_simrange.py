@@ -133,3 +133,14 @@ def test_csv_bytes(tmp_path):
     curve = rb"-?\d\.\d{9}e[+-]\d{2}"
     for z, line in zip(s.z_mm, lines[1:]):
         assert re.fullmatch(rb"%s(,%s){4}" % (b"%.6g" % z, curve), line)
+
+
+@pytest.mark.parametrize("beta", [3.2e-4, 0.0])
+def test_csv_is_np_savetxt_byte_for_byte(tmp_path, beta):
+    s = sweep(td.MediumParams(beta=beta, g=0.9, z0=10.0, z_saturate=1000.0), CAM)
+    write_csv(s, tmp_path / "sweep.csv")
+    columns = vars(s)
+    with open(tmp_path / "savetxt.csv", "w", newline="") as fh:
+        np.savetxt(fh, np.column_stack(list(columns.values())), fmt=["%.6g"] + ["%.9e"] * 4,
+                   delimiter=",", newline="\r\n", header=",".join(columns), comments="")
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
