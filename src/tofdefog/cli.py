@@ -186,6 +186,10 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
     freq = _frequency({amp_path: amp, phase_path: phase})
     amp_values, phase_values = amp.values, phase.values
     if sigma is not None:
+        # scipy's kernel has 8*sigma+1 taps per axis, and at 1e308 their count overflows
+        if sigma > max(amp_values.shape):
+            raise InputError(f"Gaussian sigma {sigma!r} exceeds the longer side of the "
+                             f"{'x'.join(map(str, amp_values.shape))} frame")
         amp_values, phase_values = _gaussian(sigma, amp_values, phase_values)
     obs = PhasorImage(amplitude=amp_values, phase=phase_values)
     cam = CameraModel(freq, *obs.shape)

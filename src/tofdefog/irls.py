@@ -373,18 +373,18 @@ class _Workspace:
     (identity, symmetry and smoothness penalties) is applied matrix-free:
     its diagonal, minus gamma3 times the 4-neighbour sum, minus 2*gamma2
     times x with the flip's two halves swapped.  Only diag(w) changes
-    between outer iterations; operator(w) builds it once per x-step.
+    between outer iterations; reweight(w) writes it once per x-step.
 
     The preconditioner drops the symmetry coupling and replaces diag(w) by
     its mean: what is left, (mean(w) + gamma1 + gamma2*mean(sym diag))*I +
     gamma3*L with the Neumann Laplacian L, is diagonalized by the DCT-II and
     inverted exactly in O(n log n) (Krishnan & Szeliski, "Multigrid and
     Multilevel Preconditioners for Computational Photography", SIGGRAPH
-    Asia 2011).  Its eigenvalues are built here once, and _DctSolve does
-    the DCT pair with numpy's real FFT.
+    Asia 2011).  Its eigenvalues are built here once, reweight(w) folds
+    mean(w) into them, and _DctSolve does the DCT pair with numpy's real FFT.
 
-    The operator, the preconditioner and _solve_system work in image-sized
-    buffers that live as long as the workspace, one level.
+    apply, precondition and _solve_system work in image-sized buffers that
+    live as long as the workspace, one level.
     """
 
     def __init__(self, shape, cfg: SolverConfig):
@@ -410,37 +410,11 @@ class _Workspace:
         self._inv_eig = np.empty_like(self.fixed_eig)
         self._dct = _DctSolve(self.ap, self.scratch)
 
-    def operator(self, w: np.ndarray):
-        """The x-step operator for weights w, as apply(x, out) -> out = A x."""
-        diag = np.add(w, self.fixed_diag, out=self._diag)
-        g3, c = self.cfg.gamma3, 2.0 * self.cfg.gamma2
-        lower, upper = self.sym_halves
-        nb = self.scratch
-
-        def apply(x, out):
-            np.multiply(diag, x, out=out)
-            if g3 > 0:
-                out -= np.multiply(neighbour_sum(x, out=nb), g3, out=nb)
-            if c > 0:
-                # nb is free again: it takes each half's mirror term
-                out[lower] -= np.multiply(x[upper][::-1], c, out=nb[lower])
-                out[upper] -= np.multiply(x[lower][::-1], c, out=nb[upper])
-            return out
-
-        return apply
-
-    def apply_system(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A x for the weights w, in a new array."""
-        return self.operator(w)(x, np.empty_like(x))
-
-    def preconditioner(self, w: np.ndarray):
-        """DCT-II solve of the fixed operator with mean(w) folded in.
-
-        The returned solve(r) writes its result z into the A p buffer:
-        conjugate gradients is done with z, folded into the direction,
-        before it computes the next A p.  It also overwrites the scratch
-        buffer.
-        """
+    def reweight(self, w: np.ndarray):
+        """Take the weights w for the next apply and precondition calls:
+        diag(w) + the fixed diagonal, and the scaled inverse eigenvalues
+        with mean(w) folded in."""
+        np.add(w, self.fixed_diag, out=self._diag)
         mean_w = float(np.mean(w))
         inv = np.add(self.fixed_eig, mean_w, out=self._inv_eig)
         if mean_w <= 0:
@@ -449,12 +423,30 @@ class _Workspace:
             # passes through unscaled instead of dividing by zero
             inv[inv <= 0] = 1.0
         np.divide(1.0 / self.r.size, inv, out=inv)  # the unnormalized pair's scaling
-        dct = self._dct
 
-        def solve(r):
-            return dct(r, inv)
+    def apply(self, x, out):
+        """out = A x for the weights of the last reweight; overwrites scratch."""
+        nb, (lower, upper), c = self.scratch, self.sym_halves, 2.0 * self.cfg.gamma2
+        np.multiply(self._diag, x, out=out)
+        out -= np.multiply(neighbour_sum(x, out=nb), self.cfg.gamma3, out=nb)
+        # nb is free again: it takes each half's mirror term
+        out[lower] -= np.multiply(x[upper][::-1], c, out=nb[lower])
+        out[upper] -= np.multiply(x[lower][::-1], c, out=nb[upper])
+        return out
 
-        return solve
+    def apply_system(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A x for the weights w, in a new array."""
+        self.reweight(w)
+        return self.apply(x, np.empty_like(x))
+
+    def precondition(self, r):
+        """z = M^-1 r, the DCT-II solve for the weights of the last reweight.
+
+        z is written into the A p buffer: conjugate gradients is done with
+        z, folded into the direction, before it computes the next A p.  The
+        call also overwrites the scratch buffer.
+        """
+        return self._dct(r, self._inv_eig)
 
 
 def _solve_system(ws: _Workspace, w, b, x0, forcing=0.0):
@@ -475,9 +467,9 @@ def _solve_system(ws: _Workspace, w, b, x0, forcing=0.0):
     Returns (x, iterations, ||r|| / ||b||); the last is ||r|| when b = 0.
     x is a new array.
     """
-    apply = ws.operator(w)
+    ws.reweight(w)
     x = x0.copy()
-    r = apply(x, ws.r)
+    r = ws.apply(x, ws.r)
     np.subtract(b, r, out=r)
     r_norm = r0_norm = math.sqrt(dot(r, r))
     b_norm = math.sqrt(dot(b, b))
@@ -488,13 +480,12 @@ def _solve_system(ws: _Workspace, w, b, x0, forcing=0.0):
 
     if r0_norm <= target:  # also an exact start, r0 = 0
         return done(0)
-    precondition = ws.preconditioner(w)
-    z = precondition(r)
+    z = ws.precondition(r)
     p, ap, scratch = ws.p, ws.ap, ws.scratch
     np.copyto(p, z)
     rz = dot(r, z)
     for it in range(1, ws.max_cg_iters + 1):
-        apply(p, ap)
+        ws.apply(p, ap)
         pap = dot(p, ap)
         if pap <= 0:
             # numerically semi-definite direction: current iterate is as
@@ -506,7 +497,7 @@ def _solve_system(ws: _Workspace, w, b, x0, forcing=0.0):
         r_norm = math.sqrt(dot(r, r))
         if r_norm <= target:
             return done(it)
-        z = precondition(r)
+        z = ws.precondition(r)
         rz_new = dot(r, z)
         p *= rz_new / rz
         p += z

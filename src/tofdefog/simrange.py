@@ -106,6 +106,7 @@ def write_csv(sweep_: RangeSweep, path):
 
 def write_gnuplot_script(csv_path, script_path):
     """Companion gnuplot script plotting the four curves from the CSV into `csv_path`.png."""
+    csv_path = str(csv_path).replace("'", "''")  # gnuplot's escape inside '...'
     lines = [
         "set datafile separator ','",
         f"set output '{csv_path}.png'",

@@ -600,6 +600,20 @@ def test_simrange_cli(tmp_path):
     assert "plot" in gp.read_text()
 
 
+def test_simrange_gnuplot_script_quotes_a_path_with_an_apostrophe(tmp_path):
+    # inside a single-quoted gnuplot string, '' is one '
+    out = tmp_path / "o'brien" / "sweep.csv"
+    out.parent.mkdir()
+    gp = tmp_path / "sweep.gp"
+    assert main(["simrange", "--beta", "3.2e-4", "--out", str(out), "--gnuplot", str(gp)]) == 0
+    quoted = str(out).replace("'", "''")
+    script = gp.read_text().splitlines()
+    assert f"set output '{quoted}.png'" in script
+    plots = [line for line in script if line.startswith("plot ")]
+    assert len(plots) == 4
+    assert all(line.startswith(f"plot '{quoted}' using 1:") for line in plots)
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--beta", "nan", "beta"),
     ("--beta", "inf", "beta"),
@@ -650,10 +664,12 @@ def write_replay_manifest(tmp_path, **config):
     return manifest
 
 
-@pytest.mark.parametrize("sigma", ["0", "-1", "nan"])
+@pytest.mark.parametrize("sigma", ["0", "-1", "nan", "9", "1e308"])
 @pytest.mark.parametrize("command", ["defog", "replay"])
 def test_invalid_gaussian_sigma_exit_code(tmp_path, capsys, command, sigma):
-    # scipy's gaussian_filter treats such a sigma as "no filter"
+    # scipy's gaussian_filter treats a sigma <= 0 or NaN as "no filter";
+    # one past the 8x8 frame only costs time, and 1e308 overflowed the
+    # kernel size with a traceback
     manifest = write_replay_manifest(tmp_path, gaussian_sigma=float(sigma))
     out = tmp_path / "out"
     argv = {

@@ -415,7 +415,8 @@ def test_solve_system_at_its_iteration_cap_raises_with_the_residual_norm():
     with pytest.raises(td.SolverError, match="did not converge in 1 iterations") as exc:
         _solve_system(ws, w, b, np.zeros_like(b))
     # one preconditioned CG step from 0: x1 = alpha z, z = M^-1 b
-    z = ws.preconditioner(w)(b).copy()
+    ws.reweight(w)
+    z = ws.precondition(b).copy()
     x1 = (np.sum(b * z) / np.sum(z * ws.apply_system(w, z))) * z
     r1_norm = np.linalg.norm(b - ws.apply_system(w, x1))
     assert exc.value.residual_norm == pytest.approx(r1_norm, rel=1e-9)

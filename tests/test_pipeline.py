@@ -108,6 +108,37 @@ def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():
     assert serial.solver_summary() == threaded.solver_summary()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("rows, cols", [(48, 64), (72, 96)], ids=["48x64", "72x96"])
+def test_a_column_mirrored_frame_defogs_to_the_mirrored_result(rows, cols, seed):
+    # nothing in the model tells left from right: the flip is over rows and
+    # the priors are symmetric in the columns.  The width is even and its
+    # half splits evenly into the patch columns, so the half grid and the
+    # patches mirror onto themselves.  An odd width does not commute: the
+    # half grid drops the last column, which the mirror moves to the first.
+    scene = make_scene(beta=3.2e-4, seed=seed, rows=rows, cols=cols, flip_row=rows // 2,
+                       coverage="small")
+    obs = td.synthesize(scene).foggy
+    amp_cfg = small_config("amplitude-kinect16", rows=rows, patch_grid=(2, 2))
+    phase_cfg = small_config("phase-kinect16", rows=rows, patch_grid=(2, 2))
+    res = td.defog(obs, scene.cam, amp_cfg, phase_cfg, threads=1)
+    mirrored = td.defog(td.PhasorImage(obs.amplitude[:, ::-1], obs.phase[:, ::-1]),
+                        scene.cam, amp_cfg, phase_cfg, threads=1)
+    assert np.array_equal(mirrored.fused_mask.mask[:, ::-1], res.fused_mask.mask)
+    for name in ("amplitude", "phase"):
+        want, got = getattr(res, name).field.values, getattr(mirrored, name).field.values[:, ::-1]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    depth, mirrored_depth = res.depth.depth, mirrored.depth.depth[:, ::-1]
+    has_depth = np.isfinite(depth)
+    assert has_depth.any()
+    assert np.array_equal(np.isfinite(mirrored_depth), has_depth)
+    assert np.max(np.abs(mirrored_depth[has_depth] - depth[has_depth])) <= 1e-9
+    levels, mirrored_levels = res.solver_summary(), mirrored.solver_summary()
+    for key, level in levels.items():
+        assert mirrored_levels[key]["outer_iterations"] == level["outer_iterations"]
+        assert mirrored_levels[key]["cg_iterations"] == level["cg_iterations"]
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a threaded BLAS needs two cores")
 def test_defog_blas_thread_count_does_not_change_results(tmp_path):
     # 128x192 with a (1, 2) patch grid: both the image (24,576 px) and each
