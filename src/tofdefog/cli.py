@@ -92,11 +92,13 @@ def _gaussian(sigma, amplitude, phase):
     return smoothed.amplitude, smoothed.phase
 
 
-def _write_grid(out: str, name: str, values, domain: str, frequency=None) -> str:
-    """Write one output grid as `out`/`name`, a capture's with its frequency; returns its path."""
+def _write_grid(out: str, name: str, values, domain: str, frequency=None) -> tuple:
+    """Write one output grid as `out`/`name`, a capture's with its frequency.
+
+    Returns (path, sha256 of the bytes written), a manifest outputs entry.
+    """
     path = os.path.join(out, name)
-    write_grid(path, values, domain, modulation_frequency_hz=frequency)
-    return path
+    return path, write_grid(path, values, domain, modulation_frequency_hz=frequency)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -108,7 +110,7 @@ def cmd_synth(args) -> int:
     os.makedirs(out, exist_ok=True)
     labels = result.true_mask.mask if scene.labels is None else scene.labels
     freq = scene.cam.modulation_frequency_hz
-    outputs = sorted([
+    outputs = dict([
         _write_grid(out, "foggy_amplitude.tofgrid", result.foggy.amplitude, "amplitude", freq),
         _write_grid(out, "foggy_phase.tofgrid", result.foggy.phase, "phase", freq),
         _write_grid(out, "depth_gt.tofgrid", result.clean_depth.depth, "depth"),
@@ -200,23 +202,23 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    outputs = [
+    outputs = dict([
         _write_grid(out, "mask_fused.tofgrid", result.fused_mask.mask.astype(np.float64),
                     "label"),
         _write_grid(out, "depth_masked.tofgrid", result.depth.depth, "depth"),
-    ]
+    ])
     for domain in DOMAINS:
         record = getattr(result, domain)
         # a phase grid holds phases in [0, 2*pi)
         field = wrap_phase(record.field.values) if domain == "phase" else record.field.values
-        outputs.append(_write_grid(out, f"scattering_{domain}.tofgrid", field, domain))
-        outputs.append(_write_grid(out, f"weights_{domain}.tofgrid", record.weights,
-                                   "weight"))
+        outputs.update([_write_grid(out, f"scattering_{domain}.tofgrid", field, domain),
+                        _write_grid(out, f"weights_{domain}.tofgrid", record.weights,
+                                    "weight")])
 
     manifest = build_manifest(
         "defog",
         config,
-        inputs=[amp_path, phase_path],
+        inputs={amp_path: amp.sha256, phase_path: phase.sha256},
         outputs=outputs,
         solver=result.solver_summary(),
         timings={"solve": solve_s},

@@ -65,12 +65,19 @@ def wrap_phase(phase):
 
 
 def rectangular(amplitude, phase) -> np.ndarray:
-    """amplitude * exp(j*phase), bit for bit, built in one complex grid."""
-    out = np.empty(np.broadcast_shapes(np.shape(amplitude), np.shape(phase)),
-                   dtype=np.complex128)
-    np.multiply(phase, 1j, out=out)
-    np.exp(out, out=out)
-    out *= amplitude
+    """amplitude * exp(j*phase), bit for bit, built in one complex grid.
+
+    A phase smaller than the result, such as a (rows, 1) column, takes its
+    exp at its own shape, and the product broadcasts it.
+    """
+    shape = np.broadcast_shapes(np.shape(amplitude), np.shape(phase))
+    out = np.empty(shape, dtype=np.complex128)
+    if np.shape(phase) == shape:
+        np.multiply(phase, 1j, out=out)
+        np.exp(out, out=out)
+        out *= amplitude
+    else:
+        np.multiply(np.exp(np.multiply(phase, 1j)), amplitude, out=out)
     return out
 
 

@@ -164,7 +164,10 @@ class ScatterProfile:
             raise ValueError("phase_falloff must lie in [0, 0.5)")
 
     def fields(self, shape, medium: MediumParams, cam: CameraModel):
-        """Per-pixel scattering (amplitude, phase) grids."""
+        """Per-pixel scattering amplitude grid, and the phase as a (rows, 1) column.
+
+        The phase varies by row alone, so the column broadcasts to the grid.
+        """
         rows, cols = shape
         if not (0 <= self.flip_row < rows):
             raise ValueError("profile flip_row outside the image")
@@ -175,8 +178,12 @@ class ScatterProfile:
         rv = max((cols - 1) / 2.0, 1.0)
         u = (np.arange(rows, dtype=np.float64)[:, None] - self.flip_row) / ru
         v = (np.arange(cols, dtype=np.float64)[None, :] - (cols - 1) / 2.0) / rv
-        amp = a_peak * (1.0 - self.amplitude_falloff * (u * u + v * v))
-        phase = p_peak * (1.0 - self.phase_falloff * (u * u)) * np.ones_like(v)
+        # a_peak * (1 - falloff * (u*u + v*v)), in the one grid it fills
+        amp = np.add(u * u, v * v)
+        amp *= self.amplitude_falloff
+        np.subtract(1.0, amp, out=amp)
+        amp *= a_peak
+        phase = p_peak * (1.0 - self.phase_falloff * (u * u))
         return amp, phase
 
 
@@ -209,8 +216,8 @@ class SceneSpec:
     medium: MediumParams
     scattering: ScatterProfile | MeasuredScattering = field(default_factory=ScatterProfile)
     labels: np.ndarray | None = None   # optional per-object region ids
-    # the files load_scene read the scene from: its JSON, then each grid
-    sources: list = field(default_factory=list)
+    # the files load_scene read the scene from, its JSON and each grid, to their sha256s
+    sources: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.depth_map = np.asarray(self.depth_map, dtype=np.float64)
@@ -257,9 +264,8 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if not (json_fits(noise_seed, "int") and noise_seed >= 0):
         raise ValueError(f"noise_seed must be an int >= 0, got {noise_seed!r}")
-    amp_s, phase_s = scene.scattering.fields(
-        scene.depth_map.shape, scene.medium, scene.cam
-    )
+    shape = scene.depth_map.shape
+    amp_s, phase_s = scene.scattering.fields(shape, scene.medium, scene.cam)
     if np.any(amp_s < 0):
         raise ValueError("scattering amplitude field must be non-negative")
     total = rectangular(amp_s, phase_s)
@@ -274,10 +280,15 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
         total += rng.normal(0.0, noise_sigma, total.shape)
         total += 1j * rng.normal(0.0, noise_sigma, total.shape)
 
+    foggy = PhasorImage.from_complex(total)
+    del total  # the grids below reuse its memory
+    phase_s = wrap_phase(phase_s)
+    if phase_s.shape != shape:  # the analytic profile's row column
+        phase_s = np.broadcast_to(phase_s, shape).copy()
     return SynthesisResult(
-        foggy=PhasorImage.from_complex(total),
+        foggy=foggy,
         clean_depth=DepthImage(depth=scene.depth_map),
         scattering_amplitude=ScatteringField(values=amp_s),
-        scattering_phase=ScatteringField(values=wrap_phase(phase_s)),
+        scattering_phase=ScatteringField(values=phase_s),
         true_mask=ObjectMask(mask=valid),
     )

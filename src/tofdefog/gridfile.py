@@ -4,12 +4,14 @@ Canonical form is a single file: UTF-8 JSON header, one NUL byte, then
 rows*cols little-endian float32 values in row-major order.
 
 Domains carry their value contracts: phase grids hold radians in
-[0, 2*pi); depth grids use +inf for background; weights lie in [0, 1].
+[0, 2*pi); depth grids use +inf for background; weights lie in [0, 1];
+labels lie in [-2**63, 2**63), so that they round to int64 region ids.
 A capture's amplitude and phase grids carry its modulation_frequency_hz.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ class GridFile:
     values: np.ndarray          # float64 view of the stored float32 payload
     domain: str
     units: str
+    sha256: str                 # hex digest of the file's bytes as read
     modulation_frequency_hz: float | None = None   # a capture grid's, from its header
 
 
@@ -58,17 +61,18 @@ def _validate_domain_values(values: np.ndarray, domain: str, where: str):
         if not (0 <= lo and hi <= 1):
             raise GridFormatError(f"{where}: weights must lie in [0, 1]")
     elif domain == "label":
-        if not (-math.inf < lo and hi < math.inf):
-            raise GridFormatError(f"{where}: labels must be finite")
+        if not (-2.0 ** 63 <= lo and hi < 2.0 ** 63):
+            raise GridFormatError(f"{where}: labels must lie in [-2**63, 2**63)")
 
 
 def write_grid(path, values, domain: str, units: str | None = None,
-               modulation_frequency_hz: float | None = None) -> None:
+               modulation_frequency_hz: float | None = None) -> str:
     """Write a grid; float64 input is cast to the stored float32, a frequency to the header.
 
     Values that read_grid would reject, as given or as stored (a finite
     value can round to float32's inf), and a header that it would reject
-    raise GridFormatError before any byte is written.
+    raise GridFormatError before any byte is written.  Returns the hex
+    sha256 of the bytes written: header, NUL and payload.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
@@ -94,10 +98,13 @@ def write_grid(path, values, domain: str, units: str | None = None,
         header["modulation_frequency_hz"] = modulation_frequency_hz
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
     _parse_header(raw, str(path))
+    raw += b"\x00"
     with open(path, "wb") as fh:
         fh.write(raw)
-        fh.write(b"\x00")
         fh.write(payload.data)
+    digest = hashlib.sha256(raw)
+    digest.update(payload.data)
+    return digest.hexdigest()
 
 
 def _parse_header(raw: bytes, where: str) -> dict:
@@ -127,7 +134,7 @@ def _parse_header(raw: bytes, where: str) -> dict:
 
 
 def read_grid(path, domain: str | None = None) -> GridFile:
-    """Read a grid; validates payload size and domain values.
+    """Read a grid; validates payload size and domain values, and hashes the bytes read.
 
     InputError, naming the file, when `domain` is given and the grid holds another.
     """
@@ -137,7 +144,7 @@ def read_grid(path, domain: str | None = None) -> GridFile:
     if sep < 0:
         raise GridFormatError(f"{path}: no NUL byte ends the header")
     header = _parse_header(data[:sep], str(path))
-    payload = data[sep + 1:]
+    payload = memoryview(data)[sep + 1:]  # a view: slicing the bytes would copy the payload
     expected = header["rows"] * header["cols"] * 4
     if len(payload) != expected:
         raise GridFormatError(
@@ -151,4 +158,5 @@ def read_grid(path, domain: str | None = None) -> GridFile:
         article = "an" if domain[0] in "aeiou" else "a"
         raise InputError(f"{path}: expected {article} {domain} grid, got {header['domain']}")
     return GridFile(values=values, domain=header["domain"], units=header["units"],
+                    sha256=hashlib.sha256(data).hexdigest(),
                     modulation_frequency_hz=header.get("modulation_frequency_hz"))

@@ -87,7 +87,8 @@ def defog(obs: PhasorImage, cam: CameraModel,
 def load_scene(path) -> SceneSpec:
     """Read a scene JSON; grid references resolve relative to the file.
 
-    The scene's `sources` lists the JSON and every grid file read.  A
+    The scene's `sources` maps the JSON and every grid file read to its
+    sha256; each grid's is of the bytes read_grid read.  A
     document that is not a JSON object, an unknown key, a wrongly typed
     value, a grid reference that is not a string and a failed SceneSpec
     check raise ValueError; a grid of another domain than its key's,
@@ -95,14 +96,16 @@ def load_scene(path) -> SceneSpec:
     """
     doc = read_json(path)
     base = os.path.dirname(os.path.abspath(str(path)))
-    sources = [str(path)]
+    sources = {str(path): file_sha256(path)}
 
     def grid(section, key, domain):
         name = section.get(key)
         if not isinstance(name, str):
             raise ValueError(f"scene {key} must name a grid file, got {name!r}")
-        sources.append(os.path.join(base, name))
-        return read_grid(sources[-1], domain).values
+        grid_path = os.path.join(base, name)
+        grid_file = read_grid(grid_path, domain)
+        sources[grid_path] = grid_file.sha256
+        return grid_file.values
 
     try:
         if not isinstance(doc, dict):
@@ -125,7 +128,8 @@ def load_scene(path) -> SceneSpec:
             raise ValueError(f"unknown scattering source {source!r}")
         labels = None
         if "labels_map" in doc:
-            labels = np.rint(grid(doc, "labels_map", "label")).astype(np.int64)
+            labels = grid(doc, "labels_map", "label")
+            labels = np.rint(labels, out=labels).astype(np.int64)
         return SceneSpec(
             depth_map=grid(doc, "depth_map", "depth"),
             reflectance_map=grid(doc, "reflectance_map", "amplitude"),
@@ -173,6 +177,7 @@ def save_scene(scene: SceneSpec, path) -> None:
 # -- run manifests ------------------------------------------------------------
 
 def file_sha256(path) -> str:
+    """The hex sha256 of the file at `path`, read in 1 MiB chunks."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -180,15 +185,19 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def build_manifest(command: str, config: dict, inputs: list, outputs: list,
+def build_manifest(command: str, config: dict, inputs: dict, outputs: dict,
                    solver: dict | None = None, timings: dict | None = None) -> dict:
+    """A run's manifest; `inputs` and `outputs` map each file's path to its sha256.
+
+    Inputs are keyed by absolute path, outputs by file name.
+    """
     return {
         "tool": "tofdefog",
         "command": command,
         "created_unix": time.time(),
         "config": config,
-        "inputs": {os.path.abspath(str(p)): file_sha256(p) for p in inputs},
-        "outputs": {os.path.basename(str(p)): file_sha256(p) for p in outputs},
+        "inputs": {os.path.abspath(str(p)): digest for p, digest in inputs.items()},
+        "outputs": {os.path.basename(str(p)): digest for p, digest in outputs.items()},
         "solver": solver or {},
         "timings_s": timings or {},
     }

@@ -10,6 +10,12 @@ from tofdefog.priors import FlipOperator
 KINECT_FREQ = 16e6
 
 
+def same_bits(a, b):
+    """Whether two arrays agree in shape, dtype and every byte."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def small_config(profile="amplitude-kinect16", rows=16, **overrides):
     """Profile constants re-targeted at a small test image."""
     defaults = dict(

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 import tofdefog as td
 from tofdefog.core import rectangular
@@ -30,11 +31,6 @@ def np_mod_wrap(phase):
     wrapped = np.mod(phase, TWO_PI, out=np.empty(np.shape(phase)))
     wrapped[wrapped >= TWO_PI] = 0.0
     return wrapped
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 WRAP_CASES = [-0.0, -4.4e-16, -4.5e-16, -2e-16, -TWO_PI + ULP, TWO_PI - ULP, np.pi, -np.pi,
@@ -81,6 +77,9 @@ def test_rectangular_of_random_grids_is_the_polar_product_bit_for_bit():
     a, p = rng.uniform(0, 2, (48, 64)), rng.uniform(0, TWO_PI, (48, 64))
     assert same_bits(rectangular(a, p), a * np.exp(1j * p))
     assert same_bits(td.PhasorImage(a, p).to_complex(), a * np.exp(1j * p))
+    # a row column of phases takes its exp once per row
+    column = rng.uniform(0, TWO_PI, (48, 1))
+    assert same_bits(rectangular(a, column), a * np.exp(1j * np.broadcast_to(column, a.shape)))
 
 
 # the messages the element-wise checks gave; min() propagates NaN, so each

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 from scipy.integrate import quad, simpson
 
 import tofdefog as td
@@ -317,6 +318,43 @@ def test_synthetic_scattering_field_is_patchwise_quadratic():
         for rs, cs in grid.slices:
             patch = field[rs, cs]
             assert np.max(np.abs(fitted[rs, cs] - patch)) < 0.01 * np.abs(patch).max()
+
+
+def per_pixel_synthesis(scene, noise_sigma, noise_seed):
+    """synthesize's formula on full grids: the analytic profile's amplitude and phase,
+    the direct return at surface pixels, then the noise in its draw order."""
+    rows, cols = scene.depth_map.shape
+    profile, medium = scene.scattering, scene.medium
+    sat = scattering_phasor(medium.z_saturate, medium, scene.cam)
+    r, c = np.meshgrid(np.arange(rows, dtype=np.float64), np.arange(cols, dtype=np.float64),
+                       indexing="ij")
+    u = (r - profile.flip_row) / max(profile.flip_row, rows - 1 - profile.flip_row, 1)
+    v = (c - (cols - 1) / 2.0) / max((cols - 1) / 2.0, 1.0)
+    amp = abs(sat) * (1.0 - profile.amplitude_falloff * (u * u + v * v))
+    phase = float(td.wrap_phase(np.angle(sat))) * (1.0 - profile.phase_falloff * (u * u))
+    total = amp * np.exp(1j * phase)
+    valid = scene.valid_depth()
+    total[valid] += td.direct_phasor(scene.depth_map[valid], scene.reflectance_map[valid],
+                                     medium, scene.cam)
+    if noise_sigma > 0:
+        rng = np.random.default_rng(noise_seed)
+        total += rng.normal(0.0, noise_sigma, total.shape)
+        total += 1j * rng.normal(0.0, noise_sigma, total.shape)
+    return amp, td.wrap_phase(phase), td.PhasorImage.from_complex(total)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 1e-9])
+def test_synthesize_is_the_per_pixel_formula_bit_for_bit(noise_sigma):
+    scene = small_scene(rows=30, cols=44)
+    scene.scattering = td.ScatterProfile(flip_row=11, amplitude_falloff=0.2,
+                                         phase_falloff=0.15)
+    out = td.synthesize(scene, noise_sigma=noise_sigma, noise_seed=7)
+    amp, phase, foggy = per_pixel_synthesis(scene, noise_sigma, 7)
+    assert same_bits(out.foggy.amplitude, foggy.amplitude)
+    assert same_bits(out.foggy.phase, foggy.phase)
+    assert same_bits(out.scattering_amplitude.values, amp)
+    assert same_bits(out.scattering_phase.values, phase)
+    assert out.scattering_phase.values.flags.writeable
 
 
 def test_synthesize_noise_is_seeded():

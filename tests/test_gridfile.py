@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -12,8 +13,10 @@ def test_round_trip_bit_identical_payload(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.uniform(0, 5, (17, 23))
     path = tmp_path / "a.tofgrid"
-    write_grid(path, values, "amplitude")
+    written = write_grid(path, values, "amplitude")
     grid = read_grid(path)
+    # both digests are of the file's bytes, taken without reading it back
+    assert written == grid.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
     assert grid.domain == "amplitude"
     assert grid.units == "sensor"
     # payload is float32: reading back must reproduce those bytes exactly
@@ -168,7 +171,7 @@ def test_write_grid_refuses_a_header_read_grid_would_reject(tmp_path, change):
 
 
 def test_label_grid_must_be_finite(tmp_path):
-    # rounding an infinite label to an integer region id gives garbage
+    # rounding an infinite label to an int64 region id gives garbage
     with pytest.raises(GridFormatError):
         write_grid(tmp_path / "l.tofgrid", np.array([[0.0, np.inf]]), "label")
 
@@ -179,7 +182,7 @@ DOMAIN_MESSAGES = {
     "depth": "depth values must be non-negative (inf = background)",
     "amplitude": "amplitude values must be finite and non-negative",
     "weight": "weights must lie in [0, 1]",
-    "label": "labels must be finite",
+    "label": "labels must lie in [-2**63, 2**63)",
 }
 
 
@@ -190,7 +193,7 @@ DOMAIN_MESSAGES = {
     ("depth", NAN), ("depth", -INF), ("depth", -1.0), ("amplitude", NAN),
     ("amplitude", INF), ("amplitude", -INF), ("amplitude", -1.0), ("weight", NAN),
     ("weight", INF), ("weight", -INF), ("weight", -0.1), ("weight", 1.5), ("label", NAN),
-    ("label", INF), ("label", -INF),
+    ("label", INF), ("label", -INF), ("label", 1e30), ("label", -1e30),
 ])
 @pytest.mark.parametrize("beside", [0.5, NAN])
 def test_a_value_outside_its_domain_is_rejected_on_write_and_on_read(tmp_path, domain, bad,
@@ -220,12 +223,20 @@ def test_a_value_outside_its_domain_is_rejected_on_write_and_on_read(tmp_path, d
     ("depth", [[0.0, INF], [1e39, 1500.0]]),       # 1e39 is stored as inf: background
     ("amplitude", [[0.0, 3.0e38], [1e-300, 1.0]]),
     ("weight", [[0.0, 1.0], [0.5, 1e-300]]),
-    ("label", [[-3.0, 0.0], [3.0e38, 7.0]]),
+    ("label", [[-2.0 ** 63, 0.0], [9.0e18, 7.0]]),    # the int64 range
 ])
 def test_a_value_inside_its_domain_round_trips(tmp_path, domain, values):
     path = tmp_path / "g.tofgrid"
     write_grid(path, values, domain)
     assert read_grid(path).domain == domain
+
+
+def test_a_label_that_float32_rounds_up_to_2_63_is_refused_before_writing(tmp_path):
+    path = tmp_path / "l.tofgrid"
+    below = np.nextafter(2.0 ** 63, 0.0)   # an int64 as float64, 2**63 as float32
+    with pytest.raises(GridFormatError, match=re.escape(DOMAIN_MESSAGES["label"])):
+        write_grid(path, np.array([[0.0, below]]), "label")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("domain", ["amplitude", "label"])

@@ -57,6 +57,7 @@ def test_measured_scene_round_trip(tmp_path):
     assert sorted(os.path.basename(p) for p in back.sources) == [
         "depth_gt.tofgrid", "reflectance.tofgrid", "scattering_amp_in.tofgrid",
         "scattering_phase_in.tofgrid", "scene.json"]
+    assert back.sources == {p: file_sha256(p) for p in back.sources}
     syn = td.synthesize(back)
     assert np.allclose(syn.scattering_amplitude.values, scene.scattering.amplitude)
 
@@ -66,10 +67,15 @@ def test_synth_manifest_lists_measured_scattering_inputs(tmp_path):
     save_scene(measured_scene(), path)
     out = tmp_path / "synth"
     assert main(["synth", str(path), "--out", str(out)]) == 0
-    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-    assert inputs == {str(path.parent / name): file_sha256(path.parent / name) for name in (
-        "scene.json", "depth_gt.tofgrid", "reflectance.tofgrid",
-        "scattering_amp_in.tofgrid", "scattering_phase_in.tofgrid")}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(path.parent / name): file_sha256(path.parent / name) for name in (
+            "scene.json", "depth_gt.tofgrid", "reflectance.tofgrid",
+            "scattering_amp_in.tofgrid", "scattering_phase_in.tofgrid")}
+    # each output's digest, taken from the bytes as written, is the file's
+    outputs = manifest["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.glob("*.tofgrid"))
+    assert outputs == {name: file_sha256(out / name) for name in outputs}
 
 
 def test_defog_thread_count_does_not_change_results(tmp_path):
