@@ -18,6 +18,7 @@ Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,16 +80,37 @@ def _frequency(grids: dict) -> float:
     return next(iter(freqs.values()))
 
 
+def _gaussian_filter(values: np.ndarray, sigma: float) -> np.ndarray:
+    """A 2-D grid smoothed along axis 0, then axis 1, by a Gaussian of `sigma` px.
+
+    The edges mirror (d c b a | a b c d), again and again for a kernel wider
+    than the grid.  Integer tap offsets and the taps added in mirrored pairs,
+    outermost first, give scipy.ndimage.gaussian_filter's bits.
+    """
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    # below sigma ~ 1.5e-154 sigma * sigma is 0; a one-tap kernel is 1.0 at any scale
+    w = np.exp(-0.5 / max(sigma * sigma, np.finfo(float).tiny) * x ** 2)
+    w = w / w.sum()
+    for _ in range(2):  # axis 1 is axis 0 of the transpose
+        n = len(values)
+        padded = np.pad(values, ((r, r), (0, 0)), mode="symmetric")
+        out = values * w[r]
+        for j in range(r, 0, -1):
+            out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r + j]
+        values = out.T
+    return values
+
+
 def _gaussian(sigma, amplitude, phase):
     """Gaussian smoothing of an amplitude/phase pair as its phasor amplitude * exp(j*phase).
 
     Returns (amplitude, phase).  Smoothing the phasor keeps 0 and 2*pi one value.
     """
-    from scipy import ndimage  # only a smoothed run pays for importing it
-
-    phasor = PhasorImage(amplitude, phase).to_complex()
-    smoothed = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
-                                        + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
+    # a complex times a real weight can flip the sign of a zero part, which
+    # neither the modulus nor the wrapped angle that from_complex takes sees
+    smoothed = PhasorImage.from_complex(
+        _gaussian_filter(PhasorImage(amplitude, phase).to_complex(), sigma))
     return smoothed.amplitude, smoothed.phase
 
 
@@ -177,7 +199,7 @@ def cmd_replay(args) -> int:
 
 def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
     """Defog the pair under the resolved (amplitude, phase) solver configs, smoothed by `sigma`."""
-    # scipy skips the filter for a sigma <= 0 or NaN instead of failing
+    # a sigma <= 0 or NaN gives the Gaussian filter no kernel
     if not (sigma is None or json_fits(sigma, "float") and sigma > 0):
         raise InputError(f"Gaussian sigma must be finite and positive, got {sigma!r}")
     # the run's every setting, so that a replay of it needs no defaults
@@ -188,7 +210,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
     freq = _frequency({amp_path: amp, phase_path: phase})
     amp_values, phase_values = amp.values, phase.values
     if sigma is not None:
-        # scipy's kernel has 8*sigma+1 taps per axis, and at 1e308 their count overflows
+        # the kernel has 8*sigma+1 taps per axis, and at 1e308 int(4*sigma + 0.5) overflows
         if sigma > max(amp_values.shape):
             raise InputError(f"Gaussian sigma {sigma!r} exceeds the longer side of the "
                              f"{'x'.join(map(str, amp_values.shape))} frame")
@@ -280,6 +302,7 @@ def cmd_simrange(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+@functools.cache  # built on a process's first CLI call, and shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tofdefog",
@@ -353,8 +376,7 @@ def _report_error(exc: Exception, code: int, as_json: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
         return args.func(args)

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_scene
+from conftest import make_scene, same_bits
+from scipy import ndimage
 
 from tofdefog import cli, irls
 from tofdefog.cli import main
-from tofdefog.core import CameraModel
+from tofdefog.core import CameraModel, PhasorImage
 from tofdefog.gridfile import read_grid, write_grid
 from tofdefog.irls import SolverConfig, SolverError
 from tofdefog.pipeline import file_sha256, save_scene
@@ -358,10 +359,11 @@ def test_threads_below_one_is_a_usage_error(tmp_path, capsys, command, threads):
     assert not (tmp_path / "out").exists()
 
 
-def test_importing_the_cli_leaves_scipy_ndimage_unloaded(tmp_path):
-    # only a --gaussian-sigma run needs scipy, and importing it costs most of
-    # a start-up: neither the import nor a defog without it loads any scipy
-    # module
+@pytest.mark.parametrize("smoothing", [[], ["--gaussian-sigma", "1"]], ids=["plain", "smoothed"])
+def test_the_cli_loads_no_scipy_module(tmp_path, smoothing):
+    # numpy is the one runtime dependency, and importing scipy.ndimage costs
+    # most of a start-up: neither the import nor a defog, smoothed or not,
+    # loads any scipy module
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import json, sys, tofdefog.cli\n"
             "def scipy_modules():\n"
@@ -371,8 +373,9 @@ def test_importing_the_cli_leaves_scipy_ndimage_unloaded(tmp_path):
             "print(json.dumps([imported, code, scipy_modules()]))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code, "defog", *write_flat_pair(tmp_path)],
-                          env=env, check=True, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, "defog", *write_flat_pair(tmp_path),
+                           *smoothing], env=env, check=True, capture_output=True, text=True,
+                          timeout=60)
     assert json.loads(done.stdout.splitlines()[-1]) == [[], 0, []]
 
 
@@ -805,6 +808,42 @@ def test_gaussian_smooths_an_amplitude_phase_pair_as_its_phasor():
     assert angle_from_zero(phase).max() < 0.01
     # the phasor's +-0.01 rad spread shortens it by 1 - cos(0.01)
     assert np.allclose(amp, 2.0 * np.cos(0.01), rtol=1e-3)
+
+
+FILTER_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (5, 7), (24, 32), (97, 131), (424, 512)]
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 1.0, 1.7, 3.0, 12.0, 40.0])
+def test_the_gaussian_filter_is_scipys_bit_for_bit(sigma):
+    # scipy is the reference: its kernel from integer offsets and its
+    # pairwise sums of taps, with the mirror repeated for a kernel (up to
+    # 321 taps here) wider than the grid
+    rng = np.random.default_rng(int(sigma * 10))
+    for shape in FILTER_SHAPES:
+        if shape == (424, 512) and sigma > 3.0:
+            continue  # 0.2 s apiece, and the small shapes take the wide kernels
+        normal = rng.standard_normal(shape)
+        for values in (1e-7 * normal, 1e9 * normal, normal * 10.0 ** rng.uniform(-7, 9, shape)):
+            assert same_bits(cli._gaussian_filter(values, sigma),
+                             ndimage.gaussian_filter(values, sigma)), shape
+
+
+@pytest.mark.parametrize("sigma", [1e-200, 0.5, 1.0, 2.5, 9.0])
+@pytest.mark.parametrize("shape", [(16, 16), (424, 512)])
+def test_gaussian_gives_the_bytes_of_scipy_on_the_real_and_imaginary_parts(shape, sigma):
+    # the complex phasor is filtered in one call; scipy filters its two
+    # real parts, so the amplitude and phase must agree in every byte,
+    # dark pixels and the phase at 0 and near 2*pi included.  At 1e-200,
+    # whose square is 0, scipy leaves the grids as they are
+    rng = np.random.default_rng(shape[0])
+    amplitude = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) > 0.1)
+    phase = np.where(rng.random(shape) > 0.3, rng.uniform(0.0, 2 * np.pi, shape),
+                     rng.choice([0.0, np.pi, np.nextafter(2 * np.pi, 0)], shape))
+    phasor = PhasorImage(amplitude, phase).to_complex()
+    want = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
+                                    + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
+    got_amplitude, got_phase = cli._gaussian(sigma, amplitude, phase)
+    assert same_bits(got_amplitude, want.amplitude) and same_bits(got_phase, want.phase)
 
 
 def write_malformed_input(tmp_path, case):

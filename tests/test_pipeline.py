@@ -12,6 +12,7 @@ import tofdefog as td
 from tofdefog import irls
 from tofdefog.cli import main
 from tofdefog.pipeline import file_sha256, load_scene, save_scene, thread_count
+from tofdefog.priors import FlipOperator
 
 
 def test_scene_round_trip(tmp_path):
@@ -143,6 +144,27 @@ def test_a_column_mirrored_frame_defogs_to_the_mirrored_result(rows, cols, seed)
     for key, level in levels.items():
         assert mirrored_levels[key]["outer_iterations"] == level["outer_iterations"]
         assert mirrored_levels[key]["cg_iterations"] == level["cg_iterations"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_float32_rounded_input_gives_the_same_mask_and_cg_counts(seed):
+    # a TOFGRID stores float32, so the CLI solves float32-rounded grids: on a
+    # frame whose levels all converge, that rounding moves no mask pixel and
+    # no x-step's CG count, and sigma only by about the rounding
+    scene = make_scene(3.2e-4, seed, rows=96, cols=128, flip_row=45)
+    obs = td.synthesize(scene).foggy
+    rounded = td.PhasorImage(obs.amplitude.astype(np.float32), obs.phase.astype(np.float32))
+    cfgs = [dataclasses.replace(td.SolverConfig.profile(f"{domain}-kinect16"),
+                                flip=FlipOperator(45, 5)) for domain in ("amplitude", "phase")]
+    want = td.defog(obs, scene.cam, *cfgs, threads=1)
+    got = td.defog(rounded, scene.cam, *cfgs, threads=1)
+    assert np.array_equal(got.fused_mask.mask, want.fused_mask.mask)
+    assert want.fused_mask.mask.any()
+    got_levels = got.solver_summary()
+    for key, level in want.solver_summary().items():
+        assert level["converged"] and got_levels[key]["converged"], key
+        assert got_levels[key]["cg_iterations"] == level["cg_iterations"], key
+        assert got_levels[key]["sigma"] == pytest.approx(level["sigma"], rel=1e-6), key
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a threaded BLAS needs two cores")
