@@ -31,8 +31,7 @@ from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, 
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
-from .pipeline import (DOMAINS, build_manifest, defog, file_sha256, load_scene, thread_count,
-                       write_manifest)
+from .pipeline import DOMAINS, build_manifest, defog, load_scene, thread_count, write_manifest
 from .recon import ObjectMask, evaluate, report_table_csv
 from .simrange import find_range, sweep, write_csv, write_gnuplot_script
 
@@ -60,7 +59,7 @@ def _solver_config(profile: str, config_path: str | None, flags: dict) -> Solver
     """A domain's solver config: its profile, then its config file's keys, then the flags'."""
     cfg = SolverConfig.profile(profile)
     if config_path:
-        doc = read_json(config_path)
+        doc, _ = read_json(config_path)
         try:
             cfg = _lay(cfg, doc)
         except ValueError as exc:
@@ -102,18 +101,6 @@ def _gaussian_filter(values: np.ndarray, sigma: float) -> np.ndarray:
     return values
 
 
-def _gaussian(sigma, amplitude, phase):
-    """Gaussian smoothing of an amplitude/phase pair as its phasor amplitude * exp(j*phase).
-
-    Returns (amplitude, phase).  Smoothing the phasor keeps 0 and 2*pi one value.
-    """
-    # a complex times a real weight can flip the sign of a zero part, which
-    # neither the modulus nor the wrapped angle that from_complex takes sees
-    smoothed = PhasorImage.from_complex(
-        _gaussian_filter(PhasorImage(amplitude, phase).to_complex(), sigma))
-    return smoothed.amplitude, smoothed.phase
-
-
 def _write_grid(out: str, name: str, values, domain: str, frequency=None) -> tuple:
     """Write one output grid as `out`/`name`, a capture's with its frequency.
 
@@ -139,8 +126,8 @@ def cmd_synth(args) -> int:
         _write_grid(out, "scattering_amplitude_gt.tofgrid",
                     result.scattering_amplitude.values, "amplitude"),
         _write_grid(out, "scattering_phase_gt.tofgrid", result.scattering_phase.values, "phase"),
-        _write_grid(out, "mask_gt.tofgrid", result.true_mask.mask.astype(np.float64), "label"),
-        _write_grid(out, "labels.tofgrid", np.asarray(labels, dtype=np.float64), "label"),
+        _write_grid(out, "mask_gt.tofgrid", result.true_mask.mask, "label"),
+        _write_grid(out, "labels.tofgrid", labels, "label"),
     ])
 
     manifest = build_manifest(
@@ -169,7 +156,7 @@ def cmd_defog(args) -> int:
 
 def cmd_replay(args) -> int:
     """Rerun a manifest's run on its `config` input paths, whose sha256s must match `inputs`."""
-    doc = read_json(args.manifest)
+    doc, _ = read_json(args.manifest)
     doc = doc if isinstance(doc, dict) else {}
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
@@ -186,18 +173,16 @@ def cmd_replay(args) -> int:
         if not (isinstance(path, str) and os.path.isabs(path)):
             raise InputError(f"{args.manifest}: config amp_input and phase_input "
                              f"must be absolute paths, got {path!r}")
-        if inputs.get(path) != file_sha256(path):
-            raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
     cfgs = []
     for domain in DOMAINS:
         try:
             cfgs.append(SolverConfig.from_json(config[domain]))
         except ValueError as exc:
             raise ValueError(f"{args.manifest}: config.{domain}: {exc}") from exc
-    return _run(args, cfgs, config.get("gaussian_sigma"), *paths)
+    return _run(args, cfgs, config.get("gaussian_sigma"), *paths, expected=inputs)
 
 
-def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
+def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None) -> int:
     """Defog the pair under the resolved (amplitude, phase) solver configs, smoothed by `sigma`."""
     # a sigma <= 0 or NaN gives the Gaussian filter no kernel
     if not (sigma is None or json_fits(sigma, "float") and sigma > 0):
@@ -207,15 +192,20 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
                   amp_input=os.path.abspath(amp_path), phase_input=os.path.abspath(phase_path))
 
     amp, phase = read_grid(amp_path, "amplitude"), read_grid(phase_path, "phase")
-    freq = _frequency({amp_path: amp, phase_path: phase})
-    amp_values, phase_values = amp.values, phase.values
+    grids = {amp_path: amp, phase_path: phase}
+    for path, grid in grids.items():  # a replay's digests, checked on the bytes the run solves
+        if expected is not None and expected.get(path) != grid.sha256:
+            raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
+    freq = _frequency(grids)
+    obs = PhasorImage(amp.values, phase.values)
     if sigma is not None:
         # the kernel has 8*sigma+1 taps per axis, and at 1e308 int(4*sigma + 0.5) overflows
-        if sigma > max(amp_values.shape):
+        if sigma > max(obs.shape):
             raise InputError(f"Gaussian sigma {sigma!r} exceeds the longer side of the "
-                             f"{'x'.join(map(str, amp_values.shape))} frame")
-        amp_values, phase_values = _gaussian(sigma, amp_values, phase_values)
-    obs = PhasorImage(amplitude=amp_values, phase=phase_values)
+                             f"{'x'.join(map(str, obs.shape))} frame")
+        # the phasor keeps 0 and 2*pi one value; a complex times a real weight can flip the
+        # sign of a zero part, which neither the modulus nor from_complex's wrapped angle sees
+        obs = PhasorImage.from_complex(_gaussian_filter(obs.to_complex(), sigma))
     cam = CameraModel(freq, *obs.shape)
 
     t0 = time.monotonic()
@@ -225,8 +215,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     outputs = dict([
-        _write_grid(out, "mask_fused.tofgrid", result.fused_mask.mask.astype(np.float64),
-                    "label"),
+        _write_grid(out, "mask_fused.tofgrid", result.fused_mask.mask, "label"),
         _write_grid(out, "depth_masked.tofgrid", result.depth.depth, "depth"),
     ])
     for domain in DOMAINS:
@@ -287,6 +276,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_simrange(args) -> int:
+    if args.gnuplot and os.path.realpath(args.gnuplot) == os.path.realpath(args.out):
+        raise InputError(f"{args.gnuplot}: the --gnuplot script would overwrite the --out CSV")
     cam = CameraModel(modulation_frequency_hz=args.freq)
     medium = MediumParams(beta=args.beta, g=args.g, z0=args.z0,
                           z_saturate=max(args.z0 + 1.0, 1000.0))

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -90,10 +91,13 @@ class CameraModel:
     cols: int = 512
 
     def __post_init__(self):
-        if not (0 < self.modulation_frequency_hz < math.inf):
-            raise ValueError("modulation_frequency_hz must be finite and positive")
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError("sensor dimensions must be positive")
+        freq = self.modulation_frequency_hz
+        if not (json_fits(freq, "float") and freq > 0):
+            raise ValueError(f"modulation_frequency_hz must be finite and positive, got {freq!r}")
+        for name in ("rows", "cols"):
+            value = getattr(self, name)
+            if not (json_fits(value, "int") and value > 0):
+                raise ValueError(f"sensor dimensions must be positive ints, got {name}={value!r}")
 
     @property
     def unambiguous_range_mm(self) -> float:
@@ -227,11 +231,12 @@ def phasor_subtract(a: PhasorImage, b: PhasorImage) -> PhasorImage:
     return PhasorImage.from_complex(a.to_complex() - b.to_complex())
 
 
-def read_json(path):
-    """The JSON document in file `path`; a document that does not decode names the file."""
+def read_json(path) -> tuple:
+    """The JSON document in file `path` and its bytes' sha256; a decode error names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from exc
     except UnicodeDecodeError as exc:  # a document that is not UTF-8

@@ -39,12 +39,13 @@ class MediumParams:
     z_saturate: float = 1000.0   # distance past which backscatter is flat, mm
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not (0 <= self.beta < np.inf):
+        # json_fits rejects a bool, NaN and inf
+        if not (json_fits(self.beta, "float") and 0 <= self.beta):
             raise ValueError(f"beta must be finite and non-negative, got {self.beta!r}")
-        if not (-1.0 < self.g < 1.0):
+        if not (json_fits(self.g, "float") and -1.0 < self.g < 1.0):
             raise ValueError(f"g must lie in (-1, 1), got {self.g!r}")
-        if not (0 < self.z0 < self.z_saturate < np.inf):
+        if not (json_fits(self.z0, "float") and json_fits(self.z_saturate, "float")
+                and 0 < self.z0 < self.z_saturate):
             raise ValueError(f"z0 must satisfy 0 < z0 < z_saturate < inf, "
                              f"got z0={self.z0!r}, z_saturate={self.z_saturate!r}")
 
@@ -158,10 +159,12 @@ class ScatterProfile:
     phase_falloff: float = 0.1
 
     def __post_init__(self):
-        if not (0 <= self.amplitude_falloff < 0.5):
-            raise ValueError("amplitude_falloff must lie in [0, 0.5)")
-        if not (0 <= self.phase_falloff < 0.5):
-            raise ValueError("phase_falloff must lie in [0, 0.5)")
+        if not json_fits(self.flip_row, "int"):
+            raise ValueError(f"flip_row must be an int, got {self.flip_row!r}")
+        for name in ("amplitude_falloff", "phase_falloff"):
+            value = getattr(self, name)
+            if not (json_fits(value, "float") and 0 <= value < 0.5):
+                raise ValueError(f"{name} must lie in [0, 0.5), got {value!r}")
 
     def fields(self, shape, medium: MediumParams, cam: CameraModel):
         """Per-pixel scattering amplitude grid, and the phase as a (rows, 1) column.

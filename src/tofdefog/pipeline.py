@@ -87,16 +87,16 @@ def defog(obs: PhasorImage, cam: CameraModel,
 def load_scene(path) -> SceneSpec:
     """Read a scene JSON; grid references resolve relative to the file.
 
-    The scene's `sources` maps the JSON and every grid file read to its
-    sha256; each grid's is of the bytes read_grid read.  A
+    The scene's `sources` maps the JSON and every grid file read to the
+    sha256 of the bytes read, each file read once.  A
     document that is not a JSON object, an unknown key, a wrongly typed
     value, a grid reference that is not a string and a failed SceneSpec
     check raise ValueError; a grid of another domain than its key's,
     InputError.  Each error starts with the scene's path.
     """
-    doc = read_json(path)
+    doc, digest = read_json(path)
     base = os.path.dirname(os.path.abspath(str(path)))
-    sources = {str(path): file_sha256(path)}
+    sources = {str(path): digest}
 
     def grid(section, key, domain):
         name = section.get(key)
@@ -169,7 +169,7 @@ def save_scene(scene: SceneSpec, path) -> None:
             "phase": grid("scattering_phase_in.tofgrid", scene.scattering.phase, "phase"),
         }
     if scene.labels is not None:
-        doc["labels_map"] = grid("labels.tofgrid", scene.labels.astype(np.float64), "label")
+        doc["labels_map"] = grid("labels.tofgrid", scene.labels, "label")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
 

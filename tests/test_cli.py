@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import collections
 import dataclasses
 import json
 import os
@@ -646,10 +648,63 @@ def test_simrange_z0_past_the_unambiguous_range_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gnuplot", ["sweep.csv", "./sub/../sweep.csv"])
+def test_simrange_gnuplot_onto_the_sweep_csv_exit_code(tmp_path, capsys, monkeypatch, gnuplot):
+    # the script overwrote the sweep it plots, and the command exited 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["simrange", "--beta", "3.2e-4", "--out", "sweep.csv", "--gnuplot", gnuplot,
+                 "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "InputError" and err["message"].startswith(f"{gnuplot}: ")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_simrange_cli_no_medium_unbounded(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(["simrange", "--beta", "0", "--out", str(out)]) == 0
     assert "unbounded" in capsys.readouterr().out
+
+
+def test_each_input_is_opened_once(tmp_path, scene_dir, monkeypatch):
+    # replay hashed each grid from its file before reading it for the run,
+    # and synth hashed scene.json apart from reading it
+    opens = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opens[os.path.abspath(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    def run(argv, inputs):
+        opens.clear()
+        assert main(argv) == 0
+        inputs = [os.path.abspath(path) for path in inputs]
+        assert {path: opens[path] for path in inputs} == dict.fromkeys(inputs, 1), argv[0]
+
+    def manifest_inputs(out):
+        return list(json.loads((out / "manifest.json").read_text())["inputs"])
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    capture, run1, run2, rerun = (tmp_path / name for name in ("capture", "1", "2", "rerun"))
+    scene_grids = [scene_dir.parent / f"{name}.tofgrid"
+                   for name in ("depth_gt", "reflectance", "labels")]
+    run(["synth", str(scene_dir), "--out", str(capture)], [scene_dir, *scene_grids])
+    assert sorted(manifest_inputs(capture)) == sorted(map(str, [scene_dir, *scene_grids]))
+    pair = [capture / "foggy_amplitude.tofgrid", capture / "foggy_phase.tofgrid"]
+    configs = write_small_configs(tmp_path)
+    defog = ["defog", "--amp", str(pair[0]), "--phase", str(pair[1]),
+             "--amp-config", configs[0], "--phase-config", configs[1]]
+    run([*defog, "--out", str(run1)], [*pair, *configs])
+    run([*defog, "--gaussian-sigma", "1", "--out", str(run2)], [*pair, *configs])
+    run(["replay", str(run2 / "manifest.json"), "--out", str(rerun)],
+        [run2 / "manifest.json", *pair])
+    assert manifest_inputs(rerun) == manifest_inputs(run2) == list(map(str, pair))
+    run(["eval", "--est", str(run1), "--gt", str(capture)],
+        [run1 / "depth_masked.tofgrid", run1 / "mask_fused.tofgrid",
+         *(capture / f"{name}.tofgrid"
+           for name in ("depth_gt", "mask_gt", "labels", "foggy_phase"))])
 
 
 def write_replay_manifest(tmp_path, **config):
@@ -802,12 +857,18 @@ def angle_from_zero(phase):
     return np.abs(np.angle(np.exp(1j * phase)))
 
 
+def smoothed(sigma, amplitude, phase):
+    """An amplitude/phase pair smoothed as `defog --gaussian-sigma` smooths it: as its phasor."""
+    return PhasorImage.from_complex(
+        cli._gaussian_filter(PhasorImage(amplitude, phase).to_complex(), sigma))
+
+
 def test_gaussian_smooths_an_amplitude_phase_pair_as_its_phasor():
     amplitude = np.full((16, 16), 2.0)
-    amp, phase = cli._gaussian(1.0, amplitude, checkerboard_phase())
-    assert angle_from_zero(phase).max() < 0.01
+    obs = smoothed(1.0, amplitude, checkerboard_phase())
+    assert angle_from_zero(obs.phase).max() < 0.01
     # the phasor's +-0.01 rad spread shortens it by 1 - cos(0.01)
-    assert np.allclose(amp, 2.0 * np.cos(0.01), rtol=1e-3)
+    assert np.allclose(obs.amplitude, 2.0 * np.cos(0.01), rtol=1e-3)
 
 
 FILTER_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (5, 7), (24, 32), (97, 131), (424, 512)]
@@ -842,8 +903,8 @@ def test_gaussian_gives_the_bytes_of_scipy_on_the_real_and_imaginary_parts(shape
     phasor = PhasorImage(amplitude, phase).to_complex()
     want = PhasorImage.from_complex(ndimage.gaussian_filter(phasor.real, sigma)
                                     + 1j * ndimage.gaussian_filter(phasor.imag, sigma))
-    got_amplitude, got_phase = cli._gaussian(sigma, amplitude, phase)
-    assert same_bits(got_amplitude, want.amplitude) and same_bits(got_phase, want.phase)
+    got = smoothed(sigma, amplitude, phase)
+    assert same_bits(got.amplitude, want.amplitude) and same_bits(got.phase, want.phase)
 
 
 def write_malformed_input(tmp_path, case):

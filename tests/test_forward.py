@@ -421,6 +421,28 @@ def test_an_input_that_describes_no_scene_is_rejected(call, match):
         call()
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: td.ScatterProfile(flip_row=12.5), r"^flip_row .*12\.5"),
+    (lambda: td.ScatterProfile(flip_row=True), r"^flip_row .*True"),
+    (lambda: td.ScatterProfile(amplitude_falloff=False), r"^amplitude_falloff .*False"),
+    (lambda: td.ScatterProfile(phase_falloff=False), r"^phase_falloff .*False"),
+    (lambda: td.CameraModel(16e6, True, True), r"rows=True"),
+    (lambda: td.CameraModel(16e6, 8, 8.0), r"cols=8\.0"),
+    (lambda: td.CameraModel(True, 8, 8), r"^modulation_frequency_hz .*True"),
+    (lambda: td.MediumParams(beta=True), r"^beta .*True"),
+    (lambda: td.MediumParams(beta=1e-4, g=False), r"^g .*False"),
+    (lambda: td.MediumParams(beta=1e-4, z0=True), r"z0=True"),
+    (lambda: td.MediumParams(beta=1e-4, z0=0.5, z_saturate=True), r"z_saturate=True"),
+], ids=["float-flip-row", "bool-flip-row", "bool-amplitude-falloff", "bool-phase-falloff",
+        "bool-rows", "float-cols", "bool-frequency", "bool-beta", "bool-g", "bool-z0",
+        "bool-z-saturate"])
+def test_a_scene_value_that_a_scene_json_cannot_hold_is_rejected(call, named):
+    # each value passes its field's range check: such a scene was built,
+    # synthesized and saved, and synth then rejected the saved scene JSON
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_reflectance_that_is_not_finite_is_rejected(bad):
     refl = np.ones((8, 8))
