@@ -26,8 +26,8 @@ import time
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, phase_to_depth,
-                   read_json, wrap_phase)
+from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, json_keys,
+                   phase_to_depth, read_json, wrap_phase)
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
@@ -161,13 +161,10 @@ def cmd_replay(args) -> int:
     config, inputs = doc.get("config"), doc.get("inputs")
     if not (isinstance(config, dict) and isinstance(inputs, dict)):
         raise InputError(f"{args.manifest}: a manifest's config and inputs must be JSON objects")
-    required = {*DOMAINS, "amp_input", "phase_input"}
-    unknown = sorted(set(config) - required - {"gaussian_sigma"})
-    if unknown:
-        raise InputError(f"{args.manifest}: unknown config key(s): {', '.join(unknown)}")
-    missing = sorted(required - set(config))
-    if missing:
-        raise InputError(f"{args.manifest}: missing config key(s): {', '.join(missing)}")
+    try:
+        json_keys(config, "config", ["amp_input", *DOMAINS, "phase_input"], ["gaussian_sigma"])
+    except ValueError as exc:
+        raise InputError(f"{args.manifest}: {exc}") from exc
     paths = [config.get("amp_input"), config.get("phase_input")]
     for path in paths:
         if not (isinstance(path, str) and os.path.isabs(path)):

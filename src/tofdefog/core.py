@@ -252,27 +252,31 @@ def json_fits(value, kind: str) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value)
 
 
-def json_kwargs(cls, doc, what: str, extra=()) -> dict:
-    """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
+def json_keys(doc, what: str, required=(), optional=()) -> dict:
+    """`doc`, which must be a JSON object with each `required` key and no others but `optional`.
 
-    Raises ValueError naming the type of a non-object, the keys that are
-    neither fields nor `extra`, a float/int field holding another JSON
-    type, or the fields without a default that are missing.  `extra` keys
-    are accepted and left out of the result.
+    A ValueError names a non-object's type, else the unknown keys, else the missing ones.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(doc) - set(known) - set(extra))
+    unknown = sorted(set(doc).difference(required, optional))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
-    missing = [name for name, f in known.items() if name not in doc
-               and f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
-    kwargs = {name: value for name, value in doc.items() if name in known}
-    for name, value in kwargs.items():
-        kind = known[name].type
-        if kind in ("float", "int") and not json_fits(value, kind):
-            raise ValueError(f"{what} key {name} must be {kind}, got {value!r}")
-    return kwargs
+    return doc
+
+
+def json_kwargs(cls, doc, what: str, extra=()) -> dict:
+    """A JSON object's entries for the fields of dataclass `cls`, as keyword arguments.
+
+    json_keys requires the fields without a default and allows the others and
+    `extra`, whose keys are left out.  The values pass as they are: each class
+    built from a JSON object checks its own fields' types.
+    """
+    names = [f.name for f in fields(cls)]
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    json_keys(doc, what, required, [*names, *extra])
+    return {name: doc[name] for name in names if name in doc}

@@ -262,8 +262,8 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
     on the rectangular components, seeded for reproducibility.  The seed
     must be an int >= 0 whether or not there is noise to draw.
     """
-    # NaN fails every comparison: without isfinite it would pass as no noise
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
+    # json_fits refuses a bool, a string, None, NaN and inf, which would pass as some noise or none
+    if not (json_fits(noise_sigma, "float") and noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     if not (json_fits(noise_seed, "int") and noise_seed >= 0):
         raise ValueError(f"noise_seed must be an int >= 0, got {noise_seed!r}")

@@ -122,7 +122,7 @@ def _parse_header(raw: bytes, where: str) -> dict:
         raise GridFormatError(f"{where}: unknown domain {header.get('domain')!r}")
     for key in ("rows", "cols"):
         value = header.get(key)
-        if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        if not (json_fits(value, "int") and value > 0):
             raise GridFormatError(f"{where}: bad {key} in header")
     if not isinstance(header.get("units"), str):
         raise GridFormatError(f"{where}: units must be a string, got {header.get('units')!r}")

@@ -107,17 +107,17 @@ class SolverConfig:
     linear_solver_tol: float = 1e-6
 
     def __post_init__(self):
-        # written so that NaN and infinity fail each check
-        if not all(0 <= g < math.inf for g in (self.gamma1, self.gamma2, self.gamma3)):
-            raise ValueError("gamma constants must be finite and non-negative")
-        if not all(0 < c < math.inf for c in (self.c_coarse, self.c_fine)):
-            raise ValueError("Tukey tuning constants must be finite and positive")
+        # json_fits refuses a bool, a string, None, NaN and inf before any comparison
+        for name in ("gamma1", "gamma2", "gamma3", "c_coarse", "c_fine"):
+            value, tukey = getattr(self, name), name.startswith("c_")
+            if not (json_fits(value, "float") and (value > 0 if tukey else value >= 0)):
+                raise ValueError(f"{name} must be finite and "
+                                 f"{'positive' if tukey else 'non-negative'}, got {value!r}")
         if not (json_fits(self.max_outer_iters, "int") and self.max_outer_iters >= 1):
             raise ValueError("max_outer_iters must be a positive int")
-        # a relative tolerance of 1 or more accepts every warm start
-        if not 0 < self.linear_solver_tol < 1:
-            raise ValueError(
-                f"linear_solver_tol must lie in (0, 1), got {self.linear_solver_tol!r}")
+        tol = self.linear_solver_tol  # a relative tolerance of 1 or more accepts every warm start
+        if not (json_fits(tol, "float") and 0 < tol < 1):
+            raise ValueError(f"linear_solver_tol must lie in (0, 1), got {tol!r}")
         grid = self.patch_grid
         if not (isinstance(grid, tuple) and len(grid) == 2
                 and all(json_fits(n, "int") and n >= 1 for n in grid)):

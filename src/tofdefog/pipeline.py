@@ -11,14 +11,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, json_fits, json_kwargs, read_json
+from .core import (CameraModel, DepthImage, PhasorImage, json_fits, json_keys, json_kwargs,
+                   read_json)
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, estimate_scattering
 from .recon import ObjectMask, fuse_masks, reconstruct_depth, recover_direct
 
 DOMAINS = ("amplitude", "phase")
-SCENE_KEYS = {"camera", "medium", "scattering", "depth_map", "reflectance_map", "labels_map"}
 
 
 def thread_count(value) -> int:
@@ -89,8 +89,8 @@ def load_scene(path) -> SceneSpec:
 
     The scene's `sources` maps the JSON and every grid file read to the
     sha256 of the bytes read, each file read once.  A
-    document that is not a JSON object, an unknown key, a wrongly typed
-    value, a grid reference that is not a string and a failed SceneSpec
+    document that is not a JSON object, an unknown or missing key, a wrongly
+    typed value, a grid reference that is not a string and a failed SceneSpec
     check raise ValueError; a grid of another domain than its key's,
     InputError.  Each error starts with the scene's path.
     """
@@ -108,13 +108,10 @@ def load_scene(path) -> SceneSpec:
         return grid_file.values
 
     try:
-        if not isinstance(doc, dict):
-            raise ValueError(f"a scene must be a JSON object, got {type(doc).__name__}")
-        unknown = sorted(set(doc) - SCENE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown scene key(s): {', '.join(unknown)}")
-        cam = CameraModel(**json_kwargs(CameraModel, doc.get("camera"), "camera"))
-        medium = MediumParams(**json_kwargs(MediumParams, doc.get("medium"), "medium"))
+        json_keys(doc, "scene", ("camera", "medium", "depth_map", "reflectance_map"),
+                  ("scattering", "labels_map"))
+        cam = CameraModel(**json_kwargs(CameraModel, doc["camera"], "camera"))
+        medium = MediumParams(**json_kwargs(MediumParams, doc["medium"], "medium"))
         scat_doc = doc.get("scattering", {})
         source = scat_doc.get("source", "analytic") if isinstance(scat_doc, dict) else "analytic"
         if source == "analytic":
@@ -155,7 +152,7 @@ def save_scene(scene: SceneSpec, path) -> None:
     doc = {
         "camera": asdict(scene.cam),
         "medium": asdict(scene.medium),
-        "depth_map": grid("depth_gt.tofgrid", scene.depth_map, "depth"),
+        "depth_map": grid("depth_gt.tofgrid", DepthImage(scene.depth_map).depth, "depth"),
         "reflectance_map": grid("reflectance.tofgrid", scene.reflectance_map, "amplitude",
                                 units="albedo"),
     }

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CameraModel, wrap_phase
+from .core import CameraModel, json_fits, wrap_phase
 from .forward import MediumParams, direct_phasor, scattering_phasor
 
 DEFAULT_Z_GRID = (10.0, 10000.0, 10.0)  # start, stop, step (mm)
@@ -43,7 +43,7 @@ def sweep(medium: MediumParams, cam: CameraModel, reflectance: float = 1.0) -> R
     The grid is DEFAULT_Z_GRID's, started at the medium's z0 when that lies
     deeper and stopped below the unambiguous range c/(2f).
     """
-    if not (0 <= reflectance < math.inf):
+    if not (json_fits(reflectance, "float") and reflectance >= 0):
         raise ValueError(f"reflectance must be finite and non-negative, got {reflectance!r}")
     start, stop, step = DEFAULT_Z_GRID
     end = min(stop + 0.5 * step, cam.unambiguous_range_mm)

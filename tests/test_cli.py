@@ -258,6 +258,23 @@ def test_synth_negative_noise_seed_exit_code(tmp_path, capsys, scene_dir, noise)
     assert not (out / "manifest.json").exists()
 
 
+def test_a_nan_or_negative_infinity_background_saves_and_synthesizes_as_infinity(tmp_path):
+    # SceneSpec and synthesize take NaN and -inf as background; save_scene wrote them as they
+    # were, into a depth grid that refuses them
+    digests = {}
+    for background in ("inf", "nan", "-inf"):
+        scene = make_scene(beta=3.2e-4, seed=5, rows=24, cols=32, flip_row=12)
+        scene.depth_map[np.isinf(scene.depth_map)] = float(background)
+        scene_path, out = tmp_path / background / "scene.json", tmp_path / background / "capture"
+        save_scene(scene, scene_path)
+        run_synth(scene_path, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        digests[background] = {section: {os.path.basename(path): digest
+                                         for path, digest in manifest[section].items()}
+                               for section in ("inputs", "outputs")}
+    assert digests["nan"] == digests["-inf"] == digests["inf"]
+
+
 def test_defog_replay_from_manifest(tmp_path, scene_dir):
     synth_out = tmp_path / "synth"
     run_synth(scene_dir, synth_out)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import math
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from conftest import same_bits
 
 import tofdefog as td
-from tofdefog.core import rectangular
+from tofdefog.core import json_kwargs, rectangular
 
 CAM = td.CameraModel(16e6)
 
@@ -281,3 +283,51 @@ def test_depth_image_stores_no_depth_as_inf_only():
 def test_a_value_outside_its_domain_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# one valid instance of each class that a JSON object configures, and its JSON path
+JSON_CONFIGURED = {
+    "CameraModel": (td.CameraModel(16e6, rows=8, cols=8),
+                    lambda doc: td.CameraModel(**json_kwargs(td.CameraModel, doc, "camera"))),
+    "MediumParams": (td.MediumParams(beta=3.2e-4),
+                     lambda doc: td.MediumParams(**json_kwargs(td.MediumParams, doc, "medium"))),
+    "ScatterProfile": (td.ScatterProfile(flip_row=4), lambda doc: td.ScatterProfile(
+        **json_kwargs(td.ScatterProfile, doc, "scattering"))),
+    "FlipOperator": (td.FlipOperator(flip_row=200, excluded_bottom_rows=24),
+                     lambda doc: td.FlipOperator(**json_kwargs(td.FlipOperator, doc, "flip"))),
+    "SolverConfig": (td.PROFILES["phase-kinect16"], td.SolverConfig.from_json),
+}
+
+
+def wrongly_typed_fields():
+    """(class, field, value): each float and int field with each value its JSON type refuses."""
+    for cls, (valid, _) in JSON_CONFIGURED.items():
+        for f in dataclasses.fields(valid):
+            if f.type not in ("float", "int"):
+                continue
+            extra = [2.5] if f.type == "int" else []
+            for value in [True, "1", None, math.nan, math.inf, *extra]:
+                yield pytest.param(cls, f.name, value, id=f"{cls}.{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("cls, name, value", wrongly_typed_fields())
+def test_every_json_fed_field_refuses_a_wrong_type_by_name(cls, name, value):
+    # a bool passed the gammas' comparisons and a string raised TypeError
+    valid, from_json = JSON_CONFIGURED[cls]
+    named = rf"\b{name}\b"
+    with pytest.raises(ValueError, match=named):
+        dataclasses.replace(valid, **{name: value})
+    doc = json.loads(json.dumps({**dataclasses.asdict(valid), name: value}))
+    with pytest.raises(ValueError, match=named):
+        from_json(doc)
+
+
+@pytest.mark.parametrize("cfg", [
+    td.PROFILES["amplitude-kinect16"],
+    td.PROFILES["phase-kinect16"],
+    td.SolverConfig(gamma1=0.25, gamma2=0.0, gamma3=3, c_coarse=1.5, c_fine=2,
+                    patch_grid=(2, 3), flip=td.FlipOperator(flip_row=7, excluded_bottom_rows=0),
+                    max_outer_iters=3, linear_solver_tol=0.5),
+], ids=["amplitude", "phase", "every-field-set"])
+def test_a_valid_solver_config_round_trips_through_json_text(cfg):
+    assert td.SolverConfig.from_json(json.loads(json.dumps(cfg.to_dict()))) == cfg

@@ -366,6 +366,17 @@ def test_synthesize_noise_is_seeded():
     assert not np.array_equal(a.foggy.amplitude, c.foggy.amplitude)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda value: td.synthesize(small_scene(), noise_sigma=value), "noise_sigma"),
+    (lambda value: td.sweep(FOG_MEDIUM, CAM, reflectance=value), "reflectance"),
+], ids=["synthesize-noise-sigma", "sweep-reflectance"])
+@pytest.mark.parametrize("value", [True, "1e-9", None, np.nan, np.inf, -1e-9])
+def test_a_number_argument_refuses_what_the_cli_parser_refuses(call, name, value):
+    # True ran as sigma or reflectance 1, and a string raised TypeError
+    with pytest.raises(ValueError, match=name):
+        call(value)
+
+
 def test_scene_validation():
     cam = td.CameraModel(16e6, rows=8, cols=8)
     medium = td.MediumParams(beta=1e-4)
