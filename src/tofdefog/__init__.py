@@ -5,7 +5,9 @@ from .core import (
     SPEED_OF_LIGHT_MM_S,
     CameraModel,
     DepthImage,
+    ObjectMask,
     PhasorImage,
+    ScatteringField,
     depth_to_phase,
     phase_to_depth,
     phasor_add,
@@ -28,7 +30,6 @@ from .forward import (
 from .irls import (
     PROFILES,
     IrlsState,
-    ScatteringField,
     SolverConfig,
     SolverError,
     binarize_weights,
@@ -50,7 +51,6 @@ from .priors import (
 )
 from .recon import (
     DepthErrorReport,
-    ObjectMask,
     evaluate,
     fuse_masks,
     mask_iou,

@@ -26,13 +26,13 @@ import time
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, InputError, PhasorImage, json_fits, json_keys,
-                   phase_to_depth, read_json, wrap_phase)
+from .core import (CameraModel, DepthImage, InputError, ObjectMask, PhasorImage, json_fits,
+                   json_keys, phase_to_depth, read_json, wrap_phase)
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
 from .pipeline import DOMAINS, build_manifest, defog, load_scene, thread_count, write_manifest
-from .recon import ObjectMask, evaluate, report_table_csv
+from .recon import evaluate, report_table_csv
 from .simrange import find_range, sweep, write_csv, write_gnuplot_script
 
 EXIT_OK = 0

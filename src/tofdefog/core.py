@@ -1,4 +1,4 @@
-"""Phasor-domain image types and phase/depth conversion.
+"""Image types (PhasorImage, DepthImage, ScatteringField, ObjectMask) and phase/depth conversion.
 
 A continuous-wave ToF observation at a pixel is a complex phasor
 ``amplitude * exp(j*phase)``.  Observables are kept in polar form
@@ -180,6 +180,36 @@ class DepthImage:
     @property
     def shape(self):
         return self.depth.shape
+
+
+@dataclass
+class ScatteringField:
+    """Per-pixel scattering component for one domain, synthesized or estimated."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.float64)
+        lo, hi = bounds(self.values)
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError("scattering field must be finite")
+
+
+@dataclass
+class ObjectMask:
+    """Boolean grid, true where a pixel belongs to the object region."""
+
+    mask: np.ndarray
+
+    def __post_init__(self):
+        self.mask = np.asarray(self.mask, dtype=bool)
+
+    @property
+    def shape(self):
+        return self.mask.shape
+
+    def count(self) -> int:
+        return int(self.mask.sum())
 
 
 def phase_to_depth(phase, cam: CameraModel):

@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, PhasorImage, bounds, json_fits, rectangular,
-                   wrap_phase)
-from .irls import ScatteringField
-from .recon import ObjectMask
+from .core import (CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField, bounds,
+                   json_fits, rectangular, wrap_phase)
 
 # Log-spaced quadrature: the 1/z^2 spike at the near end of the integral
 # wants resolution proportional to z, so nodes sit at z0 * exp(k*h).  1000

@@ -39,7 +39,7 @@ class GridFormatError(ValueError):
 
 @dataclass
 class GridFile:
-    values: np.ndarray          # float64 view of the stored float32 payload
+    values: np.ndarray          # float64 copy of the stored float32 payload
     domain: str
     units: str
     sha256: str                 # hex digest of the file's bytes as read

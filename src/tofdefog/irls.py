@@ -14,9 +14,9 @@ quadratics, and updates the weights from the current residuals with
 Tukey's biweight.  Pixels whose weight collapses to zero are exactly the
 object region, which is what makes the weight field double as a segmenter.
 
-Two levels run in sequence: a coarse level whose data term and weights
-live on whole patches (robust against large objects), then a fine level
-with per-pixel residuals initialized from the coarse solution.
+Two levels run in sequence: a coarse level that takes one residual norm
+and one Tukey weight per patch, then a fine level with per-pixel
+residuals initialized from the coarse solution.
 estimate_scattering solves both on the 2x2 block means of x~
 (half_grid_config scales the constants to that grid); full resolution
 enters once, when the fine x is copied over each 2x2 block and reweighted
@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import bounds, json_fits, json_kwargs
+from .core import ObjectMask, json_fits, json_kwargs
 from .priors import (
     FlipOperator,
     PatchGrid,
@@ -44,7 +44,6 @@ from .priors import (
     neighbour_sum,
     symmetry_penalty,
 )
-from .recon import ObjectMask
 
 
 # Forcing term of the inexact x-steps: after a level's first x-step, CG
@@ -166,19 +165,6 @@ PROFILES = {
         gamma1=0.01, gamma2=0.1, gamma3=50.0, c_coarse=2.0, c_fine=3.0,
     ),
 }
-
-
-@dataclass
-class ScatteringField:
-    """Estimated per-pixel scattering component for one domain."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        lo, hi = bounds(self.values)
-        if not (-math.inf < lo and hi < math.inf):
-            raise ValueError("scattering field must be finite")
 
 
 @dataclass

@@ -11,12 +11,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, PhasorImage, json_fits, json_keys, json_kwargs,
-                   read_json)
+from .core import (CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField, json_fits,
+                   json_keys, json_kwargs, read_json)
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
-from .irls import IrlsState, ScatteringField, SolverConfig, binarize_weights, estimate_scattering
-from .recon import ObjectMask, fuse_masks, reconstruct_depth, recover_direct
+from .irls import IrlsState, SolverConfig, binarize_weights, estimate_scattering
+from .recon import fuse_masks, reconstruct_depth, recover_direct
 
 DOMAINS = ("amplitude", "phase")
 

@@ -9,24 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, PhasorImage, phase_to_depth, rectangular
-
-
-@dataclass
-class ObjectMask:
-    """Boolean grid, true where a pixel belongs to the object region."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
-
-    @property
-    def shape(self):
-        return self.mask.shape
-
-    def count(self) -> int:
-        return int(self.mask.sum())
+from .core import CameraModel, DepthImage, ObjectMask, PhasorImage, phase_to_depth, rectangular
 
 
 def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
