@@ -188,13 +188,15 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None)
     config = dict(zip(DOMAINS, (cfg.to_dict() for cfg in cfgs)), gaussian_sigma=sigma,
                   amp_input=os.path.abspath(amp_path), phase_input=os.path.abspath(phase_path))
 
-    amp, phase = read_grid(amp_path, "amplitude"), read_grid(phase_path, "phase")
-    grids = {amp_path: amp, phase_path: phase}
-    for path, grid in grids.items():  # a replay's digests, checked on the bytes the run solves
-        if expected is not None and expected.get(path) != grid.sha256:
+    grids = {amp_path: read_grid(amp_path, "amplitude"),
+             phase_path: read_grid(phase_path, "phase")}
+    inputs = {path: grid.sha256 for path, grid in grids.items()}
+    for path, digest in inputs.items():  # a replay's digests, checked on the bytes the run solves
+        if expected is not None and expected.get(path) != digest:
             raise InputError(f"{path}: sha256 differs from the manifest's inputs entry")
     freq = _frequency(grids)
-    obs = PhasorImage(amp.values, phase.values)
+    obs = PhasorImage(grids[amp_path].values, grids[phase_path].values)
+    del grids  # obs holds the one copy of each input grid that the run reads
     if sigma is not None:
         # the kernel has 8*sigma+1 taps per axis, and at 1e308 int(4*sigma + 0.5) overflows
         if sigma > max(obs.shape):
@@ -208,6 +210,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None)
     t0 = time.monotonic()
     result = defog(obs, cam, *cfgs, **_given(threads=args.threads))
     solve_s = time.monotonic() - t0
+    del obs  # the writes read the result alone
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -226,7 +229,7 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None)
     manifest = build_manifest(
         "defog",
         config,
-        inputs={amp_path: amp.sha256, phase_path: phase.sha256},
+        inputs=inputs,
         outputs=outputs,
         solver=result.solver_summary(),
         timings={"solve": solve_s},

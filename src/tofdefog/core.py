@@ -82,6 +82,19 @@ def rectangular(amplitude, phase) -> np.ndarray:
     return out
 
 
+def polar(values) -> tuple[np.ndarray, np.ndarray]:
+    """(modulus, argument) grids of a complex grid, the argument in (-pi, pi].
+
+    Pixels with modulus below AMPLITUDE_EPSILON get phase 0: the argument
+    of a near-zero complex number carries no information.
+    """
+    values = np.asarray(values, dtype=np.complex128)
+    amplitude = np.abs(values)
+    phase = np.angle(values)
+    phase[amplitude < AMPLITUDE_EPSILON] = 0.0
+    return amplitude, phase
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Continuous-wave ToF camera: modulation frequency and sensor size."""
@@ -142,16 +155,8 @@ class PhasorImage:
 
     @classmethod
     def from_complex(cls, values: np.ndarray) -> "PhasorImage":
-        """Polar form of a complex grid.
-
-        Pixels with modulus below AMPLITUDE_EPSILON get phase 0: the
-        argument of a near-zero complex number carries no information.
-        """
-        values = np.asarray(values, dtype=np.complex128)
-        amplitude = np.abs(values)
-        phase = np.angle(values)
-        phase[amplitude < AMPLITUDE_EPSILON] = 0.0
-        return cls(amplitude=amplitude, phase=phase)
+        """Polar form of a complex grid, as `polar` gives it."""
+        return cls(*polar(values))
 
     def valid(self) -> np.ndarray:
         """Pixels whose amplitude is large enough for the phase to be defined."""

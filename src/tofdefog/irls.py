@@ -640,11 +640,17 @@ def half_grid_config(cfg: SolverConfig, rows: int) -> SolverConfig:
 def _block_copy(v: np.ndarray, shape) -> np.ndarray:
     """Half-grid `v` copied over each 2x2 block of a `shape` frame, the adjoint of
     the block means; an odd frame's trailing row or column repeats its neighbour."""
-    pad = [(0, n - 2 * m) for n, m in zip(shape, v.shape)]
-    return np.pad(v.repeat(2, axis=0).repeat(2, axis=1), pad, mode="edge")
+    out = np.empty(shape)
+    rows, cols = 2 * v.shape[0], 2 * v.shape[1]
+    for i in range(2):
+        for j in range(2):
+            out[i:rows:2, j:cols:2] = v
+    out[rows:] = out[rows - 1]  # the next line fills this row's trailing column too
+    out[:, cols:] = out[:, cols - 1:cols]
+    return out
 
 
-def estimate_scattering(x_tilde, cfg: SolverConfig):
+def estimate_scattering(x_tilde, cfg: SolverConfig, turn=None):
     """Full coarse-to-fine run for one domain: (coarse, fine, x, w).
 
     Both levels run, and their states are returned, on the 2x2 block means
@@ -653,6 +659,12 @@ def estimate_scattering(x_tilde, cfg: SolverConfig):
     weights against x~ at the fine level's sigma.  The half grid needs 3x3
     pixels per patch, so a frame under 6x6 pixels per patch, a non-finite
     x~ or a flip row outside the frame raises ValueError.
+
+    A `turn` marks x~ as angles of that period, wrapped to [0, turn).  The
+    solve then runs on x~ + turn/2 wrapped again, half a turn away from x~'s
+    wrap, and w is taken there too; x and both levels' x come back shifted
+    by -turn/2.  Every term of the objective sees only differences, so a
+    constant shift moves nothing but the wrap.
     """
     x_tilde = _finite_image(x_tilde)
     rows, cols = x_tilde.shape
@@ -663,10 +675,20 @@ def estimate_scattering(x_tilde, cfg: SolverConfig):
             f"grid: the solver's half-resolution grid needs a frame of at least "
             f"{6 * patch_rows}x{6 * patch_cols} pixels")
     cfg.flip.halves(rows)  # a flip row outside the frame fails here, not after a level
+    if turn is not None:
+        x_tilde = np.add(x_tilde, turn / 2)
+        np.mod(x_tilde, turn, out=x_tilde)
     half = x_tilde[:rows // 2 * 2, :cols // 2 * 2].reshape(rows // 2, 2, cols // 2, 2)
     half = half.mean(axis=(1, 3))
     half_cfg = half_grid_config(cfg, rows // 2)
     coarse = run_coarse(half, half_cfg)
     fine = run_fine(half, coarse, half_cfg)
     x = _block_copy(fine.x, x_tilde.shape)
-    return coarse, fine, x, tukey_weight((x - x_tilde) / fine.sigma, cfg.c_fine)
+    # a rotated x~ is this call's own grid, which the residual can take over
+    r = np.subtract(x, x_tilde, out=None if turn is None else x_tilde)
+    r /= fine.sigma
+    w = tukey_weight(r, cfg.c_fine)
+    if turn is not None:
+        for v in (coarse.x, fine.x, x):
+            v -= turn / 2
+    return coarse, fine, x, w

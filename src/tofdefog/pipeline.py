@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField, json_fits,
-                   json_keys, json_kwargs, read_json)
+from .core import (TWO_PI, CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField,
+                   json_fits, json_keys, json_kwargs, read_json)
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, SolverConfig, binarize_weights, estimate_scattering
@@ -66,15 +66,16 @@ def defog(obs: PhasorImage, cam: CameraModel,
     The amplitude and phase solvers are independent and may run
     concurrently on up to `threads` threads (a thread_count).  Results
     depend neither on the execution order nor on the BLAS thread count.
-    The amplitude field is clamped to >= 0 after the solve, as an
+    The phase is solved half a turn away from its wrap (estimate_scattering's
+    `turn`).  The amplitude field is clamped to >= 0 after the solve, as an
     amplitude is; the phase field is not.
     """
     threads = thread_count(threads)
     cfgs = (amp_cfg, phase_cfg)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
-        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs)
+        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs, (None, TWO_PI))
     amplitude, phase = (
-        DomainResult(coarse, fine, ScatteringField(np.maximum(x, 0.0) if clamp else x),
+        DomainResult(coarse, fine, ScatteringField(np.maximum(x, 0.0, out=x) if clamp else x),
                      w, binarize_weights(w))
         for (coarse, fine, x, w), clamp in zip(runs, (True, False)))
     fused = fuse_masks(amplitude.mask, phase.mask)

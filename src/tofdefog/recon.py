@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CameraModel, DepthImage, ObjectMask, PhasorImage, phase_to_depth, rectangular
+from .core import (CameraModel, DepthImage, ObjectMask, PhasorImage, phase_to_depth, polar,
+                   rectangular)
 
 
 def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
@@ -26,7 +27,9 @@ def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
         raise ValueError("scattering field shape does not match observation")
     direct = obs.to_complex()
     direct -= rectangular(amp_s, phi_s)
-    return PhasorImage.from_complex(direct)
+    amplitude, phase = polar(direct)
+    del direct  # released before PhasorImage wraps the phase into a grid of its own
+    return PhasorImage(amplitude, phase)
 
 
 def reconstruct_depth(direct: PhasorImage, cam: CameraModel, mask: ObjectMask) -> DepthImage:
@@ -34,7 +37,8 @@ def reconstruct_depth(direct: PhasorImage, cam: CameraModel, mask: ObjectMask) -
     if mask.shape != direct.shape:
         raise ValueError("mask shape does not match image")
     depth = phase_to_depth(direct.phase, cam)
-    return DepthImage(depth=np.where(direct.valid() & mask.mask, depth, np.inf))
+    depth[~(direct.valid() & mask.mask)] = np.inf
+    return DepthImage(depth=depth)
 
 
 def fuse_masks(amp_mask: ObjectMask, phase_mask: ObjectMask) -> ObjectMask:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.  The end-to-end criteria work at the full 424x512 sensor
-size and take about 20 s total on 2 cores.
+size and take about 8 s total on 2 cores.
 """
 
 import json
@@ -264,3 +264,48 @@ def test_criterion_7_cli_determinism(tmp_path):
     m2 = json.loads((outs[1] / "manifest.json").read_text())
     assert m1["outputs"] == m2["outputs"]
     _report(f"ACCEPTANCE 7 determinism: PASS ({len(grids)} grids byte-identical)")
+
+
+# (label, beta, scene seed, coverage, noise sigma); s1 and s2 are ROADMAP's noisy frames
+CRITERION_8_FRAMES = [
+    pytest.param("s1", 3.2e-4, 1, "medium", 1e-9, id="s1-1e-9"),
+    pytest.param("s1", 3.2e-4, 1, "medium", 3e-9, id="s1-3e-9"),
+    pytest.param("s2", 4.8e-4, 2, "medium", 1e-9, id="s2-1e-9"),
+    pytest.param("s2", 4.8e-4, 2, "medium", 3e-9, id="s2-3e-9", marks=pytest.mark.xfail(
+        strict=True, reason="reads 154.15 mm at IoU 0.837 against 630.11 mm raw: the "
+                            "per-domain solve still fails here (ROADMAP item 1)")),
+    *(pytest.param("single-object", 3.2e-4, seed, "small", 3e-10, id=f"single-object-{seed}")
+      for seed in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("label, beta, seed, coverage, noise", CRITERION_8_FRAMES)
+def test_criterion_8_noisy_frames(label, beta, seed, coverage, noise):
+    """Full-size frames with sensor noise meet criterion 2's bounds.
+
+    Noise is additive on the phasor's real and imaginary parts
+    (noise_seed 0); each frame runs with the default profiles and no
+    gaussian_sigma smoothing.
+    """
+    scene = make_scene(beta=beta, seed=seed, coverage=coverage)
+    syn = td.synthesize(scene, noise_sigma=noise, noise_seed=0)
+    true_mask = syn.true_mask
+    truth = scene.depth_map[true_mask.mask]
+    raw_depth = td.phase_to_depth(syn.foggy.phase, scene.cam)
+    raw_err = float(np.abs(raw_depth[true_mask.mask] - truth).mean())
+
+    res = td.defog(syn.foggy, scene.cam, td.SolverConfig.profile("amplitude-kinect16"),
+                   td.SolverConfig.profile("phase-kinect16"))
+    depth = td.reconstruct_depth(res.direct, scene.cam, true_mask)
+    covered = true_mask.mask & depth.valid
+    valid_share = covered.sum() / true_mask.mask.sum()
+    defog_err = float(np.abs(depth.depth[covered] - scene.depth_map[covered]).mean())
+    iou = td.mask_iou(res.fused_mask, true_mask)
+
+    name = f"{label} seed {seed}, noise {noise:.0e}"
+    assert valid_share > 0.99, f"{name}: direct valid on {valid_share:.3f}"
+    assert defog_err < 50.0, f"{name}: defogged error {defog_err:.1f} mm"
+    assert defog_err <= 0.2 * raw_err, f"{name}: {defog_err:.1f} vs raw {raw_err:.1f} mm"
+    assert iou >= 0.8, f"{name}: IoU {iou:.3f}"
+    _report(f"ACCEPTANCE 8 noisy frame: PASS ({name}: raw {raw_err:.1f} mm -> "
+            f"{defog_err:.2f} mm, IoU {iou:.3f})")

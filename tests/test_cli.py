@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +436,34 @@ def test_the_manifest_states_each_levels_grid(tmp_path):
     assert {name: level["shape"] for name, level in solver.items()} == {
         "amplitude_coarse": [36, 48], "phase_coarse": [36, 48],
         "amplitude_fine": [36, 48], "phase_fine": [36, 48]}
+
+
+def test_a_defog_run_holds_each_full_size_grid_once(tmp_path):
+    # the heap of one serial defog, counted in rows*cols float64 grids: the
+    # frame's two inputs, the solver's full-resolution tail, the direct
+    # phasor and the output grids.  A copy that nothing reads again, or an
+    # input kept beside its PhasorImage, adds one or more.  The run read
+    # 12.63 grids at numpy 2.4.6, where the bound was chosen; CI's
+    # numpy-floor job runs it at numpy 2.0
+    rows, cols = 240, 320
+    save_scene(make_scene(3.2e-4, seed=1, rows=rows, cols=cols, flip_row=113),
+               tmp_path / "scene" / "scene.json")
+    synth_out = tmp_path / "synth"
+    run_synth(tmp_path / "scene" / "scene.json", synth_out)
+    argv = ["defog", "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
+            "--phase", str(synth_out / "foggy_phase.tofgrid"), "--threads", "1",
+            "--flip-row", "113", "--excluded-rows", "14"]
+    # a process's first run also imports what numpy loads on first use (np.median
+    # imports numpy.ma, about 1 MiB), so only a second run measures the run itself
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "d")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grids = peak / (rows * cols * 8)
+    assert grids <= 13.5, f"a defog run's heap peaked at {grids:.2f} full-size grids"
 
 
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,27 @@ def test_float32_rounded_input_gives_the_same_mask_and_cg_counts(seed):
         assert got_levels[key]["sigma"] == pytest.approx(level["sigma"], rel=1e-6), key
 
 
+@pytest.mark.parametrize("noise", [1e-9, 3e-9])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_noisy_frame_whose_scattering_phase_sits_on_the_wrap_passes_criterion_2(seed, noise):
+    # the scattering phase is about 0.03 rad, so noise carries background
+    # pixels across the wrap to nearly 2*pi; solved on [0, 2*pi), those read
+    # as outliers and the phase mask misses the objects
+    scene = make_scene(3.2e-4, seed, rows=96, cols=128, flip_row=45)
+    syn = td.synthesize(scene, noise_sigma=noise, noise_seed=0)
+    cfgs = [dataclasses.replace(td.SolverConfig.profile(f"{domain}-kinect16"),
+                                flip=FlipOperator(45, 5)) for domain in ("amplitude", "phase")]
+    res = td.defog(syn.foggy, scene.cam, *cfgs, threads=1)
+    true_mask = syn.true_mask.mask
+    raw_depth = td.phase_to_depth(syn.foggy.phase, scene.cam)
+    raw = float(np.abs(raw_depth[true_mask] - scene.depth_map[true_mask]).mean())
+    depth = td.reconstruct_depth(res.direct, scene.cam, syn.true_mask).depth
+    covered = true_mask & np.isfinite(depth)
+    err = float(np.abs(depth[covered] - scene.depth_map[covered]).mean())
+    assert err < 50.0 and err <= 0.2 * raw, (err, raw)
+    assert td.mask_iou(res.fused_mask, syn.true_mask) >= 0.8
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a threaded BLAS needs two cores")
 def test_defog_blas_thread_count_does_not_change_results(tmp_path):
     # 128x192 with a (1, 2) patch grid: both the image (24,576 px) and each
