@@ -9,7 +9,7 @@ headers of the capture's foggy amplitude/phase pair, and `defog` and `eval`
 read it from there; `eval` reads the regions from the capture's
 labels.tofgrid.  A grid read for a role it does not fit is an InputError.
 `defog` and `replay` run the two domain solves on --threads threads, 2 by
-default.  `simrange` sweeps the one depth grid of `simrange.sweep`.
+default and at most 2.  `simrange` sweeps the one depth grid of `simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from .core import (CameraModel, DepthImage, InputError, ObjectMask, PhasorImage, json_fits,
-                   json_keys, phase_to_depth, read_json, wrap_phase)
+                   json_keys, phase_to_depth, read_json)
 from .forward import MediumParams, synthesize
 from .gridfile import GridFormatError, read_grid, write_grid
 from .irls import SolverConfig, SolverError
@@ -220,9 +220,8 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None)
     ])
     for domain in DOMAINS:
         record = getattr(result, domain)
-        # a phase grid holds phases in [0, 2*pi)
-        field = wrap_phase(record.field.values) if domain == "phase" else record.field.values
-        outputs.update([_write_grid(out, f"scattering_{domain}.tofgrid", field, domain),
+        outputs.update([_write_grid(out, f"scattering_{domain}.tofgrid", record.field.values,
+                                    domain),
                         _write_grid(out, f"weights_{domain}.tofgrid", record.weights,
                                     "weight")])
 
@@ -325,14 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excluded-rows", type=int, default=None)
     p.add_argument("--gaussian-sigma", type=float,
                    help="smooth the input pair with this Gaussian sigma (px) first")
-    p.add_argument("--threads", type=thread_count, help="domain solve threads (default 2)")
+    p.add_argument("--threads", type=thread_count,
+                   help="domain solve threads, one per domain, so 2 at most (default 2)")
     common(p)
     p.set_defaults(func=cmd_defog)
 
     p = sub.add_parser("replay", help="rerun a defog run from its manifest")
     p.add_argument("manifest", help="the run's manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=thread_count, help="domain solve threads (default 2)")
+    p.add_argument("--threads", type=thread_count,
+                   help="domain solve threads, one per domain, so 2 at most (default 2)")
     common(p)
     p.set_defaults(func=cmd_replay)
 

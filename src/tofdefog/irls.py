@@ -420,11 +420,6 @@ class _Workspace:
         out[upper] -= np.multiply(x[lower][::-1], c, out=nb[upper])
         return out
 
-    def apply_system(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A x for the weights w, in a new array."""
-        self.reweight(w)
-        return self.apply(x, np.empty_like(x))
-
     def precondition(self, r):
         """z = M^-1 r, the DCT-II solve for the weights of the last reweight.
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .core import (TWO_PI, CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField,
-                   json_fits, json_keys, json_kwargs, read_json)
+                   json_fits, json_keys, json_kwargs, read_json, wrap_phase)
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, SolverConfig, binarize_weights, estimate_scattering
@@ -67,19 +67,21 @@ def defog(obs: PhasorImage, cam: CameraModel,
     concurrently on up to `threads` threads (a thread_count).  Results
     depend neither on the execution order nor on the BLAS thread count.
     The phase is solved half a turn away from its wrap (estimate_scattering's
-    `turn`).  The amplitude field is clamped to >= 0 after the solve, as an
-    amplitude is; the phase field is not.
+    `turn`), and the turn picks each field's range: without one it is clamped
+    to >= 0, as an amplitude is; with one it is wrapped to [0, 2*pi), as a
+    phase is, once recover_direct has read it.
     """
     threads = thread_count(threads)
-    cfgs = (amp_cfg, phase_cfg)
+    cfgs, turns = (amp_cfg, phase_cfg), (None, TWO_PI)
     with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
-        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs, (None, TWO_PI))
+        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs, turns)
     amplitude, phase = (
-        DomainResult(coarse, fine, ScatteringField(np.maximum(x, 0.0, out=x) if clamp else x),
+        DomainResult(coarse, fine, ScatteringField(x if turn else np.maximum(x, 0.0, out=x)),
                      w, binarize_weights(w))
-        for (coarse, fine, x, w), clamp in zip(runs, (True, False)))
+        for (coarse, fine, x, w), turn in zip(runs, turns))
     fused = fuse_masks(amplitude.mask, phase.mask)
     direct = recover_direct(obs, amplitude.field.values, phase.field.values)
+    phase.field = ScatteringField(wrap_phase(phase.field.values))
     return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))
 
 

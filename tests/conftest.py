@@ -16,6 +16,35 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def apply_system(ws, w, x):
+    """The x-step operator A of workspace `ws` for the weights w, applied to x in a new array."""
+    ws.reweight(w)
+    return ws.apply(x, np.empty_like(x))
+
+
+def criterion_2(name, scene, syn, res):
+    """Criterion 2's score of `res`, a defog of `syn`, the synthesis of `scene`.
+
+    Returns (raw error, defogged error, IoU, coverage).  The errors are mean
+    absolute depth errors in mm over the true mask: the raw one of the foggy
+    phase's depth, the defogged one of the direct phase's depth on the mask's
+    pixels where it is valid, which `coverage` is the share of.  Asserts
+    criterion 2's bounds, naming `name`: the defogged error below 50 mm and
+    at most 0.2 times the raw one, and an IoU of at least 0.8.
+    """
+    mask = syn.true_mask.mask
+    raw_depth = td.phase_to_depth(syn.foggy.phase, scene.cam)
+    raw_err = float(np.abs(raw_depth[mask] - scene.depth_map[mask]).mean())
+    depth = td.reconstruct_depth(res.direct, scene.cam, syn.true_mask)
+    covered = mask & depth.valid
+    defog_err = float(np.abs(depth.depth[covered] - scene.depth_map[covered]).mean())
+    iou = td.mask_iou(res.fused_mask, syn.true_mask)
+    assert defog_err < 50.0, f"{name}: defogged error {defog_err:.1f} mm"
+    assert defog_err <= 0.2 * raw_err, f"{name}: {defog_err:.1f} vs raw {raw_err:.1f} mm"
+    assert iou >= 0.8, f"{name}: IoU {iou:.3f}"
+    return raw_err, defog_err, iou, covered.sum() / mask.sum()
+
+
 def small_config(profile="amplitude-kinect16", rows=16, **overrides):
     """Profile constants re-targeted at a small test image."""
     defaults = dict(

@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import make_scene, quadratic_symmetric_image, small_config
+from conftest import apply_system, make_scene, quadratic_symmetric_image, same_bits, small_config
 
 import tofdefog as td
 from tofdefog import irls
+from tofdefog.core import TWO_PI
 from tofdefog.irls import (
     FORCING,
     PROFILES,
@@ -163,7 +164,7 @@ def test_apply_system_matches_dense_operator(flip_row):
     lap, sym = dense_system(shape, cfg)
     a = (np.diag(w.ravel()) + cfg.gamma1 * np.eye(w.size)
          + cfg.gamma2 * sym + cfg.gamma3 * lap)
-    out = _Workspace(shape, cfg).apply_system(w, x)
+    out = apply_system(_Workspace(shape, cfg), w, x)
     assert np.max(np.abs(out.ravel() - a @ x.ravel())) < 1e-12
 
 
@@ -217,7 +218,7 @@ def warm_start_system(seed):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0, 1, (32, 40))
     x_exact = quadratic_symmetric_image(32, 40, 16)
-    return cfg, ws, w, x_exact, ws.apply_system(w, x_exact), rng
+    return cfg, ws, w, x_exact, apply_system(ws, w, x_exact), rng
 
 
 @pytest.mark.parametrize("start", ["zero", "far", "near", "forcing"])
@@ -232,10 +233,10 @@ def test_solve_system_stops_within_tol_of_rhs_or_start_residual(start):
     }["far" if start == "forcing" else start]
     forcing = FORCING if start == "forcing" else 0.0
     x, n_cg, _ = _solve_system(ws, w, b, x0, forcing)
-    r0_norm = np.linalg.norm(b - ws.apply_system(w, x0))
+    r0_norm = np.linalg.norm(b - apply_system(ws, w, x0))
     bound = max(cfg.linear_solver_tol * max(np.linalg.norm(b), r0_norm),
                 0.1 * r0_norm if forcing else 0.0)
-    assert np.linalg.norm(b - ws.apply_system(w, x)) <= bound
+    assert np.linalg.norm(b - apply_system(ws, w, x)) <= bound
     if forcing:
         _, exact_cg, _ = _solve_system(ws, w, b, x0)
         assert n_cg < exact_cg
@@ -247,8 +248,8 @@ def test_solve_system_zero_rhs_stops_relative_to_start_residual():
     cfg, ws, w, _, b, rng = warm_start_system(14)
     x0 = rng.normal(size=b.shape)
     x, n_cg, _ = _solve_system(ws, w, np.zeros_like(b), x0)
-    r0_norm = np.linalg.norm(ws.apply_system(w, x0))
-    assert np.linalg.norm(ws.apply_system(w, x)) <= cfg.linear_solver_tol * r0_norm
+    r0_norm = np.linalg.norm(apply_system(ws, w, x0))
+    assert np.linalg.norm(apply_system(ws, w, x)) <= cfg.linear_solver_tol * r0_norm
     assert n_cg <= 10
 
 
@@ -417,8 +418,8 @@ def test_solve_system_at_its_iteration_cap_raises_with_the_residual_norm():
     # one preconditioned CG step from 0: x1 = alpha z, z = M^-1 b
     ws.reweight(w)
     z = ws.precondition(b).copy()
-    x1 = (np.sum(b * z) / np.sum(z * ws.apply_system(w, z))) * z
-    r1_norm = np.linalg.norm(b - ws.apply_system(w, x1))
+    x1 = (np.sum(b * z) / np.sum(z * apply_system(ws, w, z))) * z
+    r1_norm = np.linalg.norm(b - apply_system(ws, w, x1))
     assert exc.value.residual_norm == pytest.approx(r1_norm, rel=1e-9)
     assert r1_norm > 1e-12 * np.linalg.norm(b)
     assert f"residual norm {exc.value.residual_norm:.3e}" in str(exc.value)
@@ -789,6 +790,24 @@ def test_estimate_scattering_solves_the_coarse_level_on_the_half_grid():
     # against x~ with the fine level's frozen sigma
     assert np.array_equal(x, _block_copy(fine.x, x_tilde.shape))
     assert np.array_equal(w, tukey_weight((x - x_tilde) / fine.sigma, cfg.c_fine))
+
+
+def test_a_turn_solves_half_a_turn_away_and_shifts_the_fields_back():
+    # a noisy phase whose background sits by the wrap: 638 px lie above
+    # 2*pi - 0.1.  A turn of 2*pi is the plain solve of x~ + pi wrapped, its
+    # weights as they are and each x less pi
+    scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24, coverage="small")
+    x_tilde = td.synthesize(scene, noise_sigma=3e-9, noise_seed=0).foggy.phase
+    assert np.count_nonzero(x_tilde > TWO_PI - 0.1) == 638
+    cfg = small_config("phase-kinect16", rows=48)
+    coarse, fine, x, w = estimate_scattering(x_tilde, cfg, turn=TWO_PI)
+    plain = estimate_scattering(np.mod(x_tilde + np.pi, TWO_PI), cfg)
+    assert same_bits(w, plain[3])
+    for state, want in ((coarse, plain[0]), (fine, plain[1])):
+        assert state.summary() == want.summary()
+        assert same_bits(state.w, want.w) and same_bits(state.a, want.a)
+    for got, want in ((coarse.x, plain[0].x), (fine.x, plain[1].x), (x, plain[2])):
+        assert same_bits(got, want - np.pi)
 
 
 def test_a_flip_row_on_an_odd_frames_last_row_mirrors_nothing_on_either_grid():
