@@ -188,19 +188,14 @@ class ScatterProfile:
         return amp, phase
 
 
-@dataclass(frozen=True)
-class MeasuredScattering:
-    """Scattering field supplied as measured-style amplitude/phase grids."""
-
-    amplitude: np.ndarray
-    phase: np.ndarray
+class MeasuredScattering(PhasorImage):
+    """Scattering field given as measured amplitude/phase grids, checked and wrapped as built."""
 
     def fields(self, shape, medium, cam):
-        amp = np.asarray(self.amplitude, dtype=np.float64)
-        phase = np.asarray(self.phase, dtype=np.float64)
-        if amp.shape != tuple(shape) or phase.shape != tuple(shape):
-            raise ValueError("measured scattering field shape mismatch")
-        return amp, phase
+        if self.shape != tuple(shape):
+            raise ValueError(f"measured scattering field shape mismatch: "
+                             f"{self.shape} for a {tuple(shape)} scene")
+        return self.amplitude, self.phase
 
 
 @dataclass
@@ -266,9 +261,9 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
     if not (json_fits(noise_seed, "int") and noise_seed >= 0):
         raise ValueError(f"noise_seed must be an int >= 0, got {noise_seed!r}")
     shape = scene.depth_map.shape
+    # an amplitude >= 0 and a phase in [0, 2*pi) from either source: a measured
+    # field is a PhasorImage, and the profile's phase lies in [0, p_peak]
     amp_s, phase_s = scene.scattering.fields(shape, scene.medium, scene.cam)
-    if np.any(amp_s < 0):
-        raise ValueError("scattering amplitude field must be non-negative")
     total = rectangular(amp_s, phase_s)
     valid = scene.valid_depth()
     if valid.any():
@@ -283,7 +278,6 @@ def synthesize(scene: SceneSpec, noise_sigma: float = 0.0,
 
     foggy = PhasorImage.from_complex(total)
     del total  # the grids below reuse its memory
-    phase_s = wrap_phase(phase_s)
     if phase_s.shape != shape:  # the analytic profile's row column
         phase_s = np.broadcast_to(phase_s, shape).copy()
     return SynthesisResult(

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import make_scene, same_bits
-from scipy import ndimage
 
 from tofdefog import cli, irls
 from tofdefog.cli import main
@@ -292,6 +291,41 @@ def test_defog_replay_from_manifest(tmp_path, scene_dir):
     for name, digest in m1["outputs"].items():
         if name != "manifest.json":
             assert file_sha256(out2 / name) == digest
+
+
+def test_a_config_file_of_every_scalar_key_is_recorded_as_given_and_replayed(tmp_path,
+                                                                              scene_dir):
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    doc = {"gamma1": 0.2, "gamma2": 0.05, "gamma3": 20.0, "c_coarse": 3.5, "c_fine": 6.0,
+           "max_outer_iters": 7, "linear_solver_tol": 1e-5, "patch_grid": [2, 2]}
+    assert set(doc) == {f.name for f in dataclasses.fields(SolverConfig)} - {"flip"}
+    amp_cfg = tmp_path / "every_key.json"
+    amp_cfg.write_text(json.dumps(doc))
+    run, rerun = tmp_path / "run", tmp_path / "rerun"
+    assert main(["defog", "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
+                 "--phase", str(synth_out / "foggy_phase.tofgrid"),
+                 "--amp-config", str(amp_cfg), "--phase-config", write_small_configs(tmp_path)[1],
+                 "--flip-row", str(ROWS // 2), "--excluded-rows", "3", "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    recorded = manifest["config"]["amplitude"]
+    assert {key: recorded[key] for key in doc} == doc
+    assert recorded["flip"] == {"flip_row": ROWS // 2, "excluded_bottom_rows": 3}
+    assert main(["replay", str(run / "manifest.json"), "--out", str(rerun)]) == 0
+    again = json.loads((rerun / "manifest.json").read_text())
+    assert (again["config"], again["outputs"]) == (manifest["config"], manifest["outputs"])
+
+
+def test_a_bool_gamma_exits_2_and_creates_no_out_directory(tmp_path, scene_dir):
+    # a bool is no number: True would run as gamma 1
+    synth_out = tmp_path / "synth"
+    run_synth(scene_dir, synth_out)
+    bad, out = tmp_path / "bad.json", tmp_path / "badrun"
+    bad.write_text(json.dumps({"gamma1": True}))
+    assert main(["defog", "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
+                 "--phase", str(synth_out / "foggy_phase.tofgrid"),
+                 "--amp-config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_defog_replay_without_gaussian_sigma_writes_it_back_null(tmp_path, scene_dir):
@@ -925,6 +959,7 @@ def test_the_gaussian_filter_is_scipys_bit_for_bit(sigma):
     # scipy is the reference: its kernel from integer offsets and its
     # pairwise sums of taps, with the mirror repeated for a kernel (up to
     # 321 taps here) wider than the grid
+    ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(int(sigma * 10))
     for shape in FILTER_SHAPES:
         if shape == (424, 512) and sigma > 3.0:
@@ -942,6 +977,7 @@ def test_gaussian_gives_the_bytes_of_scipy_on_the_real_and_imaginary_parts(shape
     # real parts, so the amplitude and phase must agree in every byte,
     # dark pixels and the phase at 0 and near 2*pi included.  At 1e-200,
     # whose square is 0, scipy leaves the grids as they are
+    ndimage = pytest.importorskip("scipy.ndimage")
     rng = np.random.default_rng(shape[0])
     amplitude = rng.uniform(0.0, 2.0, shape) * (rng.random(shape) > 0.1)
     phase = np.where(rng.random(shape) > 0.3, rng.uniform(0.0, 2 * np.pi, shape),

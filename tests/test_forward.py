@@ -357,6 +357,27 @@ def test_synthesize_is_the_per_pixel_formula_bit_for_bit(noise_sigma):
     assert out.scattering_phase.values.flags.writeable
 
 
+@pytest.mark.parametrize("medium", [
+    FOG_MEDIUM,  # saturated angle 0.0282 rad
+    td.MediumParams(beta=1e-4, z0=9300.0, z_saturate=9360.0),  # -0.0259 rad: p_peak 6.2573
+], ids=["near-zero-peak", "near-two-pi-peak"])
+@pytest.mark.parametrize("flip_row", [0, 12, 23])
+def test_the_profile_gives_a_positive_amplitude_and_a_wrapped_phase(medium, flip_row):
+    # synthesize neither checks nor wraps the profile's grids: p_peak is in
+    # [0, 2*pi), |u| <= 1 and each falloff < 0.5
+    cam = td.CameraModel(16e6, rows=24, cols=32)
+    for amplitude_falloff in (0.0, 0.25, 0.4999):
+        for phase_falloff in (0.0, 0.25, 0.4999):
+            profile = td.ScatterProfile(flip_row, amplitude_falloff, phase_falloff)
+            amp, phase = profile.fields((24, 32), medium, cam)
+            assert amp.min() > 0
+            assert 0 <= phase.min() and phase.max() < 2 * np.pi
+            scene = td.SceneSpec(np.full((24, 32), np.inf), np.ones((24, 32)), cam, medium,
+                                 profile)
+            assert same_bits(td.synthesize(scene).scattering_phase.values,
+                             np.broadcast_to(td.wrap_phase(phase), (24, 32)))
+
+
 def test_synthesize_noise_is_seeded():
     scene = small_scene()
     a = td.synthesize(scene, noise_sigma=1e-9, noise_seed=3)
@@ -416,14 +437,14 @@ def negative_scattering_scene():
     (lambda: td.ScatterProfile(flip_row=8).fields((8, 8), FOG_MEDIUM, CAM),
      "flip_row outside the image"),
     (lambda: td.MeasuredScattering(np.ones((4, 4)), np.zeros((4, 5))).fields(
-        (4, 4), FOG_MEDIUM, CAM), "shape mismatch"),
+        (4, 4), FOG_MEDIUM, CAM), r"amplitude shape \(4, 4\) != phase shape \(4, 5\)"),
     (lambda: td.SceneSpec(np.full((8, 8), 1000.0), np.ones((8, 7)),
                           td.CameraModel(16e6, rows=8, cols=8), FOG_MEDIUM), "shapes differ"),
     (lambda: td.SceneSpec(np.full((8, 8), 1000.0), np.full((8, 8), -0.5),
                           td.CameraModel(16e6, rows=8, cols=8), FOG_MEDIUM),
      "reflectance must be non-negative"),
     (lambda: td.synthesize(negative_scattering_scene()),
-     "scattering amplitude field must be non-negative"),
+     "amplitude must be non-negative"),
 ], ids=["calibration-shapes", "empty-calibration", "amplitude-falloff", "phase-falloff",
         "profile-flip-row", "measured-shape", "scene-shapes", "negative-reflectance",
         "negative-scattering"])

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import apply_system, criterion_2, make_scene, small_config
+from conftest import apply_system, criterion_2, make_scene, same_bits, small_config
 
 import tofdefog as td
 from tofdefog import irls
@@ -83,6 +83,49 @@ def test_synth_manifest_lists_measured_scattering_inputs(tmp_path):
     outputs = manifest["outputs"]
     assert sorted(outputs) == sorted(p.name for p in out.glob("*.tofgrid"))
     assert outputs == {name: file_sha256(out / name) for name in outputs}
+
+
+def test_a_measured_phase_from_np_angle_saves_and_synthesizes_as_its_wrapped_angle(tmp_path):
+    # np.angle gives (-pi, pi]: 0.05 rad below the profile's phase, every pixel lies below 0
+    base = make_scene(beta=3.2e-4, seed=4, rows=24, cols=32, flip_row=12, coverage="small")
+    amp, phase = base.scattering.fields((24, 32), base.medium, base.cam)
+    given = np.angle(np.exp(1j * (np.broadcast_to(phase, (24, 32)) - 0.05)))
+    assert given.max() < 0
+    scene = dataclasses.replace(base, scattering=td.MeasuredScattering(amp, given))
+    path = tmp_path / "scene" / "scene.json"
+    save_scene(scene, path)
+    assert sorted(p.name for p in path.parent.iterdir()) == [
+        "depth_gt.tofgrid", "labels.tofgrid", "reflectance.tofgrid",
+        "scattering_amp_in.tofgrid", "scattering_phase_in.tofgrid", "scene.json"]
+    back = load_scene(path)
+    assert same_bits(back.scattering.phase,
+                     td.wrap_phase(given).astype(np.float32).astype(np.float64))
+    assert main(["synth", str(path), "--out", str(tmp_path / "synth")]) == 0
+    wrapped = dataclasses.replace(base, scattering=td.MeasuredScattering(amp, td.wrap_phase(given)))
+    got, want = td.synthesize(scene), td.synthesize(wrapped)
+    assert same_bits(got.foggy.amplitude, want.foggy.amplitude)
+    assert same_bits(got.foggy.phase, want.foggy.phase)
+    assert same_bits(got.scattering_amplitude.values, want.scattering_amplitude.values)
+    assert same_bits(got.scattering_phase.values, want.scattering_phase.values)
+
+
+@pytest.mark.parametrize("amp_shape, phase_shape, message", [
+    ((24, 32), (24, 31), "{path}: amplitude shape (24, 32) != phase shape (24, 31)"),
+    ((10, 10), (10, 10), "measured scattering field shape mismatch: (10, 10) for a (24, 32) scene"),
+], ids=["two-sizes", "not-the-cameras"])
+def test_synth_of_measured_grids_of_another_shape_exit_code(tmp_path, capsys, amp_shape,
+                                                            phase_shape, message):
+    # a pair of two sizes fails as the scene loads, naming it; a pair of one
+    # size that is not the camera's, as the scene is synthesized
+    path = tmp_path / "scene" / "scene.json"
+    save_scene(measured_scene(), path)
+    write_grid(path.parent / "scattering_amp_in.tofgrid", np.full(amp_shape, 1e-7), "amplitude")
+    write_grid(path.parent / "scattering_phase_in.tofgrid", np.full(phase_shape, 0.03), "phase")
+    out = tmp_path / "synth"
+    assert main(["synth", str(path), "--out", str(out), "--json"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == message.format(path=path)
+    assert not out.exists()
 
 
 def test_defog_thread_count_does_not_change_results(tmp_path):

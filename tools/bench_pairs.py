@@ -18,7 +18,8 @@ ops_detail, setup_samples_s and tail_percentile.  Under "pairs" it adds one
 entry per DIR: the workload, seed and seconds, the number of pairs, the
 failed ops per side, and per end-to-end metric each side's median and
 quartiles (statistics.quantiles, inclusive method) and the number of pairs
-in which this checkout reads lower.
+in which this checkout reads lower.  A DIR of fewer than two pairs exits
+with a message that names it.
 """
 
 import glob
@@ -59,6 +60,9 @@ def spread(values):
 
 def pair_stats(dest):
     count = len(glob.glob(os.path.join(dest, "parent-*.json")))
+    if count < 2:  # no quartiles of fewer values
+        sys.exit(f"{dest}: {count} pair(s) found; record needs at least two, "
+                 f"parent-1.json, change-1.json, parent-2.json and change-2.json")
     runs = {side: [load(os.path.join(dest, f"{side}-{i}.json")) for i in range(1, count + 1)]
             for side in ("parent", "change")}
     first = runs["change"][0]
