@@ -9,7 +9,9 @@ headers of the capture's foggy amplitude/phase pair, and `defog` and `eval`
 read it from there; `eval` reads the regions from the capture's
 labels.tofgrid.  A grid read for a role it does not fit is an InputError.
 `defog` and `replay` run the two domain solves on --threads threads, 2 by
-default and at most 2.  `simrange` sweeps the one depth grid of `simrange.sweep`.
+default and at most 2; at 1 both run on the calling thread, where a profiler
+such as cProfile sees them.  `simrange` sweeps the one depth grid of
+`simrange.sweep`.
 
 Exit codes: 0 ok, 2 input error, 3 solver failure, 4 format error.  With
 --json, errors go to stderr as one machine-readable JSON object.
@@ -292,6 +294,10 @@ def cmd_simrange(args) -> int:
 
 # -- parser --------------------------------------------------------------------
 
+THREADS_HELP = ("domain solve threads, one per domain, so 2 at most (default 2); "
+                "1 solves on the calling thread, where cProfile sees the solve")
+
+
 @functools.cache  # built on a process's first CLI call, and shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -324,16 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excluded-rows", type=int, default=None)
     p.add_argument("--gaussian-sigma", type=float,
                    help="smooth the input pair with this Gaussian sigma (px) first")
-    p.add_argument("--threads", type=thread_count,
-                   help="domain solve threads, one per domain, so 2 at most (default 2)")
+    p.add_argument("--threads", type=thread_count, help=THREADS_HELP)
     common(p)
     p.set_defaults(func=cmd_defog)
 
     p = sub.add_parser("replay", help="rerun a defog run from its manifest")
     p.add_argument("manifest", help="the run's manifest.json")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=thread_count,
-                   help="domain solve threads, one per domain, so 2 at most (default 2)")
+    p.add_argument("--threads", type=thread_count, help=THREADS_HELP)
     common(p)
     p.set_defaults(func=cmd_replay)
 

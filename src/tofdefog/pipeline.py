@@ -63,18 +63,23 @@ def defog(obs: PhasorImage, cam: CameraModel,
           threads: int = 2) -> DefogResult:
     """Estimate scattering in both domains, fuse masks, recover depth.
 
-    The amplitude and phase solvers are independent and may run
-    concurrently on up to `threads` threads (a thread_count).  Results
+    The amplitude and phase solvers are independent.  At `threads` 1 (a
+    thread_count) they run one after the other on the calling thread, which
+    starts no thread, and a profiler of that thread sees the solve; at 2 or
+    more they run concurrently on two threads, one per domain.  Results
     depend neither on the execution order nor on the BLAS thread count.
     The phase is solved half a turn away from its wrap (estimate_scattering's
     `turn`), and the turn picks each field's range: without one it is clamped
     to >= 0, as an amplitude is; with one it is wrapped to [0, 2*pi), as a
     phase is, once recover_direct has read it.
     """
-    threads = thread_count(threads)
     cfgs, turns = (amp_cfg, phase_cfg), (None, TWO_PI)
-    with ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
-        runs = pool.map(estimate_scattering, (obs.amplitude, obs.phase), cfgs, turns)
+    solves = (obs.amplitude, obs.phase), cfgs, turns
+    if thread_count(threads) == 1:
+        runs = map(estimate_scattering, *solves)
+    else:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = pool.map(estimate_scattering, *solves)
     amplitude, phase = (
         DomainResult(coarse, fine, ScatteringField(x if turn else np.maximum(x, 0.0, out=x)),
                      w, binarize_weights(w))

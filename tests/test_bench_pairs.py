@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py record: the document it builds from pair directories, and its refusals."""
+"""tools/bench_pairs.py: where `run` starts each side, what `record` builds, and its refusals."""
 
 import importlib.util
 import json
@@ -75,3 +75,42 @@ def test_record_refuses_a_directory_of_fewer_than_two_pairs(tmp_path, capsys, be
         bench_pairs.record(str(result), dest)
     assert str(exc.value).startswith(f"{dest}: {pairs} pair(s) found; record needs at least two")
     assert capsys.readouterr().out == ""
+
+
+def test_run_measures_each_side_from_a_fresh_copy(tmp_path, monkeypatch, bench_pairs):
+    # peak RSS follows the directory a run starts in, so both sides run from
+    # copies at paths of one length, without git, bytecode or earlier outputs
+    trees = {}
+    for side in ("parent", "change"):
+        root = trees[side] = tmp_path / f"{side}-checkout"
+        for left_out in (".git", "runs", "perfbench/out", "src/__pycache__"):
+            (root / left_out).mkdir(parents=True)
+            (root / left_out / "stale").write_text("")
+        (root / "side.txt").write_text(side)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(trees["change"]))
+    calls = []
+
+    def fake_run(argv, cwd, check, stdout):
+        calls.append(cwd)
+        assert not any(os.path.exists(os.path.join(cwd, *path.split("/")))
+                       for path in (".git", "runs", "perfbench/out/stale", "src/__pycache__"))
+        with open(os.path.join(cwd, "side.txt"), encoding="utf-8") as fh:
+            side = fh.read()
+        out = os.path.join(cwd, "perfbench", "out")
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "qvga-serial-seed3-trace0.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump({"side": side, "run": len(calls)}, fh)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    dest = tmp_path / "pairs"
+    bench_pairs.run(str(trees["parent"]), "qvga-serial", "3", "1", "2", str(dest))
+    parent, change = calls[0], calls[1]
+    assert calls == [parent, change, change, parent]
+    assert os.path.dirname(parent) == os.path.dirname(change)
+    assert (os.path.basename(parent), os.path.basename(change)) == ("parent", "change")
+    assert {json.loads((dest / name).read_text())["side"] + "-" + name.split("-")[1]
+            for name in os.listdir(dest)} == {"parent-1.json", "change-1.json",
+                                              "parent-2.json", "change-2.json"}
+    assert [json.loads((dest / f"{side}-2.json").read_text())["run"]
+            for side in ("change", "parent")] == [3, 4]

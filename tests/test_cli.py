@@ -433,6 +433,28 @@ def test_the_cli_loads_no_scipy_module(tmp_path, smoothing):
     assert json.loads(done.stdout.splitlines()[-1]) == [[], 0, []]
 
 
+def test_a_serial_defog_starts_no_thread_and_loads_no_numpy_ma(tmp_path):
+    # --threads 1 solves both domains on the calling thread, and nothing in
+    # a defog imports numpy.ma (about 1 MiB) unless importing numpy already has
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import json, sys, threading, tofdefog.cli\n"
+            "started, start = [], threading.Thread.start\n"
+            "def record(thread):\n"
+            "    started.append(thread.name)\n"
+            "    start(thread)\n"
+            "threading.Thread.start = record\n"
+            "imported = 'numpy.ma' in sys.modules\n"
+            "code = tofdefog.cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, started, imported, 'numpy.ma' in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code, "defog", *write_flat_pair(tmp_path),
+                           "--threads", "1"], env=env, check=True, capture_output=True,
+                          text=True, timeout=60)
+    code, started, imported, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert (code, started, loaded) == (0, [], imported)
+
+
 def write_flat_pair(tmp_path, amp_domain="amplitude", phase_domain="phase"):
     amp, phase = tmp_path / "amp.tofgrid", tmp_path / "phase.tofgrid"
     write_grid(amp, np.ones((24, 24)), amp_domain, modulation_frequency_hz=16e6)
@@ -477,7 +499,7 @@ def test_a_defog_run_holds_each_full_size_grid_once(tmp_path):
     # frame's two inputs, the solver's full-resolution tail, the direct
     # phasor and the output grids.  A copy that nothing reads again, or an
     # input kept beside its PhasorImage, adds one or more.  The run read
-    # 12.63 grids at numpy 2.4.6, where the bound was chosen; CI's
+    # 12.54 grids at numpy 2.4.6, where the bound was chosen; CI's
     # numpy-floor job runs it at numpy 2.0
     rows, cols = 240, 320
     save_scene(make_scene(3.2e-4, seed=1, rows=rows, cols=cols, flip_row=113),
@@ -487,8 +509,8 @@ def test_a_defog_run_holds_each_full_size_grid_once(tmp_path):
     argv = ["defog", "--amp", str(synth_out / "foggy_amplitude.tofgrid"),
             "--phase", str(synth_out / "foggy_phase.tofgrid"), "--threads", "1",
             "--flip-row", "113", "--excluded-rows", "14"]
-    # a process's first run also imports what numpy loads on first use (np.median
-    # imports numpy.ma, about 1 MiB), so only a second run measures the run itself
+    # a process's first run also imports and builds what later runs reuse (about
+    # 0.2 grids more), so only a second run measures the run itself
     assert main(argv + ["--out", str(tmp_path / "first")]) == 0
     tracemalloc.start()
     try:
@@ -497,7 +519,7 @@ def test_a_defog_run_holds_each_full_size_grid_once(tmp_path):
     finally:
         tracemalloc.stop()
     grids = peak / (rows * cols * 8)
-    assert grids <= 13.5, f"a defog run's heap peaked at {grids:.2f} full-size grids"
+    assert grids <= 13.41, f"a defog run's heap peaked at {grids:.2f} full-size grids"
 
 
 def test_defog_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -69,6 +71,25 @@ def test_mad_scale_values():
 def test_mad_scale_normal_consistency():
     rng = np.random.default_rng(0)
     assert mad_scale(rng.normal(0, 1, 100000)) == pytest.approx(1.0, abs=0.02)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 19200])
+@pytest.mark.parametrize("values", ["distinct", "ties", "nan"])
+def test_mad_scale_is_np_medians_without_numpy_ma(monkeypatch, size, values):
+    # np.median's own NaN check imports numpy.ma, which nothing else in a
+    # defog loads; mad_scale keeps np.median's bits without it
+    r = np.random.default_rng(size).normal(size=size)
+    if values == "ties":  # equal magnitudes of both signs
+        r = np.round(r, 1) if size > 3 else np.array([-0.5, 0.5, 0.5])[:size]
+    elif values == "nan":
+        r[size // 2] = np.nan
+    floor = 1e-300
+    want = max(float(np.median(np.abs(r)) / 0.6745), floor)
+    monkeypatch.delattr(np, "ma", raising=False)
+    monkeypatch.setitem(sys.modules, "numpy.ma", None)  # an import of it raises
+    got = mad_scale(r, floor)
+    assert same_bits(got, want)
+    assert math.isnan(got) == (values == "nan")
 
 
 def test_mad_scale_empty_rejected():

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from conftest import apply_system, criterion_2, make_scene, same_bits, small_config
 
 import tofdefog as td
-from tofdefog import irls
+from tofdefog import irls, pipeline
 from tofdefog.cli import main
 from tofdefog.gridfile import write_grid
 from tofdefog.pipeline import file_sha256, load_scene, save_scene, thread_count
@@ -140,6 +141,23 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
     assert np.array_equal(serial.phase.field.values,
                           threaded.phase.field.values)
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
+
+
+def test_a_serial_defog_solves_both_domains_on_the_calling_thread(monkeypatch):
+    # threads=1 starts no thread, so a profiler of the caller sees the solve
+    solve, callers = pipeline.estimate_scattering, []
+
+    def recorded(*args):
+        callers.append(threading.get_ident())
+        return solve(*args)
+
+    monkeypatch.setattr(pipeline, "estimate_scattering", recorded)
+    scene = make_scene(beta=3.2e-4, seed=2, rows=48, cols=48, flip_row=24,
+                       coverage="small")
+    cfgs = [small_config(f"{domain}-kinect16", rows=48, patch_grid=(2, 2))
+            for domain in ("amplitude", "phase")]
+    td.defog(td.synthesize(scene).foggy, scene.cam, *cfgs, threads=1)
+    assert callers == [threading.get_ident()] * 2
 
 
 def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():

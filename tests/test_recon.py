@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import same_bits
 
 import tofdefog as td
+from tofdefog.core import rectangular
 from tofdefog.recon import (
     DepthErrorReport,
     ObjectMask,
@@ -49,6 +52,27 @@ def test_recover_direct_pure_background_flagged_invalid():
     out = recover_direct(obs, scat_amp, scat_phase)
     assert np.all(out.amplitude < td.AMPLITUDE_EPSILON)
     assert not out.valid().any()
+
+
+def test_recover_direct_builds_no_full_size_complex_grid():
+    # row blocks, the last one ragged, give the whole-grid subtraction's
+    # bits; the heap holds the two output grids and the wrapped phase, where
+    # a full-size complex grid would add two grids more
+    shape = (240, 320)
+    rng = np.random.default_rng(2)
+    scat_amp, scat_phase = rng.uniform(0.1, 0.5, shape), rng.uniform(0, 0.5, shape)
+    direct = rectangular(rng.uniform(0.5, 2, shape), rng.uniform(0, 2 * np.pi, shape))
+    direct[::7, ::5] = 0.0  # background pixels
+    obs = phasor_from_complex(direct + rectangular(scat_amp, scat_phase))
+    want = td.PhasorImage.from_complex(obs.to_complex() - rectangular(scat_amp, scat_phase))
+    tracemalloc.start()
+    try:
+        got = recover_direct(obs, scat_amp, scat_phase)
+        grids = tracemalloc.get_traced_memory()[1] / (shape[0] * shape[1] * 8)
+    finally:
+        tracemalloc.stop()
+    assert same_bits(got.amplitude, want.amplitude) and same_bits(got.phase, want.phase)
+    assert grids < 3.5, f"recover_direct's heap peaked at {grids:.2f} full-size grids"
 
 
 def test_recover_direct_shape_mismatch():

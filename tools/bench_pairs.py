@@ -4,13 +4,16 @@
     python3 tools/bench_pairs.py record RESULT DIR [DIR ...] > BENCH_<n>.json
 
 `run` makes PAIRS pairs of untraced benchmark runs of WORKLOAD, each pair
-one run in the checkout PARENT and one in this checkout, the parent's first
-in odd pairs and second in even ones.  Each run is
-perfbench/run.py with the workload, seed and seconds given and tracing off,
-started from its checkout's root under the caller's environment (its BLAS
-thread variables included).  The run's result file,
-perfbench/out/WORKLOAD-seedSEED-trace0.json, is copied to DIR as
-parent-<i>.json or change-<i>.json for pair i.
+one run of the checkout PARENT and one of this checkout, the parent's first
+in odd pairs and second in even ones.  Both checkouts are first copied to
+fresh directories of paths of one length, <tmp>/parent and <tmp>/change,
+without their .git, __pycache__, runs/ and perfbench/out/, so that neither
+side's numbers depend on where or in what state its checkout lies (peak RSS
+follows the directory a run starts in).  Each run is perfbench/run.py with
+the workload, seed and seconds given and tracing off, started from its
+copy's root under the caller's environment (its BLAS thread variables
+included).  The run's result file, perfbench/out/WORKLOAD-seedSEED-trace0.json,
+is copied to DIR as parent-<i>.json or change-<i>.json for pair i.
 
 `record` prints one JSON document.  From RESULT, an untraced perfbench
 result file of this checkout, it keeps the environment, end_to_end,
@@ -29,23 +32,36 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 METRICS = ("op_s.p50", "op_s.tail", "setup_s", "peak_rss_mb")
 KEPT = ("environment", "end_to_end", "ops_detail", "setup_samples_s", "tail_percentile")
 
 
+def copy_checkout(root, dest):
+    """Copy the checkout `root` to `dest`, leaving out what runs and git leave in it."""
+    left_out = {os.path.join(root, ".git"), os.path.join(root, "runs"),
+                os.path.join(root, "perfbench", "out")}
+    shutil.copytree(root, dest, ignore=lambda directory, names: [
+        name for name in names
+        if name == "__pycache__" or os.path.join(directory, name) in left_out])
+
+
 def run(parent, workload, seed, seconds, pairs, dest):
     os.makedirs(dest, exist_ok=True)
     argv = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
             "--seed", seed, "--seconds", seconds, "--trace", "0"]
-    for i in range(1, int(pairs) + 1):
-        sides = [("parent", parent), ("change", ROOT)]
-        for side, root in sides if i % 2 else sides[::-1]:
-            subprocess.run(argv, cwd=root, check=True, stdout=subprocess.DEVNULL)
-            shutil.copyfile(os.path.join(root, "perfbench", "out",
-                                         f"{workload}-seed{seed}-trace0.json"),
-                            os.path.join(dest, f"{side}-{i}.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_checkout(os.path.abspath(parent), os.path.join(tmp, "parent"))
+        copy_checkout(ROOT, os.path.join(tmp, "change"))
+        for i in range(1, int(pairs) + 1):
+            for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                copy = os.path.join(tmp, side)
+                subprocess.run(argv, cwd=copy, check=True, stdout=subprocess.DEVNULL)
+                shutil.copyfile(os.path.join(copy, "perfbench", "out",
+                                             f"{workload}-seed{seed}-trace0.json"),
+                                os.path.join(dest, f"{side}-{i}.json"))
 
 
 def load(path):
