@@ -221,11 +221,10 @@ def _run(args, cfgs: list, sigma, amp_path: str, phase_path: str, expected=None)
         _write_grid(out, "depth_masked.tofgrid", result.depth.depth, "depth"),
     ])
     for domain in DOMAINS:
-        record = getattr(result, domain)
-        outputs.update([_write_grid(out, f"scattering_{domain}.tofgrid", record.field.values,
-                                    domain),
-                        _write_grid(out, f"weights_{domain}.tofgrid", record.weights,
-                                    "weight")])
+        outputs.update([_write_grid(out, f"scattering_{domain}.tofgrid",
+                                    getattr(result.scattering, domain), domain),
+                        _write_grid(out, f"weights_{domain}.tofgrid",
+                                    getattr(result, domain).weights, "weight")])
 
     manifest = build_manifest(
         "defog",

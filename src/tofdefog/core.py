@@ -189,7 +189,7 @@ class DepthImage:
 
 @dataclass
 class ScatteringField:
-    """Per-pixel scattering component for one domain, synthesized or estimated."""
+    """Per-pixel scattering component for one domain, as synthesized."""
 
     values: np.ndarray
 
@@ -249,21 +249,37 @@ def depth_to_phase(depth_mm, cam: CameraModel):
     return phase if phase.ndim else float(phase)
 
 
-def _check_same_shape(a: PhasorImage, b: PhasorImage):
+# Rows per block of a phasor sum: a 512-column block's complex grids take 256 KiB each
+BLOCK_ROWS = 32
+
+
+def _phasor_sum(a: PhasorImage, b: PhasorImage, op) -> PhasorImage:
+    """op(a, b) per pixel in rectangular form, `op` a ufunc such as np.add.
+
+    The sum runs BLOCK_ROWS rows at a time, so no full-size complex grid is
+    built; each step is elementwise, so the blocks change no bit.  Pixels
+    whose result falls below AMPLITUDE_EPSILON get phase 0, as `polar` gives
+    it, and PhasorImage.valid() flags them.
+    """
     if a.shape != b.shape:
         raise ValueError(f"phasor image shapes differ: {a.shape} vs {b.shape}")
+    amplitude, phase = np.empty(a.shape), np.empty(a.shape)
+    for top in range(0, len(amplitude), BLOCK_ROWS):
+        rows = slice(top, top + BLOCK_ROWS)
+        total = rectangular(a.amplitude[rows], a.phase[rows])
+        op(total, rectangular(b.amplitude[rows], b.phase[rows]), out=total)
+        amplitude[rows], phase[rows] = polar(total)
+    return PhasorImage(amplitude, phase)
 
 
 def phasor_add(a: PhasorImage, b: PhasorImage) -> PhasorImage:
     """Per-pixel complex sum of two phasor images."""
-    _check_same_shape(a, b)
-    return PhasorImage.from_complex(a.to_complex() + b.to_complex())
+    return _phasor_sum(a, b, np.add)
 
 
 def phasor_subtract(a: PhasorImage, b: PhasorImage) -> PhasorImage:
     """Per-pixel complex difference a - b of two phasor images."""
-    _check_same_shape(a, b)
-    return PhasorImage.from_complex(a.to_complex() - b.to_complex())
+    return _phasor_sum(a, b, np.subtract)
 
 
 def read_json(path) -> tuple:

@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (TWO_PI, CameraModel, DepthImage, ObjectMask, PhasorImage, ScatteringField,
-                   json_fits, json_keys, json_kwargs, read_json, wrap_phase)
+from .core import (TWO_PI, CameraModel, DepthImage, ObjectMask, PhasorImage, json_fits,
+                   json_keys, json_kwargs, read_json)
 from .forward import MeasuredScattering, MediumParams, ScatterProfile, SceneSpec
 from .gridfile import read_grid, write_grid
 from .irls import IrlsState, SolverConfig, binarize_weights, estimate_scattering
@@ -34,19 +34,21 @@ def thread_count(value) -> int:
 
 @dataclass
 class DomainResult:
-    """One domain's solver levels, and its full-resolution field, weights and object mask."""
+    """One domain's solver levels, and its full-resolution weights and object mask."""
 
     coarse: IrlsState
     fine: IrlsState
-    field: ScatteringField
     weights: np.ndarray
     mask: ObjectMask
 
 
 @dataclass
 class DefogResult:
+    """Both domains' solves, the estimated scattering phasor, and what it leaves of the frame."""
+
     amplitude: DomainResult
     phase: DomainResult
+    scattering: PhasorImage
     fused_mask: ObjectMask
     direct: PhasorImage
     depth: DepthImage
@@ -69,25 +71,24 @@ def defog(obs: PhasorImage, cam: CameraModel,
     more they run concurrently on two threads, one per domain.  Results
     depend neither on the execution order nor on the BLAS thread count.
     The phase is solved half a turn away from its wrap (estimate_scattering's
-    `turn`), and the turn picks each field's range: without one it is clamped
-    to >= 0, as an amplitude is; with one it is wrapped to [0, 2*pi), as a
-    phase is, once recover_direct has read it.
+    `turn`).  The two fields make one scattering phasor, its amplitude
+    clamped to >= 0 in place and its phase wrapped to [0, 2*pi) once, and
+    the direct component is the observation minus it.
     """
-    cfgs, turns = (amp_cfg, phase_cfg), (None, TWO_PI)
-    solves = (obs.amplitude, obs.phase), cfgs, turns
+    solves = (obs.amplitude, obs.phase), (amp_cfg, phase_cfg), (None, TWO_PI)
     if thread_count(threads) == 1:
         runs = map(estimate_scattering, *solves)
     else:
         with ThreadPoolExecutor(max_workers=2) as pool:
             runs = pool.map(estimate_scattering, *solves)
-    amplitude, phase = (
-        DomainResult(coarse, fine, ScatteringField(x if turn else np.maximum(x, 0.0, out=x)),
-                     w, binarize_weights(w))
-        for (coarse, fine, x, w), turn in zip(runs, turns))
+    (amplitude, amp_x), (phase, phase_x) = (
+        (DomainResult(coarse, fine, w, binarize_weights(w)), x) for coarse, fine, x, w in runs)
+    scattering = PhasorImage(np.maximum(amp_x, 0.0, out=amp_x), phase_x)
+    del phase_x  # the scattering phasor holds the phase field's one wrapped copy
     fused = fuse_masks(amplitude.mask, phase.mask)
-    direct = recover_direct(obs, amplitude.field.values, phase.field.values)
-    phase.field = ScatteringField(wrap_phase(phase.field.values))
-    return DefogResult(amplitude, phase, fused, direct, reconstruct_depth(direct, cam, fused))
+    direct = recover_direct(obs, scattering)
+    return DefogResult(amplitude, phase, scattering, fused, direct,
+                       reconstruct_depth(direct, cam, fused))
 
 
 # -- scene documents ---------------------------------------------------------

@@ -9,33 +9,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CameraModel, DepthImage, ObjectMask, PhasorImage, phase_to_depth, polar,
-                   rectangular)
+from .core import CameraModel, DepthImage, ObjectMask, PhasorImage, phase_to_depth, phasor_subtract
 
-# Rows per block of recover_direct: a 512-column block's complex grids take 256 KiB each
-BLOCK_ROWS = 32
-
-
-def recover_direct(obs: PhasorImage, scat_amp, scat_phase) -> PhasorImage:
-    """Subtract the scattering phasor, given as amplitude and phase grids, per pixel.
-
-    The subtraction runs in rectangular form, BLOCK_ROWS rows at a time, so
-    no full-size complex grid is built; each step is elementwise, so the
-    blocks change no bit.  Pixels whose recovered amplitude falls below
-    AMPLITUDE_EPSILON have no meaningful phase (pure background) and come
-    back with phase 0, i.e. flagged invalid by PhasorImage.valid().
-    """
-    amp_s = np.asarray(scat_amp, dtype=np.float64)
-    phi_s = np.asarray(scat_phase, dtype=np.float64)
-    if amp_s.shape != obs.shape or phi_s.shape != obs.shape:
-        raise ValueError("scattering field shape does not match observation")
-    amplitude, phase = np.empty(obs.shape), np.empty(obs.shape)
-    for top in range(0, len(amplitude), BLOCK_ROWS):
-        rows = slice(top, top + BLOCK_ROWS)
-        direct = rectangular(obs.amplitude[rows], obs.phase[rows])
-        direct -= rectangular(amp_s[rows], phi_s[rows])
-        amplitude[rows], phase[rows] = polar(direct)
-    return PhasorImage(amplitude, phase)
+# The direct component is the observation minus the scattering phasor, per pixel
+recover_direct = phasor_subtract
 
 
 def reconstruct_depth(direct: PhasorImage, cam: CameraModel, mask: ObjectMask) -> DepthImage:

@@ -166,7 +166,7 @@ def test_criterion_4_closed_form_identities():
         1j * rng.uniform(0, 2 * np.pi, (16, 16))
     )
     obs = td.PhasorImage.from_complex(direct + scat_amp * np.exp(1j * scat_phase))
-    rec = td.recover_direct(obs, scat_amp, scat_phase)
+    rec = td.recover_direct(obs, td.PhasorImage(scat_amp, scat_phase))
     assert np.max(np.abs(rec.amplitude - np.abs(direct)) / np.abs(direct)) < 1e-9
     _report("ACCEPTANCE 4 closed-form identities: PASS")
 
@@ -202,10 +202,10 @@ def test_criterion_6_all_background_sentinel():
                    td.SolverConfig.profile("phase-kinect16"))
     flagged = res.fused_mask.count() / (rows * cols)
     assert flagged < 0.005, f"{flagged:.4%} of pixels flagged as object"
-    rms_amp = (np.linalg.norm(res.amplitude.field.values
+    rms_amp = (np.linalg.norm(res.scattering.amplitude
                               - syn.scattering_amplitude.values)
                / np.linalg.norm(syn.scattering_amplitude.values))
-    rms_phase = (np.linalg.norm(res.phase.field.values
+    rms_phase = (np.linalg.norm(res.scattering.phase
                                 - syn.scattering_phase.values)
                  / np.linalg.norm(syn.scattering_phase.values))
     assert rms_amp < 0.02, f"amplitude field RMS error {rms_amp:.4f}"

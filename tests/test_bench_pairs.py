@@ -21,13 +21,17 @@ def bench_pairs(monkeypatch):
     return module
 
 
-def write_pairs(dest, workload, parent, change, failed):
-    """One run file per side and pair; metric k reads (k + 1) times the side's value."""
+def write_pairs(dest, workload, parent, change, failed, ops=None):
+    """One run file per side and pair; metric k reads (k + 1) times the side's value.
+
+    `ops` maps a (side, pair) to that run's ops_detail, which is empty otherwise.
+    """
     dest.mkdir()
     for side, values in (("parent", parent), ("change", change)):
         for i, (value, fails) in enumerate(zip(values, failed[side]), 1):
             run = {"workload": workload, "seed": 3, "seconds": 40, "failed": fails,
-                   "end_to_end": {m: (k + 1) * value for k, m in enumerate(METRICS)}}
+                   "end_to_end": {m: (k + 1) * value for k, m in enumerate(METRICS)},
+                   "ops_detail": (ops or {}).get((side, i), [])}
             (dest / f"{side}-{i}.json").write_text(json.dumps(run))
     return str(dest)
 
@@ -60,6 +64,30 @@ def test_record_summarizes_each_pair_directory(tmp_path, capsys, bench_pairs):
             "parent": {"q1": 1.5 * scale, "median": 2.0 * scale, "q3": 2.5 * scale},
             "change": {"q1": 1.0 * scale, "median": 1.0 * scale, "q3": 1.0 * scale},
             "change_lower_in": 1}
+
+
+def test_record_lists_the_frames_whose_outputs_differ(tmp_path, capsys, bench_pairs):
+    # frame 0 agrees in every run, frame 1 differs between the sides, frame 2
+    # varies within the parent's runs, frame 3 differs in its CG count alone,
+    # and frame 4's failed op records neither hashes nor a CG count
+    def op(frame, digest="a", cg=10):
+        return {"frame": frame, "hashes": {"depth.tofgrid": digest}, "cg_iters": cg}
+
+    same = [op(0), op(1), op(2), op(3), op(4)]
+    ops = {("parent", 1): same, ("parent", 2): [op(0), op(1), op(2, "b"), op(3), op(4)],
+           ("change", 1): [op(0), op(1, "c"), op(2), op(3, cg=11), op(4)],
+           ("change", 2): [op(0), op(1, "c"), op(2), op(3), {"frame": 4}]}
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({key: None for key in bench_pairs.KEPT}))
+    dest = write_pairs(tmp_path / "pairs", "qvga-serial", [1.0, 1.0], [1.0, 1.0],
+                       {"parent": [0, 0], "change": [0, 1]}, ops)
+    identical = write_pairs(tmp_path / "identical", "qvga-serial", [1.0, 1.0], [1.0, 1.0],
+                            {"parent": [0, 0], "change": [0, 0]},
+                            {(side, i): same for side in ("parent", "change") for i in (1, 2)})
+    bench_pairs.record(str(result), dest, identical)
+    first, second = json.loads(capsys.readouterr().out)["pairs"]
+    assert first["outputs"] == {"frames": 5, "differing_frames": [1, 2, 3, 4]}
+    assert second["outputs"] == {"frames": 5, "differing_frames": []}
 
 
 @pytest.mark.parametrize("pairs", [1, 0], ids=["one-pair", "no-directory"])

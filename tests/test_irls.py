@@ -367,8 +367,8 @@ def test_defog_defaults_agree_with_a_fully_converged_run(monkeypatch):
     default, converged = runs
     assert all(s["converged"] for s in converged.solver_summary().values())
     for name in ("amplitude", "phase"):
-        got = getattr(default, name).field.values
-        ref = getattr(converged, name).field.values
+        got = getattr(default.scattering, name)
+        ref = getattr(converged.scattering, name)
         assert np.linalg.norm(got - ref) <= 1e-3 * np.linalg.norm(ref)
 
 

@@ -23,7 +23,7 @@ ALLOWED = {
     "irls": {"core", "priors"},
     "simrange": {"core", "forward"},
     "pipeline": {"core", "forward", "gridfile", "irls", "recon"},
-    "cli": {"core", "priors", "gridfile", "recon", "forward", "irls", "simrange", "pipeline"},
+    "cli": {"core", "gridfile", "recon", "forward", "irls", "simrange", "pipeline"},
 }
 
 

@@ -137,9 +137,8 @@ def test_defog_thread_count_does_not_change_results(tmp_path):
     phase_cfg = small_config("phase-kinect16", rows=48, patch_grid=(2, 2))
     serial = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=1)
     threaded = td.defog(syn.foggy, scene.cam, amp_cfg, phase_cfg, threads=2)
-    assert np.array_equal(serial.amplitude.field.values, threaded.amplitude.field.values)
-    assert np.array_equal(serial.phase.field.values,
-                          threaded.phase.field.values)
+    assert np.array_equal(serial.scattering.amplitude, threaded.scattering.amplitude)
+    assert np.array_equal(serial.scattering.phase, threaded.scattering.phase)
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
 
 
@@ -173,8 +172,8 @@ def test_an_odd_sized_frame_defogs_alike_on_one_and_two_threads():
     assert serial.amplitude.coarse.x.shape == (24, 33)
     for name in ("amplitude", "phase"):
         one, two = getattr(serial, name), getattr(threaded, name)
-        assert one.field.values.shape == (49, 67)
-        assert np.array_equal(one.field.values, two.field.values)
+        assert getattr(serial.scattering, name).shape == (49, 67)
+        assert np.array_equal(getattr(serial.scattering, name), getattr(threaded.scattering, name))
         assert one.weights.shape == (49, 67)
         assert np.array_equal(one.weights, two.weights)
     assert np.array_equal(serial.fused_mask.mask, threaded.fused_mask.mask)
@@ -200,7 +199,7 @@ def test_a_column_mirrored_frame_defogs_to_the_mirrored_result(rows, cols, seed)
                         scene.cam, amp_cfg, phase_cfg, threads=1)
     assert np.array_equal(mirrored.fused_mask.mask[:, ::-1], res.fused_mask.mask)
     for name in ("amplitude", "phase"):
-        want, got = getattr(res, name).field.values, getattr(mirrored, name).field.values[:, ::-1]
+        want, got = getattr(res.scattering, name), getattr(mirrored.scattering, name)[:, ::-1]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     depth, mirrored_depth = res.depth.depth, mirrored.depth.depth[:, ::-1]
     has_depth = np.isfinite(depth)
@@ -370,8 +369,8 @@ def test_defog_clamps_the_amplitude_field_and_not_the_phase(monkeypatch):
     # each field is the half-grid fine x copied over its 2x2 blocks
     amp, phase = (irls._block_copy(d.fine.x, (48, 48)) for d in (res.amplitude, res.phase))
     assert amp.min() < 0 and phase.min() < 0
-    assert np.array_equal(res.amplitude.field.values, np.maximum(amp, 0.0))
-    assert np.array_equal(res.phase.field.values, td.wrap_phase(phase))
+    assert np.array_equal(res.scattering.amplitude, np.maximum(amp, 0.0))
+    assert np.array_equal(res.scattering.phase, td.wrap_phase(phase))
 
 
 @pytest.mark.parametrize("noise", [0.0, 3e-9])
@@ -385,12 +384,28 @@ def test_every_grid_of_a_defog_result_is_a_valid_grid_of_its_domain(tmp_path, no
         amp, np.mod(np.broadcast_to(phase, (96, 128)) - 0.0265, 2 * np.pi)))
     syn = td.synthesize(scene, noise, noise_seed=0)
     res = td.defog(syn.foggy, scene.cam, *KINECT_96X128, threads=1)
-    grids = [(res.amplitude.field.values, "amplitude"), (res.phase.field.values, "phase"),
+    grids = [(res.scattering.amplitude, "amplitude"), (res.scattering.phase, "phase"),
              (res.amplitude.weights, "weight"), (res.phase.weights, "weight"),
              (res.fused_mask.mask, "label"), (res.depth.depth, "depth"),
              (res.direct.amplitude, "amplitude"), (res.direct.phase, "phase")]
     for i, (values, domain) in enumerate(grids):
         write_grid(tmp_path / f"{i}.tofgrid", values, domain)
+
+
+@pytest.mark.parametrize("noise", [0.0, 3e-9])
+def test_the_direct_component_is_the_frame_minus_the_returned_scattering_phasor(noise):
+    # on the frame above, whose phase field dips below 0: the scattering
+    # estimate is one phasor, wrapped once, and recover_direct reads it as returned
+    base = make_scene(3.2e-4, seed=1, rows=96, cols=128, flip_row=45)
+    amp, phase = base.scattering.fields((96, 128), base.medium, base.cam)
+    scene = dataclasses.replace(base, scattering=td.MeasuredScattering(
+        amp, np.mod(np.broadcast_to(phase, (96, 128)) - 0.0265, 2 * np.pi)))
+    obs = td.synthesize(scene, noise, noise_seed=0).foggy
+    res = td.defog(obs, scene.cam, *KINECT_96X128, threads=1)
+    assert 0.0 <= res.scattering.phase.min() and res.scattering.phase.max() < 2 * np.pi
+    want = td.phasor_subtract(obs, res.scattering)
+    assert same_bits(res.direct.amplitude, want.amplitude)
+    assert same_bits(res.direct.phase, want.phase)
 
 
 def test_solver_summary_flags_levels_stopped_by_the_cap():

@@ -29,7 +29,7 @@ def test_recover_direct_zero_scattering_is_identity():
     rng = np.random.default_rng(0)
     obs = td.PhasorImage(rng.uniform(0.5, 2, (6, 8)), rng.uniform(0, 2 * np.pi, (6, 8)))
     zeros = np.zeros((6, 8))
-    out = recover_direct(obs, zeros, zeros)
+    out = recover_direct(obs, td.PhasorImage(zeros, zeros))
     assert np.allclose(out.amplitude, obs.amplitude, rtol=1e-12)
     assert np.allclose(out.phase, obs.phase, rtol=1e-12)
 
@@ -40,7 +40,7 @@ def test_recover_direct_round_trip():
     scat_amp = rng.uniform(0.1, 0.5, (6, 8))
     scat_phase = rng.uniform(0, 0.5, (6, 8))
     obs = phasor_from_complex(direct + scat_amp * np.exp(1j * scat_phase))
-    out = recover_direct(obs, scat_amp, scat_phase)
+    out = recover_direct(obs, td.PhasorImage(scat_amp, scat_phase))
     assert np.max(np.abs(out.amplitude - np.abs(direct))) < 1e-9
     assert np.allclose(np.exp(1j * out.phase), direct / np.abs(direct), atol=1e-9)
 
@@ -49,36 +49,40 @@ def test_recover_direct_pure_background_flagged_invalid():
     scat_amp = np.full((6, 8), 0.7)
     scat_phase = np.full((6, 8), 0.3)
     obs = phasor_from_complex(scat_amp * np.exp(1j * scat_phase))
-    out = recover_direct(obs, scat_amp, scat_phase)
+    out = recover_direct(obs, td.PhasorImage(scat_amp, scat_phase))
     assert np.all(out.amplitude < td.AMPLITUDE_EPSILON)
     assert not out.valid().any()
 
 
-def test_recover_direct_builds_no_full_size_complex_grid():
-    # row blocks, the last one ragged, give the whole-grid subtraction's
-    # bits; the heap holds the two output grids and the wrapped phase, where
-    # a full-size complex grid would add two grids more
+@pytest.mark.parametrize("phasor_sum, whole_grid",
+                         [(recover_direct, np.subtract), (td.phasor_subtract, np.subtract),
+                          (td.phasor_add, np.add)],
+                         ids=["recover_direct", "phasor_subtract", "phasor_add"])
+def test_recover_direct_builds_no_full_size_complex_grid(phasor_sum, whole_grid):
+    # row blocks, the last one ragged, give the whole-grid sum's bits; the
+    # heap holds the two output grids and the wrapped phase, where a
+    # full-size complex grid would add two grids more
     shape = (240, 320)
     rng = np.random.default_rng(2)
-    scat_amp, scat_phase = rng.uniform(0.1, 0.5, shape), rng.uniform(0, 0.5, shape)
+    scat = td.PhasorImage(rng.uniform(0.1, 0.5, shape), rng.uniform(0, 0.5, shape))
     direct = rectangular(rng.uniform(0.5, 2, shape), rng.uniform(0, 2 * np.pi, shape))
     direct[::7, ::5] = 0.0  # background pixels
-    obs = phasor_from_complex(direct + rectangular(scat_amp, scat_phase))
-    want = td.PhasorImage.from_complex(obs.to_complex() - rectangular(scat_amp, scat_phase))
+    obs = phasor_from_complex(direct + scat.to_complex())
+    want = td.PhasorImage.from_complex(whole_grid(obs.to_complex(), scat.to_complex()))
     tracemalloc.start()
     try:
-        got = recover_direct(obs, scat_amp, scat_phase)
+        got = phasor_sum(obs, scat)
         grids = tracemalloc.get_traced_memory()[1] / (shape[0] * shape[1] * 8)
     finally:
         tracemalloc.stop()
     assert same_bits(got.amplitude, want.amplitude) and same_bits(got.phase, want.phase)
-    assert grids < 3.5, f"recover_direct's heap peaked at {grids:.2f} full-size grids"
+    assert grids < 3.5, f"the phasor sum's heap peaked at {grids:.2f} full-size grids"
 
 
 def test_recover_direct_shape_mismatch():
     obs = td.PhasorImage(np.ones((4, 4)), np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        recover_direct(obs, np.zeros((4, 5)), np.zeros((4, 5)))
+        recover_direct(obs, td.PhasorImage(np.zeros((4, 5)), np.zeros((4, 5))))
 
 
 def test_reconstruct_depth_values_and_masking():

@@ -21,8 +21,12 @@ ops_detail, setup_samples_s and tail_percentile.  Under "pairs" it adds one
 entry per DIR: the workload, seed and seconds, the number of pairs, the
 failed ops per side, and per end-to-end metric each side's median and
 quartiles (statistics.quantiles, inclusive method) and the number of pairs
-in which this checkout reads lower.  A DIR of fewer than two pairs exits
-with a message that names it.
+in which this checkout reads lower.  Its "outputs" entry checks byte
+identity from the runs' ops_detail: the number of frames compared, and the
+frames whose ops' output hashes and CG iteration counts take more than one
+value over both sides' runs, so that a frame whose outputs vary within a
+side or differ between the sides is listed.  A DIR of fewer than two pairs
+exits with a message that names it.
 """
 
 import glob
@@ -74,6 +78,18 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def output_identity(runs):
+    """The frames compared and those whose ops' (hashes, cg_iters) take more than one value."""
+    outputs = {}
+    for side_runs in runs.values():
+        for result in side_runs:
+            for op in result["ops_detail"]:  # a failed op has neither, and reads (None, None)
+                outputs.setdefault(op["frame"], set()).add(
+                    json.dumps([op.get("hashes"), op.get("cg_iters")], sort_keys=True))
+    return {"frames": len(outputs),
+            "differing_frames": sorted(frame for frame, seen in outputs.items() if len(seen) > 1)}
+
+
 def pair_stats(dest):
     count = len(glob.glob(os.path.join(dest, "parent-*.json")))
     if count < 2:  # no quartiles of fewer values
@@ -84,7 +100,8 @@ def pair_stats(dest):
     first = runs["change"][0]
     stats = {"workload": first["workload"], "seed": first["seed"], "seconds": first["seconds"],
              "pairs": count,
-             "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}}
+             "failed_ops": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+             "outputs": output_identity(runs)}
     for metric in METRICS:
         values = {side: [r["end_to_end"][metric] for r in rs] for side, rs in runs.items()}
         stats[metric] = {**{side: spread(v) for side, v in values.items()},
